@@ -312,6 +312,15 @@ fn bench_ml(c: &mut Criterion) {
     group.bench_function("rf", |b| {
         b.iter(|| black_box(forest.predict_batch(matrix.view())))
     });
+    // The CNN classifies the same matrix through the serial
+    // `predict_batch_into`, reusing one output buffer; the IDS tick's
+    // span entry point runs the same kernel.
+    let mut rng = SimRng::seed_from(7);
+    let cnn = Cnn::fit_view(cnn_matrix.view(), &cnn_labels, &cnn_config, &mut rng).unwrap();
+    let mut predictions = Vec::new();
+    group.bench_function("cnn", |b| {
+        b.iter(|| black_box(cnn.predict_batch_into(matrix.view(), &mut predictions)))
+    });
     group.finish();
 
     bench_serving_window(c);

@@ -18,14 +18,18 @@
 //! fixed [`MICRO_BATCH`]-example chunks, one partial [`Grads`] per chunk,
 //! folded in chunk order before the Adam step — so the fitted network is
 //! identical at any thread count.
+//!
+//! Inference runs one serial kernel over eight rows at a time
+//! (`Cnn::forward_lanes`, DESIGN.md §11.2), bit-identical to the
+//! training forward pass row by row.
 
 use std::cell::RefCell;
 
 use netsim::rng::SimRng;
 use serde::{Deserialize, Serialize};
 
-use crate::classifier::{validate_matrix, validate_training_set, Classifier, TrainError};
-use crate::matrix::{matmul_nt, FeatureMatrix, MatrixView};
+use crate::classifier::{validate_matrix, validate_training_set, Classifier, RowSpan, TrainError};
+use crate::matrix::{FeatureMatrix, MatrixView};
 use crate::nn::{relu, relu_grad, softmax, softmax_into, Adam, Dense};
 use crate::codec::{DecodeError, Decoder, Encoder};
 use crate::par;
@@ -78,6 +82,14 @@ impl Default for CnnConfig {
 
 const CLASSES: usize = 2;
 
+/// Rows per block of the inference kernel ([`Cnn::forward_lanes`]).
+/// Eight `f64` lanes fill four SSE2 registers, so the two accumulator
+/// sets a fused conv output needs (even and odd pool positions) take
+/// eight of the sixteen. Narrower blocks run fewer independent add
+/// chains than the adder can overlap; wider ones are no faster
+/// (DESIGN.md §11.2).
+const LANES: usize = 8;
+
 /// A 1-D convolution layer with same-padding.
 #[derive(Debug, Clone, PartialEq)]
 struct Conv1d {
@@ -126,26 +138,58 @@ impl Conv1d {
         out
     }
 
-    /// Writes the zero-padded im2col patch matrix for `input` (flat
-    /// channel-major `[in_ch][len]`): row `p` is the receptive field of
-    /// output position `p`, laid out `[i * kernel + k]` — exactly the
-    /// index order of one weight row, so `matmul_nt(w, patches, ..)`
-    /// accumulates in the same order as the scalar [`Conv1d::forward`].
-    fn im2col(&self, input: &[f64], len: usize, patches: &mut Vec<f64>) {
-        let half = (self.kernel / 2) as isize;
-        let k_total = self.in_ch * self.kernel;
-        patches.resize(len * k_total, 0.0);
-        for p in 0..len {
-            let row = &mut patches[p * k_total..(p + 1) * k_total];
-            for i in 0..self.in_ch {
-                let channel = &input[i * len..(i + 1) * len];
-                for k in 0..self.kernel {
-                    let src = p as isize + (k as isize - half) * self.dilation as isize;
-                    row[i * self.kernel + k] = if src >= 0 && (src as usize) < len {
-                        channel[src as usize]
-                    } else {
-                        0.0
-                    };
+    /// Same-padding width: how far the outermost tap reaches past
+    /// either end of the input.
+    fn pad(&self) -> usize {
+        (self.kernel / 2) * self.dilation
+    }
+
+    /// The lane kernel's convolution over `positions` input positions,
+    /// fused with ReLU and the 2:1 max pool. `input` is lane-minor
+    /// `[in_ch][positions + 2·pad][L]`, zero-padded by [`Conv1d::pad`] on
+    /// both sides. Pooled output `q` of channel `o` lands in
+    /// `out[o · out_width + out_pad + q]`, so conv1 writes straight into
+    /// conv2's padded input. The odd tail position the pool drops is not
+    /// computed.
+    ///
+    /// Each output starts from the bias and adds `w · x` over
+    /// `(i, k)` in [`Conv1d::forward`]'s order. A tap that falls in the
+    /// padding adds `w · 0.0`, which the reference skips; with finite
+    /// weights that leaves every nonzero sum unchanged (DESIGN.md §11.2).
+    fn forward_lanes<const L: usize>(
+        &self,
+        input: &[[f64; L]],
+        positions: usize,
+        out: &mut [[f64; L]],
+        out_width: usize,
+        out_pad: usize,
+    ) {
+        let width = positions + 2 * self.pad();
+        let pooled = positions / 2;
+        let taps = self.in_ch * self.kernel;
+        for o in 0..self.out_ch {
+            let w = &self.w[o * taps..(o + 1) * taps];
+            let dst = &mut out[o * out_width + out_pad..][..pooled];
+            for (q, cell) in dst.iter_mut().enumerate() {
+                let mut even = [self.b[o]; L];
+                let mut odd = [self.b[o]; L];
+                for i in 0..self.in_ch {
+                    let channel = &input[i * width..(i + 1) * width];
+                    for k in 0..self.kernel {
+                        let wk = w[i * self.kernel + k];
+                        let at = 2 * q + k * self.dilation;
+                        let (xe, xo) = (&channel[at], &channel[at + 1]);
+                        for l in 0..L {
+                            even[l] += wk * xe[l];
+                            odd[l] += wk * xo[l];
+                        }
+                    }
+                }
+                relu(&mut even);
+                relu(&mut odd);
+                // Ties (and NaNs) resolve as in `maxpool2`.
+                for l in 0..L {
+                    cell[l] = if even[l] >= odd[l] { even[l] } else { odd[l] };
                 }
             }
         }
@@ -206,23 +250,6 @@ fn maxpool2(x: &[Vec<f64>]) -> (Vec<Vec<f64>>, Vec<Vec<usize>>) {
     (out, arg)
 }
 
-/// Max pool (window 2, stride 2) over a flat channel-major `[channels][len]`
-/// buffer, refilling `out` as `[channels][len / 2]`. Ties prefer the left
-/// element, matching [`maxpool2`]. No argmax: the flat path is
-/// inference-only.
-fn maxpool2_flat(x: &[f64], channels: usize, len: usize, out: &mut Vec<f64>) {
-    let out_len = len / 2;
-    out.clear();
-    out.reserve(channels * out_len);
-    for c in 0..channels {
-        let channel = &x[c * len..(c + 1) * len];
-        for p in 0..out_len {
-            let (a, b) = (channel[2 * p], channel[2 * p + 1]);
-            out.push(if a >= b { a } else { b });
-        }
-    }
-}
-
 fn maxpool2_backward(grad_out: &[Vec<f64>], arg: &[Vec<usize>], in_len: usize) -> Vec<Vec<f64>> {
     let mut grad_in = vec![vec![0.0; in_len]; grad_out.len()];
     for c in 0..grad_out.len() {
@@ -233,35 +260,44 @@ fn maxpool2_backward(grad_out: &[Vec<f64>], arg: &[Vec<usize>], in_len: usize) -
     grad_in
 }
 
-/// Reusable buffers for the flat im2col inference path
-/// ([`Cnn::forward_scratch`]). All `Vec`s are cleared and refilled on
-/// each call, so a warmed-up scratch makes repeated prediction
-/// allocation-free.
+/// The lane kernel's buffers, all lane-minor (`[channel][position][lane]`)
+/// and sized by [`LaneScratch::prepare`] for one network and lane count.
+/// Each is cleared and refilled, never dropped, so a warmed-up scratch
+/// makes prediction allocation-free.
 #[derive(Debug, Default)]
-pub struct CnnScratch {
-    /// im2col patch matrix (shared by both conv layers).
-    patches: Vec<f64>,
-    /// Conv1 pre/post-activation, flat `[out_ch][len]`.
-    z1: Vec<f64>,
-    /// Pooled conv1 activations, flat `[out_ch][len / 2]`.
-    p1: Vec<f64>,
-    /// Conv2 pre/post-activation, flat `[out_ch][len / 2]`.
-    z2: Vec<f64>,
-    /// Pooled conv2 activations — already the dense layer's flat input.
-    p2: Vec<f64>,
-    /// Hidden dense pre/post-activation.
-    z3: Vec<f64>,
-    /// Output logits.
-    logits: Vec<f64>,
-    /// Softmax class probabilities — the forward pass result.
-    probs: Vec<f64>,
+struct LaneScratch {
+    /// conv1 input, `[input_len + 2 · pad1][L]`; the padding stays zero.
+    x0: Vec<f64>,
+    /// Pooled conv1 output = conv2 input, `[c1][pooled1 + 2 · pad2][L]`;
+    /// the padding stays zero.
+    x1: Vec<f64>,
+    /// Pooled conv2 output = dense input, `[c2 · pooled2][L]`.
+    flat: Vec<f64>,
+    /// Hidden dense activations, `[hidden][L]`.
+    hidden: Vec<f64>,
+}
+
+impl LaneScratch {
+    /// Zero-fills every buffer at `net`'s shape for `lanes` rows.
+    fn prepare(&mut self, net: &Cnn, lanes: usize) {
+        let [x0, x1, flat, hidden] = net.lane_buffer_lens();
+        for (buf, len) in [
+            (&mut self.x0, x0),
+            (&mut self.x1, x1),
+            (&mut self.flat, flat),
+            (&mut self.hidden, hidden),
+        ] {
+            buf.clear();
+            buf.resize(len * lanes, 0.0);
+        }
+    }
 }
 
 thread_local! {
-    /// Per-thread scratch backing [`Cnn::predict`] / [`Cnn::predict_proba`],
-    /// so steady-state inference allocates nothing without threading a
+    /// Per-thread lane scratch behind every prediction entry point, so
+    /// steady-state inference allocates nothing without threading a
     /// buffer through the [`Classifier`] trait.
-    static PREDICT_SCRATCH: RefCell<CnnScratch> = RefCell::new(CnnScratch::default());
+    static PREDICT_SCRATCH: RefCell<LaneScratch> = RefCell::new(LaneScratch::default());
 }
 
 struct ForwardCache {
@@ -517,34 +553,136 @@ impl Cnn {
         let _ = self.conv1.backward(&cache.x0, &da1, &mut grads.c1w, &mut grads.c1b);
     }
 
-    /// The flat inference pass: im2col + [`matmul_nt`] per conv layer,
-    /// flat max-pooling, then the dense head, all into `scratch`'s
-    /// reused buffers (`scratch.probs` holds the result). Every
-    /// floating-point accumulation happens in the same order as the
-    /// nested-`Vec` [`Cnn::forward`], so the two produce bit-identical
-    /// probabilities; `forward` stays as the golden reference (and the
-    /// training path, which needs the cached activations).
-    pub fn forward_scratch(&self, features: &[f64], scratch: &mut CnnScratch) {
-        let len = features.len();
-        self.conv1.im2col(features, len, &mut scratch.patches);
-        let k1 = self.conv1.in_ch * self.conv1.kernel;
-        matmul_nt(&self.conv1.w, &scratch.patches, k1, &self.conv1.b, &mut scratch.z1);
-        relu(&mut scratch.z1);
-        maxpool2_flat(&scratch.z1, self.conv1.out_ch, len, &mut scratch.p1);
+    /// Per-row lengths of the lane kernel's buffers, in [`LaneScratch`]
+    /// field order: padded conv1 input, padded conv2 input, dense input,
+    /// hidden activations.
+    fn lane_buffer_lens(&self) -> [usize; 4] {
+        let len = self.config.input_len;
+        [
+            len + 2 * self.conv1.pad(),
+            self.conv1.out_ch * (len / 2 + 2 * self.conv2.pad()),
+            self.fc1.input,
+            self.fc1.output,
+        ]
+    }
 
-        let pooled1 = len / 2;
-        self.conv2.im2col(&scratch.p1, pooled1, &mut scratch.patches);
-        let k2 = self.conv2.in_ch * self.conv2.kernel;
-        matmul_nt(&self.conv2.w, &scratch.patches, k2, &self.conv2.b, &mut scratch.z2);
-        relu(&mut scratch.z2);
-        // The pooled channel-major buffer *is* the reference's flatten
-        // order, so it feeds the dense head directly.
-        maxpool2_flat(&scratch.z2, self.conv2.out_ch, pooled1, &mut scratch.p2);
+    /// The inference kernel: one forward pass over `L` rows at once,
+    /// returning each row's class probabilities. `s` must be prepared
+    /// for this network and `L` lanes. Rows are transposed into the
+    /// lane-minor padded conv1 input, then every layer runs once per
+    /// block with `L` accumulators per output. Each lane adds in exactly
+    /// the reference's order, so its probabilities are bit-identical to
+    /// the nested-`Vec` [`Cnn::forward`], which stays as the oracle and
+    /// the training path.
+    fn forward_lanes<const L: usize>(
+        &self,
+        rows: &[&[f64]; L],
+        s: &mut LaneScratch,
+    ) -> [[f64; CLASSES]; L] {
+        let len = self.config.input_len;
+        let pad1 = self.conv1.pad();
+        let (x0, _) = s.x0.as_chunks_mut::<L>();
+        for (p, cell) in x0[pad1..pad1 + len].iter_mut().enumerate() {
+            for (v, row) in cell.iter_mut().zip(rows) {
+                *v = row[p];
+            }
+        }
+        let (pooled1, pad2) = (len / 2, self.conv2.pad());
+        let width2 = pooled1 + 2 * pad2;
+        let (x1, _) = s.x1.as_chunks_mut::<L>();
+        self.conv1.forward_lanes(x0, len, x1, width2, pad2);
+        // The pooled channel-major conv2 output *is* the reference's
+        // flatten order, so it feeds the dense head directly.
+        let (flat, _) = s.flat.as_chunks_mut::<L>();
+        self.conv2.forward_lanes(x1, pooled1, flat, pooled1 / 2, 0);
+        let (hidden, _) = s.hidden.as_chunks_mut::<L>();
+        self.fc1.forward_lanes(flat, hidden);
+        relu(hidden.as_flattened_mut());
+        let mut logits = [[0.0; L]; CLASSES];
+        self.fc2.forward_lanes(hidden, &mut logits);
+        std::array::from_fn(|l| {
+            let mut probs = [0.0; CLASSES];
+            softmax_into(&logits.map(|class| class[l]), &mut probs);
+            probs
+        })
+    }
 
-        self.fc1.forward_into(&scratch.p2, &mut scratch.z3);
-        relu(&mut scratch.z3);
-        self.fc2.forward_into(&scratch.z3, &mut scratch.logits);
-        softmax_into(&scratch.logits, &mut scratch.probs);
+    /// Runs the `view` rows named by `rows` through the kernel in order,
+    /// [`LANES`] at a time, handing each block's probabilities to `sink`.
+    /// Blocks ignore span boundaries; a partial tail block fills its
+    /// spare lanes with its first row and drops their outputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-empty view's row arity differs from the network's
+    /// `input_len`.
+    fn forward_rows(
+        &self,
+        view: MatrixView<'_>,
+        mut rows: impl Iterator<Item = usize>,
+        mut sink: impl FnMut(&[[f64; CLASSES]]),
+    ) {
+        assert!(
+            view.is_empty() || view.n_cols() == self.config.input_len,
+            "CNN expects {} features per row, got {}",
+            self.config.input_len,
+            view.n_cols()
+        );
+        PREDICT_SCRATCH.with(|s| {
+            let mut s = s.borrow_mut();
+            s.prepare(self, LANES);
+            loop {
+                let mut block = [0usize; LANES];
+                let mut n = 0;
+                for (slot, row) in block.iter_mut().zip(&mut rows) {
+                    *slot = row;
+                    n += 1;
+                }
+                if n == 0 {
+                    break;
+                }
+                let lanes: [&[f64]; LANES] =
+                    std::array::from_fn(|l| view.row(block[if l < n { l } else { 0 }]));
+                sink(&self.forward_lanes(&lanes, &mut s)[..n]);
+            }
+        });
+    }
+
+    /// Appends the class of every `view` row named by `rows` to `out`.
+    fn classify_into(
+        &self,
+        view: MatrixView<'_>,
+        rows: impl Iterator<Item = usize>,
+        out: &mut Vec<usize>,
+    ) {
+        self.forward_rows(view, rows, |probs| out.extend(probs.iter().map(class_of)));
+    }
+
+    /// Class probabilities of one row, through the one-lane kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len()` differs from the network's `input_len`.
+    fn forward_one(&self, features: &[f64]) -> [f64; CLASSES] {
+        assert_eq!(features.len(), self.config.input_len, "CNN input arity");
+        PREDICT_SCRATCH.with(|s| {
+            let mut s = s.borrow_mut();
+            s.prepare(self, 1);
+            self.forward_lanes(&[features], &mut s)[0]
+        })
+    }
+
+    /// Multiply-accumulates of one forward pass, the CNN's deterministic
+    /// work unit: each conv layer slides its full weight tensor across
+    /// its (unclipped) output positions, and each dense layer touches
+    /// every weight once. A function of the architecture alone —
+    /// boundary clipping and the pool's dropped tail are ignored.
+    fn macs_per_row(&self) -> u64 {
+        let pooled1 = self.config.input_len / 2;
+        (self.conv1.w.len() * self.config.input_len
+            + self.conv2.w.len() * pooled1
+            + self.fc1.w.len()
+            + self.fc2.w.len()) as u64
     }
 
     /// Cross-entropy loss on one sample (used by the gradient check).
@@ -554,12 +692,12 @@ impl Cnn {
     }
 
     /// Class probabilities for one sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len()` differs from the network's `input_len`.
     pub fn predict_proba(&self, features: &[f64]) -> Vec<f64> {
-        PREDICT_SCRATCH.with(|s| {
-            let mut s = s.borrow_mut();
-            self.forward_scratch(features, &mut s);
-            s.probs.clone()
-        })
+        self.forward_one(features).to_vec()
     }
 
     /// The architecture configuration.
@@ -623,7 +761,10 @@ impl Cnn {
             + self.fc2.b.len()
     }
 
-    /// Decodes a CNN from its binary blob.
+    /// Decodes a CNN from its binary blob. Every parameter vector must
+    /// have exactly the length its layer's shape implies, and the shape
+    /// itself must be one the inference kernel can run, so a decoded
+    /// network never panics predicting rows of its input width.
     ///
     /// # Errors
     ///
@@ -642,27 +783,87 @@ impl Cnn {
             batch_size: d.get_usize()?,
             learning_rate: d.get_f64()?,
         };
-        let mut read_layer = |in_ch: usize, out_ch: usize, kernel: usize, dilation: usize| {
-            Ok::<Conv1d, DecodeError>(Conv1d {
+        check_architecture(&config)?;
+        let (c1, c2, kernel) = (config.conv1_filters, config.conv2_filters, config.kernel);
+        let mut conv = |in_ch: usize, out_ch: usize, dilation: usize| {
+            let weights = out_ch
+                .checked_mul(in_ch)
+                .and_then(|n| n.checked_mul(kernel));
+            Ok::<_, DecodeError>(Conv1d {
                 in_ch,
                 out_ch,
                 kernel,
                 dilation,
-                w: d.get_f64_slice()?,
-                b: d.get_f64_slice()?,
+                w: read_params(&mut d, weights, "conv layer arity")?,
+                b: read_params(&mut d, Some(out_ch), "conv layer arity")?,
             })
         };
-        let conv1 = read_layer(1, config.conv1_filters, config.kernel, 1)?;
-        let conv2 = read_layer(config.conv1_filters, config.conv2_filters, config.kernel, config.dilation2)?;
-        let pooled2 = (config.input_len / 2) / 2;
-        let flat = config.conv2_filters * pooled2;
-        let fc1 = Dense { input: flat, output: config.hidden, w: d.get_f64_slice()?, b: d.get_f64_slice()? };
-        let fc2 = Dense { input: config.hidden, output: CLASSES, w: d.get_f64_slice()?, b: d.get_f64_slice()? };
-        if fc1.w.len() != flat * config.hidden || fc2.w.len() != config.hidden * CLASSES {
-            return Err(DecodeError::Corrupt("dense layer arity"));
-        }
+        let conv1 = conv(1, c1, 1)?;
+        let conv2 = conv(c1, c2, config.dilation2)?;
+        let pooled2 = config.input_len / 2 / 2;
+        let flat = c2
+            .checked_mul(pooled2)
+            .ok_or(DecodeError::Corrupt("dense layer arity"))?;
+        let mut dense = |input: usize, output: usize| {
+            Ok::<_, DecodeError>(Dense {
+                input,
+                output,
+                w: read_params(&mut d, input.checked_mul(output), "dense layer arity")?,
+                b: read_params(&mut d, Some(output), "dense layer arity")?,
+            })
+        };
+        let fc1 = dense(flat, config.hidden)?;
+        let fc2 = dense(config.hidden, CLASSES)?;
         Ok(Cnn { config, conv1, conv2, fc1, fc2 })
     }
+}
+
+/// The architecture [`Cnn::decode`] accepts: a shape the inference
+/// kernel can run. Both pools must leave at least one position, every
+/// layer must have a unit, the kernel must be odd (symmetric
+/// same-padding) and each conv's padding width must be bounded by the
+/// input, since the kernel's padded buffers are sized from it.
+fn check_architecture(config: &CnnConfig) -> Result<(), DecodeError> {
+    if config.input_len < 4 {
+        return Err(DecodeError::Corrupt("input too short for two pools"));
+    }
+    if config.conv1_filters == 0 || config.conv2_filters == 0 || config.hidden == 0 {
+        return Err(DecodeError::Corrupt("empty layer"));
+    }
+    if config.kernel.is_multiple_of(2) {
+        return Err(DecodeError::Corrupt("kernel width must be odd"));
+    }
+    if config.dilation2 == 0 {
+        return Err(DecodeError::Corrupt("zero dilation"));
+    }
+    for dilation in [1, config.dilation2] {
+        let pad = (config.kernel / 2).checked_mul(dilation);
+        if pad.is_none_or(|pad| pad > config.input_len) {
+            return Err(DecodeError::Corrupt("padding wider than the input"));
+        }
+    }
+    Ok(())
+}
+
+/// Reads one parameter vector, which must hold exactly `len` values
+/// (`None`: the expected length overflowed `usize`).
+fn read_params(
+    d: &mut Decoder<'_>,
+    len: Option<usize>,
+    what: &'static str,
+) -> Result<Vec<f64>, DecodeError> {
+    let values = d.get_f64_slice()?;
+    if Some(values.len()) == len {
+        Ok(values)
+    } else {
+        Err(DecodeError::Corrupt(what))
+    }
+}
+
+/// The predicted class of one probability pair: malicious only when it
+/// is strictly more likely.
+fn class_of(probs: &[f64; CLASSES]) -> usize {
+    usize::from(probs[1] > probs[0])
 }
 
 impl Classifier for Cnn {
@@ -671,24 +872,47 @@ impl Classifier for Cnn {
     }
 
     fn predict(&self, features: &[f64]) -> usize {
-        PREDICT_SCRATCH.with(|s| {
-            let mut s = s.borrow_mut();
-            self.forward_scratch(features, &mut s);
-            usize::from(s.probs[1] > s.probs[0])
-        })
+        class_of(&self.forward_one(features))
     }
 
     fn predict_with_work(&self, features: &[f64]) -> (usize, u64) {
-        // Multiply-accumulates of one forward pass: each conv layer slides
-        // its full weight tensor across its (unclipped) output positions,
-        // and each dense layer touches every weight once. A deterministic
-        // function of the architecture — boundary clipping is ignored.
-        let pooled1 = self.config.input_len / 2;
-        let macs = (self.conv1.w.len() * self.config.input_len
-            + self.conv2.w.len() * pooled1
-            + self.fc1.w.len()
-            + self.fc2.w.len()) as u64;
-        (self.predict(features), macs)
+        (self.predict(features), self.macs_per_row())
+    }
+
+    // Every batch entry point runs the serial lane kernel. The trait's
+    // row-parallel default would start an OS thread per split (the
+    // vendored `rayon::join`), which costs more than a block.
+    fn predict_batch(&self, view: MatrixView<'_>) -> Vec<usize> {
+        let mut out = Vec::with_capacity(view.n_rows());
+        self.classify_into(view, 0..view.n_rows(), &mut out);
+        out
+    }
+
+    fn predict_batch_with_work(&self, view: MatrixView<'_>) -> (Vec<usize>, u64) {
+        let out = self.predict_batch(view);
+        let work = self.macs_per_row() * out.len() as u64;
+        (out, work)
+    }
+
+    fn predict_batch_into(&self, view: MatrixView<'_>, out: &mut Vec<usize>) -> u64 {
+        out.clear();
+        self.classify_into(view, 0..view.n_rows(), out);
+        self.macs_per_row() * view.n_rows() as u64
+    }
+
+    fn predict_batch_spans_into(
+        &self,
+        view: MatrixView<'_>,
+        spans: &[RowSpan],
+        out: &mut Vec<usize>,
+        span_work: &mut Vec<u64>,
+    ) -> u64 {
+        out.clear();
+        self.classify_into(view, spans.iter().flat_map(RowSpan::range), out);
+        let macs = self.macs_per_row();
+        span_work.clear();
+        span_work.extend(spans.iter().map(|span| macs * span.len as u64));
+        span_work.iter().sum()
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -715,11 +939,9 @@ impl Classifier for Cnn {
     }
 
     fn memory_bytes(&self) -> u64 {
-        // Parameters plus the activation buffers a forward pass holds.
-        let activations = self.config.input_len * (1 + self.config.conv1_filters * 2)
-            + (self.config.input_len / 2) * self.config.conv2_filters * 2
-            + self.config.hidden * 2
-            + CLASSES * 2;
+        // Parameters plus the lane scratch a batch pass holds: `LANES`
+        // rows of every activation buffer.
+        let activations = self.lane_buffer_lens().iter().sum::<usize>() * LANES;
         ((self.parameter_count() + activations) * std::mem::size_of::<f64>()) as u64
     }
 
@@ -867,32 +1089,265 @@ mod tests {
         assert!(correct as f64 / x.len() as f64 > 0.95, "train acc {correct}/300");
     }
 
-    /// The im2col scratch path must reproduce the nested-`Vec` reference
-    /// forward pass bit for bit — on freshly initialised and on trained
-    /// networks, across seeds, including the zero-padded borders.
+    fn bits(probs: &[f64]) -> Vec<u64> {
+        probs.iter().map(|p| p.to_bits()).collect()
+    }
+
+    /// The lane kernel's probabilities for the `view` rows named by
+    /// `rows`, as bit patterns.
+    fn lane_bits(
+        net: &Cnn,
+        view: MatrixView<'_>,
+        rows: impl Iterator<Item = usize>,
+    ) -> Vec<Vec<u64>> {
+        let mut out = Vec::new();
+        net.forward_rows(view, rows, |probs| {
+            out.extend(probs.iter().map(|p| bits(p)))
+        });
+        out
+    }
+
+    /// Every batch entry point agrees with per-row `predict_with_work`
+    /// on classes and work totals over `view`; the span entry point over
+    /// the in-order `spans`.
+    fn assert_entry_points_agree(net: &Cnn, view: MatrixView<'_>, spans: &[RowSpan]) {
+        let per_row: Vec<(usize, u64)> = (0..view.n_rows())
+            .map(|i| net.predict_with_work(view.row(i)))
+            .collect();
+        let classes: Vec<usize> = per_row.iter().map(|&(c, _)| c).collect();
+        let work: u64 = per_row.iter().map(|&(_, w)| w).sum();
+        assert_eq!(net.predict_batch(view), classes);
+        assert_eq!(net.predict_batch_with_work(view), (classes.clone(), work));
+        let mut out = vec![9; 3];
+        assert_eq!(net.predict_batch_into(view, &mut out), work);
+        assert_eq!(out, classes);
+        let mut span_work = vec![7];
+        let total = net.predict_batch_spans_into(view, spans, &mut out, &mut span_work);
+        let span_rows: Vec<usize> = spans.iter().flat_map(RowSpan::range).collect();
+        assert_eq!(
+            out,
+            span_rows.iter().map(|&i| classes[i]).collect::<Vec<_>>()
+        );
+        let expected: Vec<u64> = spans
+            .iter()
+            .map(|span| span.range().map(|i| per_row[i].1).sum())
+            .collect();
+        assert_eq!(span_work, expected);
+        assert_eq!(total, expected.iter().sum::<u64>());
+    }
+
+    /// The lane kernel must reproduce the nested-`Vec` reference forward
+    /// pass bit for bit: on freshly initialised and trained networks
+    /// across seeds, for single rows (one lane) and for every row count
+    /// through two full blocks and a partial tail, on subset views with
+    /// repeats and on span tilings with empty spans and spans straddling
+    /// a lane block. The four batch entry points must agree with
+    /// per-row prediction on classes and work.
     #[test]
-    fn forward_scratch_matches_reference_bits_across_seeds() {
-        let bits = |probs: &[f64]| probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-        for seed in 31..36 {
+    fn lane_kernel_matches_reference_bits() {
+        for seed in 31..36u64 {
             let mut rng = SimRng::seed_from(seed);
             let config = tiny_config();
             let init = Cnn::init(config, &mut rng);
             let (x, y) = separable_data(80, config.input_len, &mut rng);
             let trained =
                 Cnn::fit(&x, &y, &CnnConfig { epochs: 3, ..config }, &mut rng).unwrap();
-            let mut scratch = CnnScratch::default();
+            let m = FeatureMatrix::from_rows(&x).unwrap();
             for net in [&init, &trained] {
-                for xi in &x {
-                    let reference = net.forward(xi).probs;
-                    net.forward_scratch(xi, &mut scratch);
+                let reference: Vec<Vec<u64>> =
+                    x.iter().map(|xi| bits(&net.forward(xi).probs)).collect();
+                for (xi, want) in x.iter().zip(&reference) {
                     assert_eq!(
-                        bits(&reference),
-                        bits(&scratch.probs),
-                        "seed {seed}: scratch path diverged from reference"
+                        &bits(&net.predict_proba(xi)),
+                        want,
+                        "seed {seed}: one-lane kernel diverged"
                     );
-                    assert_eq!(net.predict(xi), usize::from(reference[1] > reference[0]));
+                }
+                assert_eq!(
+                    lane_bits(net, m.view(), 0..x.len()),
+                    reference,
+                    "seed {seed}: full view"
+                );
+                for n in 0..=2 * LANES + 1 {
+                    let ix: Vec<usize> = (0..n).map(|i| (i * 7 + seed as usize) % 11).collect();
+                    let view = m.subset(&ix);
+                    let want: Vec<Vec<u64>> = ix.iter().map(|&i| reference[i].clone()).collect();
+                    assert_eq!(
+                        lane_bits(net, view, 0..n),
+                        want,
+                        "seed {seed}: {n} subset rows"
+                    );
+                    let all = [RowSpan { start: 0, len: n }];
+                    assert_entry_points_agree(net, view, &all);
+                }
+                // Spans straddling the first block boundary, empty spans
+                // between and at both ends, and skipped rows.
+                let first: Vec<usize> = (0..2 * LANES + 1).collect();
+                let view = m.subset(&first);
+                let tilings: [&[RowSpan]; 3] = [
+                    &[
+                        RowSpan { start: 0, len: 0 },
+                        RowSpan { start: 0, len: 3 },
+                        RowSpan { start: 3, len: 0 },
+                        RowSpan { start: 3, len: 9 },
+                        RowSpan { start: 12, len: 5 },
+                        RowSpan { start: 17, len: 0 },
+                    ],
+                    &[
+                        RowSpan { start: 1, len: 7 },
+                        RowSpan { start: 8, len: 0 },
+                        RowSpan { start: 10, len: 7 },
+                    ],
+                    &[],
+                ];
+                for spans in tilings {
+                    let rows: Vec<usize> = spans.iter().flat_map(RowSpan::range).collect();
+                    let want: Vec<Vec<u64>> = rows.iter().map(|&i| reference[i].clone()).collect();
+                    assert_eq!(
+                        lane_bits(net, view, rows.iter().copied()),
+                        want,
+                        "seed {seed}: spans {spans:?}"
+                    );
+                    assert_entry_points_agree(net, view, spans);
                 }
             }
+        }
+    }
+
+    /// Rows for exercising a decoded network of any input width.
+    fn probe_rows(dims: usize) -> FeatureMatrix {
+        let mut m = FeatureMatrix::new(dims);
+        for i in 0..2 * LANES + 1 {
+            let row: Vec<f64> = (0..dims)
+                .map(|j| ((i * 31 + j * 7) % 13) as f64 - 6.0)
+                .collect();
+            m.push_row(&row);
+        }
+        m
+    }
+
+    /// Runs every prediction entry point of `net` once.
+    fn exercise(net: &Cnn) {
+        let m = probe_rows(net.config().input_len);
+        let classes = net.predict_batch(m.view());
+        assert_eq!(classes.len(), m.n_rows());
+        assert_eq!(net.predict(m.row(0)), classes[0]);
+        assert_eq!(net.predict_proba(m.row(1)).len(), CLASSES);
+        let _ = net.predict_batch_with_work(m.view());
+        let mut out = Vec::new();
+        let _ = net.predict_batch_into(m.view(), &mut out);
+        let spans = [RowSpan { start: 0, len: 9 }, RowSpan { start: 9, len: 8 }];
+        let _ = net.predict_batch_spans_into(m.view(), &spans, &mut out, &mut Vec::new());
+    }
+
+    /// The unchecked decoder's two shown defects — a conv1 weight vector
+    /// with 5 values instead of its shape's 24, and a zero kernel width —
+    /// and every other shape the kernel cannot run are typed errors.
+    #[test]
+    fn decode_rejects_shapes_the_kernel_cannot_run() {
+        let mut rng = SimRng::seed_from(9);
+        let net = Cnn::init(CnnConfig::default(), &mut rng);
+        assert_eq!(net.conv1.w.len(), 24);
+        assert_eq!(Cnn::decode(&net.encode()).as_ref(), Ok(&net));
+        type Mutant = (&'static str, fn(&mut Cnn));
+        let mutants: [Mutant; 16] = [
+            ("short conv1 weights", |n| n.conv1.w.truncate(5)),
+            ("zero kernel", |n| n.config.kernel = 0),
+            ("even kernel", |n| n.config.kernel = 2),
+            ("zero dilation", |n| n.config.dilation2 = 0),
+            ("padding past the input", |n| n.config.dilation2 = 24),
+            ("padding overflow", |n| n.config.dilation2 = usize::MAX),
+            ("kernel past the input", |n| n.config.kernel = 49),
+            ("input too short", |n| n.config.input_len = 3),
+            ("no conv1 filters", |n| n.config.conv1_filters = 0),
+            ("no conv2 filters", |n| n.config.conv2_filters = 0),
+            ("no hidden units", |n| n.config.hidden = 0),
+            ("long conv1 bias", |n| n.conv1.b.push(0.0)),
+            ("short conv2 weights", |n| {
+                n.conv2.w.pop();
+            }),
+            ("short conv2 bias", |n| {
+                n.conv2.b.pop();
+            }),
+            ("long fc1 bias", |n| n.fc1.b.push(0.0)),
+            ("short fc2 bias", |n| {
+                n.fc2.b.pop();
+            }),
+        ];
+        for (what, mutate) in mutants {
+            let mut bad = net.clone();
+            mutate(&mut bad);
+            assert!(
+                matches!(Cnn::decode(&bad.encode()), Err(DecodeError::Corrupt(_))),
+                "{what} must be a corrupt blob"
+            );
+        }
+    }
+
+    /// Structure-aware decoder fuzzing: each config field and each
+    /// parameter-vector length prefix of a valid blob is overwritten with
+    /// a spread of values. Every mutant must either fail to decode or
+    /// decode to a network whose prediction entry points all run to
+    /// completion without panicking.
+    #[test]
+    fn decode_mutants_error_or_predict_cleanly() {
+        let mut rng = SimRng::seed_from(10);
+        let (x, y) = separable_data(64, 8, &mut rng);
+        let net = Cnn::fit(
+            &x,
+            &y,
+            &CnnConfig {
+                epochs: 1,
+                ..tiny_config()
+            },
+            &mut rng,
+        )
+        .unwrap();
+        let blob = net.encode();
+        let word = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+        // The nine config words follow the 4-byte magic; then come the
+        // eight length-prefixed parameter vectors.
+        let mut fields: Vec<usize> = (0..9).map(|f| 4 + 8 * f).collect();
+        let mut at = 4 + 8 * 9;
+        for _ in 0..8 {
+            fields.push(at);
+            at += 8 + 8 * word(at) as usize;
+        }
+        assert_eq!(at, blob.len());
+        let mut decoded = 0;
+        for &field in &fields {
+            let original = word(field);
+            let values = [
+                0,
+                1,
+                2,
+                3,
+                4,
+                5,
+                9,
+                original.wrapping_sub(1),
+                original.wrapping_add(1),
+                original.wrapping_mul(2),
+                original.wrapping_mul(3).wrapping_add(1),
+                1 << 20,
+                1 << 32,
+                u64::MAX / 2,
+                u64::MAX,
+            ];
+            for value in values {
+                let mut mutant = blob.clone();
+                mutant[field..field + 8].copy_from_slice(&value.to_le_bytes());
+                if let Ok(decoded_net) = Cnn::decode(&mutant) {
+                    exercise(&decoded_net);
+                    decoded += 1;
+                }
+            }
+        }
+        // Epochs, batch size and the learning rate never reach predict,
+        // and a slightly wider input keeps every layer's shape.
+        assert!(decoded > 0);
+        for cut in 0..blob.len() {
+            assert!(Cnn::decode(&blob[..cut]).is_err(), "truncated at {cut}");
         }
     }
 

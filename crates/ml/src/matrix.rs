@@ -191,40 +191,6 @@ pub fn gather<T: Copy>(values: &[T], indices: &[usize]) -> Vec<T> {
     indices.iter().map(|&i| values[i]).collect()
 }
 
-/// `out[m][n] = bias[m] + A[m] · B[n]` where `a` is row-major `m × k`,
-/// `b` is row-major `n × k` (so `B` is multiplied *transposed*), and
-/// `bias` has one entry per row of `A`. `out` is cleared and refilled
-/// row-major `m × n`, reusing its capacity.
-///
-/// Each output cell is accumulated as `bias + w0*x0 + w1*x1 + …` in
-/// index order — the same floating-point association as a scalar
-/// convolution loop that starts from the bias — so with `A` = a conv
-/// layer's `[out_ch][in_ch·kernel]` weights and `B` = im2col patches,
-/// the result reproduces a direct convolution bit for bit, already in
-/// channel-major `[out_ch][position]` layout.
-///
-/// # Panics
-///
-/// Panics when `a.len()`/`b.len()` are not multiples of `k`, or when
-/// `bias.len()` disagrees with `a.len() / k`.
-pub fn matmul_nt(a: &[f64], b: &[f64], k: usize, bias: &[f64], out: &mut Vec<f64>) {
-    assert!(k > 0, "inner dimension must be positive");
-    assert_eq!(a.len() % k, 0, "lhs not a multiple of k");
-    assert_eq!(b.len() % k, 0, "rhs not a multiple of k");
-    assert_eq!(bias.len(), a.len() / k, "bias arity mismatch");
-    out.clear();
-    out.reserve(bias.len() * (b.len() / k));
-    for (row, &b0) in a.chunks_exact(k).zip(bias) {
-        for col in b.chunks_exact(k) {
-            let mut acc = b0;
-            for (w, x) in row.iter().zip(col) {
-                acc += w * x;
-            }
-            out.push(acc);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,21 +265,6 @@ mod tests {
     #[test]
     fn gather_maps_labels_through_indices() {
         assert_eq!(gather(&[10, 20, 30], &[2, 0]), vec![30, 10]);
-    }
-
-    #[test]
-    fn matmul_nt_computes_biased_products_transposed() {
-        // A = [[1, 2], [3, 4]] (2×2), B = [[5, 6], [7, 8], [9, 10]] (3×2).
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let b = [5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
-        let bias = [0.5, -0.5];
-        let mut out = Vec::new();
-        matmul_nt(&a, &b, 2, &bias, &mut out);
-        // out[m][n] = bias[m] + A[m]·B[n], row-major 2×3.
-        assert_eq!(out, vec![17.5, 23.5, 29.5, 38.5, 52.5, 66.5]);
-        let cap = out.capacity();
-        matmul_nt(&a, &b, 2, &bias, &mut out);
-        assert_eq!(out.capacity(), cap, "refill reuses the allocation");
     }
 
     #[test]

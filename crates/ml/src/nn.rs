@@ -27,24 +27,37 @@ impl Dense {
 
     /// `y = W x + b`.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.output);
-        self.forward_into(x, &mut out);
-        out
+        (0..self.output)
+            .map(|o| {
+                self.b[o]
+                    + self.w[o * self.input..(o + 1) * self.input]
+                        .iter()
+                        .zip(x)
+                        .map(|(w, v)| w * v)
+                        .sum::<f64>()
+            })
+            .collect()
     }
 
-    /// `y = W x + b` into a caller-owned buffer (cleared and refilled,
-    /// reusing capacity). Accumulation order is identical to
-    /// [`Dense::forward`] — the two produce bit-identical outputs.
-    pub fn forward_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend((0..self.output).map(|o| {
-            self.b[o]
-                + self.w[o * self.input..(o + 1) * self.input]
-                    .iter()
-                    .zip(x)
-                    .map(|(w, v)| w * v)
-                    .sum::<f64>()
-        }));
+    /// `y = W x + b` for `L` inputs at once, lane-minor: `x` is
+    /// `[input][L]` and `out` is `[output][L]`. Each lane adds in
+    /// [`Dense::forward`]'s order — the products folded left to right
+    /// from `Iterator::sum`'s starting value, then added to the bias — so
+    /// every lane is bit-identical to a one-row pass. The `L`
+    /// accumulators stay in registers across the whole input.
+    pub(crate) fn forward_lanes<const L: usize>(&self, x: &[[f64; L]], out: &mut [[f64; L]]) {
+        let start: f64 = std::iter::empty::<f64>().sum();
+        for (o, y) in out.iter_mut().enumerate() {
+            let mut acc = [start; L];
+            for (&w, xj) in self.w[o * self.input..(o + 1) * self.input].iter().zip(x) {
+                for (a, &v) in acc.iter_mut().zip(xj) {
+                    *a += w * v;
+                }
+            }
+            for (v, a) in y.iter_mut().zip(acc) {
+                *v = self.b[o] + a;
+            }
+        }
     }
 
     /// Backpropagates `grad_out`, accumulating parameter gradients into
@@ -83,18 +96,19 @@ pub fn relu_grad(pre: &[f64], grad: &mut [f64]) {
 
 /// Numerically stable softmax.
 pub fn softmax(logits: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(logits.len());
+    let mut out = vec![0.0; logits.len()];
     softmax_into(logits, &mut out);
     out
 }
 
-/// Numerically stable softmax into a caller-owned buffer (cleared and
-/// refilled, reusing capacity). Operation order matches [`softmax`]
-/// exactly, so the two produce bit-identical distributions.
-pub fn softmax_into(logits: &[f64], out: &mut Vec<f64>) {
+/// Numerically stable softmax into a caller-owned slice of the same
+/// length. Operation order matches [`softmax`] exactly, so the two
+/// produce bit-identical distributions.
+pub fn softmax_into(logits: &[f64], out: &mut [f64]) {
     let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    out.clear();
-    out.extend(logits.iter().map(|&l| (l - max).exp()));
+    for (e, &l) in out.iter_mut().zip(logits) {
+        *e = (l - max).exp();
+    }
     let sum: f64 = out.iter().sum();
     for e in out.iter_mut() {
         *e /= sum;

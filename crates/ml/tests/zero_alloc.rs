@@ -4,20 +4,21 @@
 //! harness as `netsim`'s flood test; the crate-level
 //! `#![forbid(unsafe_code)]` covers `src/`, the shim lives in this
 //! integration test only). After one warm-up pass grows every reusable
-//! buffer — the caller's prediction `Vec`, the CNN's thread-local
-//! im2col scratch — repeated `predict_batch_into` sweeps over a random
-//! forest and repeated single-row CNN predictions must perform **zero**
-//! heap allocations.
+//! buffer — the caller's prediction and span-work `Vec`s, the CNN's
+//! thread-local lane scratch — repeated `predict_batch_into` sweeps over
+//! a random forest and a CNN, CNN `predict_batch_spans_into` passes and
+//! single-row CNN predictions must perform **zero** heap allocations.
 //!
-//! This is the teeth behind ISSUE 6's inference memory model: the SoA
-//! node pool walks flat slices, the im2col path reuses one scratch per
-//! thread, and any regression that reintroduces a per-row or per-layer
-//! `Vec` fails here rather than showing up only as a bench slowdown.
+//! This is the teeth behind the inference memory model: the SoA node
+//! pool walks flat slices, the CNN's lane kernel reuses one scratch per
+//! thread, and any regression that reintroduces a per-row, per-block or
+//! per-layer `Vec` fails here rather than showing up only as a bench
+//! slowdown.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ml::classifier::Classifier;
+use ml::classifier::{Classifier, RowSpan};
 use ml::cnn::{Cnn, CnnConfig};
 use ml::matrix::FeatureMatrix;
 use ml::rf::{ForestConfig, RandomForest};
@@ -95,22 +96,55 @@ fn steady_state_prediction_allocates_nothing() {
     let cnn_config = CnnConfig { input_len: DIMS, epochs: 1, ..CnnConfig::default() };
     let cnn = Cnn::fit_view(matrix.view(), &labels, &cnn_config, &mut rng).unwrap();
 
-    // Warm-up: grow the caller's output buffer and the CNN's
-    // thread-local im2col scratch to their working set.
+    // Warm-up: grow the caller's output buffers and the CNN's
+    // thread-local lane scratch to their working set.
     let mut predictions = Vec::new();
     let warm_work = forest.predict_batch_into(matrix.view(), &mut predictions);
     assert!(warm_work > 0);
     assert_eq!(predictions.len(), matrix.n_rows());
+    let n = matrix.n_rows();
+    // Uneven spans, so lane blocks straddle span boundaries and the
+    // pass ends on a partial block.
+    let spans = [
+        RowSpan { start: 0, len: 13 },
+        RowSpan { start: 13, len: 0 },
+        RowSpan {
+            start: 13,
+            len: n - 20,
+        },
+        RowSpan {
+            start: n - 7,
+            len: 6,
+        },
+    ];
+    let mut cnn_predictions = Vec::new();
+    let mut span_work = Vec::new();
+    let cnn_work = cnn.predict_batch_into(matrix.view(), &mut cnn_predictions);
+    let span_total =
+        cnn.predict_batch_spans_into(matrix.view(), &spans, &mut cnn_predictions, &mut span_work);
     let warm_class = cnn.predict(matrix.row(0));
 
-    // Steady state: full-dataset forest sweeps and per-row CNN calls,
-    // with the allocator watching.
+    // Steady state: full-dataset forest and CNN sweeps, span passes and
+    // per-row CNN calls, with the allocator watching.
     COUNTING.with(|c| c.set(true));
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let mut checksum = 0usize;
     for _ in 0..5 {
         forest.predict_batch_into(matrix.view(), &mut predictions);
         checksum += predictions.iter().sum::<usize>();
+        assert_eq!(
+            cnn.predict_batch_into(matrix.view(), &mut cnn_predictions),
+            cnn_work
+        );
+        checksum += cnn_predictions.iter().sum::<usize>();
+        let total = cnn.predict_batch_spans_into(
+            matrix.view(),
+            &spans,
+            &mut cnn_predictions,
+            &mut span_work,
+        );
+        assert_eq!(total, span_total);
+        checksum += cnn_predictions.iter().sum::<usize>();
     }
     for i in 0..matrix.n_rows() {
         checksum += cnn.predict(matrix.row(i));
