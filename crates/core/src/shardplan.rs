@@ -7,8 +7,8 @@
 //! style UDP flood after `attack_start`, deterministic per-cell device
 //! churn, and a per-cell sniffer), and reduces the run to a detection
 //! log plus a telemetry section — both pure functions of the config, so
-//! the `shard-smoke` CI job can byte-diff runs at different shard
-//! counts.
+//! the `determinism-smoke` (shard) CI job can byte-diff runs at
+//! different shard counts.
 //!
 //! The per-cell captures are merged with
 //! [`capture::merge::merge_cell_records`], the deterministic cell-order
@@ -207,7 +207,7 @@ fn gateway_addr(cell: usize) -> Addr {
 ///
 /// The report is a pure function of everything in `config` except
 /// `config.shards` — the shard-invariance property the swarm invariant
-/// and the `shard-smoke` CI job both check.
+/// and the `determinism-smoke` (shard) CI job both check.
 pub fn run_sharded_chaos(config: &ShardPlanConfig) -> ShardedChaosReport {
     assert!(config.cells <= 200, "cell index is an address octet");
     let ranges = partition_devices(config.total_devices, config.cells);

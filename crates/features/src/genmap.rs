@@ -9,8 +9,9 @@
 //! docs for the cull policy and the determinism constraints on folds.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::hash::Hash;
+
+use netsim::fxhash::FxHashMap;
 
 /// Stale-entry cull threshold for [`GenMap::clear`]: compact when the
 /// backing map holds this many times more keys than the window touched
@@ -20,97 +21,6 @@ pub const GENMAP_COMPACT_FACTOR: usize = 4;
 /// Flat floor added to the cull threshold (see
 /// [`GENMAP_COMPACT_FACTOR`]).
 pub const GENMAP_COMPACT_MIN: usize = 256;
-
-/// A deterministic multiply-rotate hasher for the window count maps.
-///
-/// The extraction path hashes millions of tiny keys per capture — `u16`
-/// ports, `u32` addresses, 13-byte flow tuples — where the default
-/// SipHash costs more than the table probe it guards. This is the
-/// classic Fx construction (`state = (rotl5(state) ^ word) * K`): two
-/// or three cycles per word, good avalanche on low bits for
-/// power-of-two tables, and *unkeyed*, so hashing — like everything
-/// else in the pipeline — is deterministic across runs and platforms.
-/// DoS keying is irrelevant here: the keys come from the simulator, not
-/// an adversary with knowledge of the process's hash seed.
-///
-/// Nothing order-sensitive ever folds over these maps (see
-/// [`GenMap`]), so the change of iteration order vs SipHash is
-/// unobservable in any output.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-/// 2^64 / φ, the usual Fibonacci-hashing multiplier.
-const FX_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl std::hash::Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut rest = bytes;
-        while rest.len() >= 8 {
-            let (word, tail) = rest.split_at(8);
-            self.add(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
-            rest = tail;
-        }
-        let mut last = 0u64;
-        for &b in rest.iter().rev() {
-            last = last << 8 | u64::from(b);
-        }
-        if !rest.is_empty() {
-            self.add(last);
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.add(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u16(&mut self, v: u16) {
-        self.add(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-
-    #[inline]
-    fn write_u128(&mut self, v: u128) {
-        // Low word first, explicitly — the default impl round-trips
-        // through native-endian bytes, which would make packed-key
-        // hashes platform-dependent.
-        self.add(v as u64);
-        self.add((v >> 64) as u64);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-}
-
-/// `BuildHasher` for [`FxHasher`] maps.
-pub type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
 
 /// A generation-stamped map: per-window values over a *persistent* key
 /// set.
@@ -139,7 +49,7 @@ pub type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
 pub struct GenMap<K, V> {
     /// Per-key `(generation, index into vals)` stamp — 8 bytes, so a
     /// small-key entry spans one cache line's worth of table slot.
-    map: HashMap<K, (u32, u32), FxBuild>,
+    map: FxHashMap<K, (u32, u32)>,
     /// Keys first-touched in the current generation, in touch order.
     touched: Vec<K>,
     /// Current-generation values, aligned with `touched`.
@@ -150,7 +60,12 @@ pub struct GenMap<K, V> {
 impl<K: Eq + Hash + Copy, V: Copy> GenMap<K, V> {
     /// Creates an empty map.
     pub fn new() -> Self {
-        GenMap { map: HashMap::default(), touched: Vec::new(), vals: Vec::new(), gen: 0 }
+        GenMap {
+            map: FxHashMap::default(),
+            touched: Vec::new(),
+            vals: Vec::new(),
+            gen: 0,
+        }
     }
 
     /// Mutable value for `key`, initialised to `init` on the first touch
@@ -265,6 +180,7 @@ impl<K: Eq + Hash + Copy, V: Copy> GenMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     /// Deterministic xorshift stream for the property tests.
     struct Rng(u64);

@@ -208,17 +208,19 @@ impl DecisionTree {
 
     /// Maximum depth actually reached.
     pub fn depth(&self) -> usize {
-        fn walk(nodes: &[Node], id: u32) -> usize {
-            match &nodes[id as usize] {
+        // Nodes are stored in pre-order (children after their parent),
+        // so one backward pass sees every child's height before its
+        // parent's: linear time, no recursion, whatever the shape.
+        let mut height = vec![0usize; self.nodes.len()];
+        for (id, node) in self.nodes.iter().enumerate().rev() {
+            height[id] = match node {
                 Node::Leaf { .. } => 1,
-                Node::Split { left, right, .. } => 1 + walk(nodes, *left).max(walk(nodes, *right)),
-            }
+                Node::Split { left, right, .. } => {
+                    1 + height[*left as usize].max(height[*right as usize])
+                }
+            };
         }
-        if self.nodes.is_empty() {
-            0
-        } else {
-            walk(&self.nodes, 0)
-        }
+        height.first().copied().unwrap_or(0)
     }
 
     fn encode_into(&self, e: &mut Encoder) {
@@ -242,23 +244,64 @@ impl DecisionTree {
         }
     }
 
-    fn decode_from(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+    /// Decodes one tree of a forest over `dims` features, rejecting
+    /// any blob whose walk could panic or fail to end.
+    ///
+    /// The grower writes nodes in pre-order: [`TreeBuilder::grow`]
+    /// reserves a split's slot before it grows the children. So in a
+    /// well-formed tree every child index lies after its parent's and
+    /// before the end, which also rules out cycles, and no node has two
+    /// parents, which keeps the walk a tree rather than a graph.
+    fn decode_from(d: &mut Decoder<'_>, dims: usize) -> Result<Self, DecodeError> {
         d.expect_magic(TREE_MAGIC)?;
-        let dims = d.get_usize()?;
+        if d.get_usize()? != dims {
+            return Err(DecodeError::Corrupt("tree dims"));
+        }
         let count = d.get_usize()?;
+        if count == 0 {
+            return Err(DecodeError::Corrupt("empty tree"));
+        }
         let mut nodes = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
+        for id in 0..count {
             let node = match d.get_u8()? {
-                0 => Node::Leaf { class: d.get_usize()? },
-                1 => Node::Split {
-                    feature: d.get_usize()?,
-                    threshold: d.get_f64()?,
-                    left: d.get_u32()?,
-                    right: d.get_u32()?,
+                0 => match d.get_usize()? {
+                    class @ 0..=1 => Node::Leaf { class },
+                    _ => return Err(DecodeError::Corrupt("leaf class")),
                 },
+                1 => {
+                    let feature = d.get_usize()?;
+                    let threshold = d.get_f64()?;
+                    let (left, right) = (d.get_u32()?, d.get_u32()?);
+                    if feature >= dims {
+                        return Err(DecodeError::Corrupt("split feature"));
+                    }
+                    if [left, right]
+                        .iter()
+                        .any(|&c| c as usize <= id || c as usize >= count)
+                    {
+                        return Err(DecodeError::Corrupt("split child"));
+                    }
+                    Node::Split {
+                        feature,
+                        threshold,
+                        left,
+                        right,
+                    }
+                }
                 _ => return Err(DecodeError::Corrupt("node tag")),
             };
             nodes.push(node);
+        }
+        // Every node was read, so `count` is backed by real bytes now.
+        let mut has_parent = vec![false; count];
+        for node in &nodes {
+            if let Node::Split { left, right, .. } = node {
+                for child in [*left, *right] {
+                    if std::mem::replace(&mut has_parent[child as usize], true) {
+                        return Err(DecodeError::Corrupt("shared child"));
+                    }
+                }
+            }
         }
         Ok(DecisionTree { nodes, dims })
     }
@@ -510,20 +553,16 @@ impl NodePool {
                     }
                 }
             }
-            // Per-node path depths, root = 1. Children may precede their
-            // parent in `nodes`, so walk explicitly instead of assuming
-            // a topological order.
-            let n = tree.nodes.len();
-            let mut stack = vec![(0u32, 1u32)];
-            let mut depth_rel = vec![0u32; n];
-            if n == 0 {
-                stack.clear();
+            // Per-node path depths, root = 1. Nodes are in pre-order,
+            // so a parent's depth is set before its children read it.
+            let mut depth_rel = vec![0u32; tree.nodes.len()];
+            if let Some(root) = depth_rel.first_mut() {
+                *root = 1;
             }
-            while let Some((id, d)) = stack.pop() {
-                depth_rel[id as usize] = d;
-                if let Node::Split { left, right, .. } = &tree.nodes[id as usize] {
-                    stack.push((*left, d + 1));
-                    stack.push((*right, d + 1));
+            for (id, node) in tree.nodes.iter().enumerate() {
+                if let Node::Split { left, right, .. } = node {
+                    depth_rel[*left as usize] = depth_rel[id] + 1;
+                    depth_rel[*right as usize] = depth_rel[id] + 1;
                 }
             }
             pool.depth_of.extend_from_slice(&depth_rel);
@@ -764,8 +803,9 @@ impl RandomForest {
         if count > 1 << 16 {
             return Err(DecodeError::Corrupt("tree count"));
         }
-        let trees: Vec<DecisionTree> =
-            (0..count).map(|_| DecisionTree::decode_from(&mut d)).collect::<Result<_, _>>()?;
+        let trees: Vec<DecisionTree> = (0..count)
+            .map(|_| DecisionTree::decode_from(&mut d, dims))
+            .collect::<Result<_, _>>()?;
         Ok(RandomForest::from_trees(trees, dims))
     }
 
@@ -1156,6 +1196,146 @@ mod tests {
             assert_eq!(total, plain_work, "{spans:?}");
             assert_eq!(span_work.iter().sum::<u64>(), total, "{spans:?}");
             assert_eq!(span_work.len(), spans.len());
+        }
+    }
+
+    /// A one-tree forest blob over `dims` features whose tree declares
+    /// `tree_dims` and holds `nodes`.
+    fn one_tree_blob(dims: usize, tree_dims: usize, nodes: &[Node]) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_u32(FOREST_MAGIC);
+        e.put_usize(dims);
+        e.put_usize(1);
+        DecisionTree {
+            nodes: nodes.to_vec(),
+            dims: tree_dims,
+        }
+        .encode_into(&mut e);
+        e.finish()
+    }
+
+    #[test]
+    fn decode_rejects_malformed_trees() {
+        let leaf = |class| Node::Leaf { class };
+        let split = |feature, left, right| Node::Split {
+            feature,
+            threshold: 0.5,
+            left,
+            right,
+        };
+        let good = [split(1, 1, 2), leaf(0), leaf(1)];
+        let forest = RandomForest::decode(&one_tree_blob(2, 2, &good)).unwrap();
+        assert_eq!(forest.predict_with_work(&[0.0, 0.0]), (0, 2));
+        assert_eq!(forest.predict_with_work(&[0.0, 1.0]), (1, 2));
+        let cases: [(&str, usize, &[Node]); 8] = [
+            ("empty tree", 2, &[]),
+            ("self-loop", 2, &[split(0, 0, 1), leaf(0)]),
+            ("child past the end", 2, &[split(0, 1, 3), leaf(0), leaf(1)]),
+            (
+                "child before its parent",
+                2,
+                &[split(0, 1, 2), split(0, 0, 2), leaf(1)],
+            ),
+            ("shared child", 2, &[split(0, 1, 1), leaf(0)]),
+            (
+                "feature out of range",
+                2,
+                &[split(2, 1, 2), leaf(0), leaf(1)],
+            ),
+            ("leaf class above 1", 2, &[split(0, 1, 2), leaf(0), leaf(2)]),
+            ("tree dims differ from the forest's", 3, &good),
+        ];
+        for (what, tree_dims, nodes) in cases {
+            assert!(
+                matches!(
+                    RandomForest::decode(&one_tree_blob(2, tree_dims, nodes)),
+                    Err(DecodeError::Corrupt(_))
+                ),
+                "{what} must be a corrupt blob"
+            );
+        }
+        // A well-formed but degenerate chain, 100 000 splits deep: its
+        // depth and node depths are found without recursion.
+        let deep = 100_000u32;
+        let mut chain: Vec<Node> = (0..deep)
+            .flat_map(|i| [split(0, 2 * i + 1, 2 * i + 2), leaf(1)])
+            .collect();
+        chain[2 * deep as usize - 2] = leaf(0);
+        chain.pop();
+        let forest = RandomForest::decode(&one_tree_blob(2, 2, &chain)).unwrap();
+        assert_eq!(forest.trees[0].depth(), deep as usize);
+        assert_eq!(forest.predict_with_work(&[0.0, 0.0]), (1, 2));
+        assert_eq!(forest.predict_with_work(&[1.0, 0.0]), (0, u64::from(deep)));
+    }
+
+    /// Structure-aware decoder fuzzing: each node's child, feature and
+    /// class words, and each tree's dims word, in a trained forest's
+    /// blob are overwritten with 0, the node's own index (a self-loop
+    /// for a child), the tree's node count and `u32::MAX`. Every mutant
+    /// must fail to decode or decode to a forest whose prediction entry
+    /// points all finish without panicking.
+    #[test]
+    fn decode_mutants_error_or_predict_cleanly() {
+        let mut rng = SimRng::seed_from(13);
+        let (x, y) = xor(200, &mut rng);
+        let config = ForestConfig {
+            n_trees: 4,
+            ..Default::default()
+        };
+        let forest = RandomForest::fit(&x, &y, &config, &mut rng).unwrap();
+        let blob = forest.encode();
+        let word = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+        // (offset, width in bytes, own node index, tree node count)
+        let mut fields: Vec<(usize, usize, u64, u64)> = Vec::new();
+        let mut at = 4 + 8 + 8;
+        for _ in 0..forest.n_trees() {
+            let count = word(at + 12);
+            fields.push((at + 4, 8, 0, count));
+            at += 4 + 8 + 8;
+            for id in 0..count {
+                // After the tag: a leaf's class word or a split's
+                // feature word, then a split's threshold and children.
+                fields.push((at + 1, 8, id, count));
+                if blob[at] == 0 {
+                    at += 1 + 8;
+                } else {
+                    fields.push((at + 17, 4, id, count));
+                    fields.push((at + 21, 4, id, count));
+                    at += 1 + 8 + 8 + 4 + 4;
+                }
+            }
+        }
+        assert_eq!(at, blob.len());
+        let rows = FeatureMatrix::from_rows(&x[..40]).unwrap();
+        let mut decoded = 0;
+        for &(field, width, id, count) in &fields {
+            for value in [0, id, count, u64::from(u32::MAX)] {
+                let mut mutant = blob.clone();
+                mutant[field..field + width].copy_from_slice(&value.to_le_bytes()[..width]);
+                let Ok(back) = RandomForest::decode(&mutant) else {
+                    continue;
+                };
+                decoded += 1;
+                let (batch, work) = back.predict_batch_with_work(rows.view());
+                let mut into = Vec::new();
+                assert_eq!(back.predict_batch_into(rows.view(), &mut into), work);
+                assert_eq!(into, batch);
+                for (row, &class) in x[..40].iter().zip(&batch) {
+                    assert_eq!(back.predict(row), class);
+                }
+                for tree in &back.trees {
+                    assert!(tree.depth() >= 1);
+                    let _ = tree.predict_counting(&x[0]);
+                }
+            }
+        }
+        // Feature and class words that stay in range still decode.
+        assert!(decoded > 0);
+        for cut in 0..blob.len() {
+            assert!(
+                RandomForest::decode(&blob[..cut]).is_err(),
+                "truncated at {cut}"
+            );
         }
     }
 

@@ -247,7 +247,19 @@ impl EventQueue {
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
+        self.pop_if(|_| true)
+    }
+
+    /// Removes and returns the earliest event if `due` accepts its
+    /// timestamp; otherwise leaves the queue as it was and returns
+    /// `None`. One call does what [`Self::peek_time`] followed by
+    /// [`Self::pop`] would, with a single refill of the ready run —
+    /// the event loop's bounded runs pop through this.
+    pub fn pop_if(&mut self, due: impl FnOnce(SimTime) -> bool) -> Option<(SimTime, Event)> {
         self.refill_ready();
+        if !due(self.ready.front()?.time) {
+            return None;
+        }
         let s = self.ready.pop_front()?;
         self.len -= 1;
         Some((s.time, s.event))
@@ -532,8 +544,27 @@ mod tests {
                         .map(|(i, _)| i)
                         .expect("reference non-empty");
                     let (rt, _, rid) = reference.remove(min);
-                    assert_eq!(q.peek_time(), Some(rt), "seed {seed} op {ops}");
-                    let (t, Event::AppStart { app }) = q.pop().expect("queue non-empty") else {
+                    if rng.chance(0.3) {
+                        // A strict bound at exactly the due time (what
+                        // `run_before` passes) declines and leaves the
+                        // queue untouched.
+                        assert!(q.pop_if(|t| t < rt).is_none(), "seed {seed} op {ops}");
+                        assert_eq!(q.len(), reference.len() + 1);
+                    }
+                    let popped = match rng.below(3) {
+                        0 => {
+                            assert_eq!(q.peek_time(), Some(rt), "seed {seed} op {ops}");
+                            q.pop()
+                        }
+                        // `run_until`'s inclusive bound at the due time.
+                        1 => q.pop_if(|t| t <= rt),
+                        // `run_before`'s strict bound just past it.
+                        _ => {
+                            let horizon = SimTime::from_nanos(rt.as_nanos() + 1);
+                            q.pop_if(|t| t < horizon)
+                        }
+                    };
+                    let (t, Event::AppStart { app }) = popped.expect("queue non-empty") else {
                         panic!("unexpected event kind");
                     };
                     assert_eq!((t, app.as_raw()), (rt, rid), "seed {seed} op {ops}");
@@ -543,6 +574,7 @@ mod tests {
             }
             assert!(q.is_empty());
             assert_eq!(q.peek_time(), None);
+            assert!(q.pop_if(|_| true).is_none());
         }
     }
 

@@ -35,6 +35,7 @@
 pub mod buggify;
 pub mod event;
 pub mod faults;
+pub mod fxhash;
 pub mod ids;
 pub mod link;
 pub mod node;

@@ -160,6 +160,10 @@ pub struct Link {
     kind: LinkKind,
     config: LinkConfig,
     lanes: Vec<Lane>,
+    /// Frames queued or in flight across all lanes: +1 on enqueue, −1
+    /// when a frame leaves `in_flight`. The event loop samples it on
+    /// every link event, so it is kept rather than summed per lane.
+    queued: usize,
     stats: LinkStats,
     /// Administrative state; fault plans flap this.
     up: bool,
@@ -211,6 +215,7 @@ impl Link {
             kind,
             config,
             lanes,
+            queued: 0,
             stats: LinkStats::default(),
             up: true,
             loss_override: None,
@@ -354,8 +359,19 @@ impl Link {
         self.lanes.iter().position(|l| l.owner == node)
     }
 
-    /// Total packets currently queued (all lanes).
+    /// Total packets currently queued or in flight (all lanes).
     pub fn queued_packets(&self) -> usize {
+        debug_assert_eq!(
+            self.queued,
+            self.lane_sum(),
+            "queued count diverged from the lanes"
+        );
+        self.queued
+    }
+
+    /// The lanes' own count of queued and in-flight frames: the oracle
+    /// for the running `queued` total.
+    fn lane_sum(&self) -> usize {
         self.lanes.iter().map(|l| l.queue.len() + usize::from(l.in_flight.is_some())).sum()
     }
 
@@ -391,6 +407,7 @@ impl Link {
             id: pool.insert(packet),
         };
         self.lanes[lane_idx].queue.push_back(frame);
+        self.queued += 1;
         self.try_start_tx(now, queue);
         Ok(())
     }
@@ -504,6 +521,7 @@ impl Link {
             .in_flight
             .take()
             .expect("tx-complete event for an idle lane");
+        self.queued -= 1;
         self.stats.tx_packets += 1;
         self.stats.tx_bytes += frame.wire_len as u64;
         let sender = self.lanes[lane_idx].owner;
@@ -986,6 +1004,77 @@ mod tests {
             deliver_at(None, Some(SimDuration::from_millis(5))) - nominal,
             SimDuration::from_millis(5)
         );
+    }
+
+    /// The running `queued` count against the lanes' own sum, on every
+    /// link kind, under random enqueues (to members, broadcast and
+    /// nobody), tx completions, channel loss, tail drops at a tiny
+    /// queue, link cuts and restores, and a member joining mid-run.
+    #[test]
+    fn queued_count_tracks_the_lane_sum() {
+        let nodes: Vec<NodeId> = (0..4).map(NodeId::from_raw).collect();
+        let addr = |n: NodeId| Addr::new(10, 0, 0, n.as_raw() as u8 + 1);
+        let res = resolver(nodes.iter().map(|&n| (n, addr(n))).collect());
+        let cfg = LinkConfig {
+            queue_packets: 3,
+            ..LinkConfig::lan_100mbps()
+        };
+        for seed in 0..6u64 {
+            let mut rng = SimRng::seed_from(seed);
+            let id = LinkId::from_raw(0);
+            let mut link = match seed % 3 {
+                0 => Link::p2p(id, nodes[0], nodes[1], cfg),
+                1 => Link::csma(id, &nodes[..3], cfg),
+                _ => Link::wifi(id, &nodes[..3], cfg),
+            };
+            let mut pool = PacketPool::new();
+            let mut queue = EventQueue::new();
+            let mut now = SimTime::ZERO;
+            for op in 0..3000 {
+                match rng.below(10) {
+                    0..=4 => {
+                        let members: Vec<NodeId> = link.members().collect();
+                        let from = members[rng.below(members.len() as u64) as usize];
+                        let dst = match rng.below(4) {
+                            0 => Addr::BROADCAST,
+                            1 => Addr::new(192, 168, 0, 1),
+                            _ => addr(members[rng.below(members.len() as u64) as usize]),
+                        };
+                        let _ = link.enqueue(now, from, packet(dst, 64), &mut pool, &mut queue);
+                    }
+                    5..=7 => {
+                        if let Some((t, ev)) = queue.pop() {
+                            now = t;
+                            match ev {
+                                Event::LinkTxComplete { lane, .. } => {
+                                    link.on_tx_complete(t, lane, &res, &mut pool, &mut queue)
+                                }
+                                Event::Deliver { packet, .. } => {
+                                    pool.release(packet);
+                                }
+                                other => panic!("unexpected event {other:?}"),
+                            }
+                        }
+                    }
+                    8 => link.set_up(now, !link.is_up(), &mut queue),
+                    _ => {
+                        let rate = [None, Some(0.5), Some(1.0)][rng.below(3) as usize];
+                        link.set_loss_override(rate);
+                    }
+                }
+                if op == 1500 && !matches!(link.kind, LinkKind::P2p { .. }) {
+                    link.add_member(nodes[3]);
+                }
+                assert_eq!(link.queued, link.lane_sum(), "seed {seed} op {op}");
+            }
+            link.set_up(now, true, &mut queue);
+            drain(&mut link, &mut pool, &mut queue, &res);
+            assert_eq!(
+                (link.queued_packets(), link.lane_sum()),
+                (0, 0),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Simulated nodes (hosts) and their routing/transport state.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
+use crate::fxhash::FxHashMap;
 use crate::ids::{LinkId, NodeId};
 use crate::packet::Addr;
 use crate::tcp::TcpHost;
@@ -41,7 +40,7 @@ pub struct Node {
     /// Links this node is attached to.
     pub links: Vec<LinkId>,
     /// Explicit host routes.
-    pub routes: HashMap<Addr, LinkId>,
+    pub routes: FxHashMap<Addr, LinkId>,
     /// Fallback link for unmatched destinations.
     pub default_link: Option<LinkId>,
     /// TCP state.
@@ -71,7 +70,7 @@ impl Node {
             name: name.into(),
             up: true,
             links: Vec::new(),
-            routes: HashMap::new(),
+            routes: FxHashMap::default(),
             default_link: None,
             tcp: TcpHost::new(),
             udp: UdpHost::new(),

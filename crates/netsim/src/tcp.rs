@@ -13,11 +13,12 @@
 //! [`World`](crate::world::World) decides what to do with those effects.
 //! This keeps the protocol unit-testable without a network.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
+use crate::fxhash::FxHashMap;
 use crate::ids::{AppId, ConnId};
 use crate::packet::{Addr, Packet, Provenance, TcpFlags, TcpHeader};
 use crate::time::{SimDuration, SimTime};
@@ -932,11 +933,11 @@ impl Listener {
 #[derive(Debug, Default)]
 pub struct TcpHost {
     /// Listeners keyed by local port.
-    pub listeners: HashMap<u16, Listener>,
+    pub listeners: FxHashMap<u16, Listener>,
     /// Live connections keyed by id.
-    pub conns: HashMap<ConnId, TcpConn>,
+    pub conns: FxHashMap<ConnId, TcpConn>,
     /// Demultiplexing table: (local port, remote addr, remote port) → conn.
-    pub by_key: HashMap<(u16, Addr, u16), ConnId>,
+    pub by_key: FxHashMap<(u16, Addr, u16), ConnId>,
     next_ephemeral: u16,
     /// RSTs this host sent in response to stray segments.
     pub rst_sent: u64,

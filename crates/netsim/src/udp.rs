@@ -1,9 +1,8 @@
 //! Per-node UDP state: port bindings and datagram demultiplexing.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 
+use crate::fxhash::FxHashMap;
 use crate::ids::AppId;
 use crate::packet::Addr;
 
@@ -23,7 +22,7 @@ pub struct Datagram {
 /// Per-node UDP socket table.
 #[derive(Debug, Default)]
 pub struct UdpHost {
-    bindings: HashMap<u16, AppId>,
+    bindings: FxHashMap<u16, AppId>,
     next_ephemeral: u16,
     /// Datagrams dropped because no socket was bound to the port.
     pub unreachable: u64,

@@ -7,14 +7,13 @@
 //! keeps borrow-checking trivial: during a callback the application is
 //! temporarily moved out of the registry while `Ctx` borrows the kernel.
 
-use std::collections::{HashMap, HashSet};
-
 use bytes::Bytes;
 use obs::{pow2_bounds, Counter, Histogram, Scope};
 
 use crate::buggify::{Buggify, BuggifyConfig, DecisionPoint};
 use crate::event::{Event, EventQueue};
 use crate::faults::{FaultAction, FaultPlan};
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ids::{AppId, ConnId, LinkId, NodeId, TimerId};
 use crate::link::{DropReason, EndpointInfo, Link, LinkConfig, LinkStats};
 use crate::node::{Node, NodeStats};
@@ -74,6 +73,13 @@ fn phase_index(event: &Event) -> usize {
     }
 }
 
+/// `(min_pow, max_pow)` of the per-phase virtual-clock advance
+/// histograms: 1 ns up to ~4.3 s.
+const ADVANCE_POW2: (u32, u32) = (0, 32);
+/// `(min_pow, max_pow)` of the per-link transmit queue-depth
+/// histogram: 1 up to 1024 packets.
+const DEPTH_POW2: (u32, u32) = (0, 10);
+
 /// Event-loop instrumentation handles, created once by
 /// [`World::set_obs`] so the hot path never does name lookups.
 ///
@@ -96,24 +102,43 @@ struct WorldObs {
 }
 
 /// A histogram accumulator private to the event loop: same bucketing as
-/// the registry histogram it flushes into, but plain memory — no
-/// `Rc<RefCell>` traffic per event.
+/// the `pow2_bounds(min_pow, max_pow)` registry histogram it flushes
+/// into, but plain memory — no `Rc<RefCell>` traffic per event — and
+/// an O(1) bucket choice instead of a search over the bounds.
 #[derive(Debug)]
 struct LocalHist {
-    bounds: Vec<u64>,
+    min_pow: u32,
+    max_pow: u32,
     counts: Vec<u64>,
     count: u64,
     sum: u64,
 }
 
+/// The bucket `value` falls in under `pow2_bounds(min_pow, max_pow)`:
+/// the number of bounds strictly below it (the registry's
+/// `partition_point(|b| b < value)`), in closed form. A bound `2^p` is
+/// below `value` exactly when `p < ceil(log2(value))`.
+#[inline]
+fn pow2_bucket(value: u64, min_pow: u32, max_pow: u32) -> usize {
+    let ceil_log2 = u64::BITS - value.saturating_sub(1).leading_zeros();
+    ceil_log2.saturating_sub(min_pow).min(max_pow - min_pow + 1) as usize
+}
+
 impl LocalHist {
-    fn new(bounds: &[u64]) -> Self {
-        LocalHist { bounds: bounds.to_vec(), counts: vec![0; bounds.len() + 1], count: 0, sum: 0 }
+    fn new((min_pow, max_pow): (u32, u32)) -> Self {
+        let buckets = pow2_bounds(min_pow, max_pow).len() + 1;
+        LocalHist {
+            min_pow,
+            max_pow,
+            counts: vec![0; buckets],
+            count: 0,
+            sum: 0,
+        }
     }
 
     #[inline]
     fn observe(&mut self, value: u64) {
-        let idx = self.bounds.partition_point(|&b| b < value);
+        let idx = pow2_bucket(value, self.min_pow, self.max_pow);
         self.counts[idx] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
@@ -133,10 +158,8 @@ impl LocalHist {
 impl WorldObs {
     fn new(scope: Scope) -> Self {
         let phases = scope.child("phase");
-        // Virtual-clock advance per event: 1 ns up to ~4.3 s.
-        let advance_bounds = pow2_bounds(0, 32);
-        // Per-link transmit queue depth: 1 up to 1024 packets.
-        let depth_bounds = pow2_bounds(0, 10);
+        let advance_bounds = pow2_bounds(ADVANCE_POW2.0, ADVANCE_POW2.1);
+        let depth_bounds = pow2_bounds(DEPTH_POW2.0, DEPTH_POW2.1);
         let phase_scopes = PHASE_NAMES.map(|name| phases.child(name));
         let phase_events = std::array::from_fn(|i| phase_scopes[i].counter("events"));
         let phase_advance_ns =
@@ -148,8 +171,8 @@ impl WorldObs {
             phase_advance_ns,
             queue_depth,
             local_events: [0; 7],
-            local_advance: std::array::from_fn(|_| LocalHist::new(&advance_bounds)),
-            local_depth: LocalHist::new(&depth_bounds),
+            local_advance: std::array::from_fn(|_| LocalHist::new(ADVANCE_POW2)),
+            local_depth: LocalHist::new(DEPTH_POW2),
         }
     }
 
@@ -188,7 +211,7 @@ pub struct Kernel {
     tcp_config: TcpConfig,
     next_conn_id: u64,
     next_timer_id: u64,
-    cancelled_timers: HashSet<TimerId>,
+    cancelled_timers: FxHashSet<TimerId>,
     app_nodes: Vec<NodeId>,
     app_provenance: Vec<Provenance>,
     events_processed: u64,
@@ -210,7 +233,7 @@ pub struct Kernel {
     /// Every node address in this world, for O(1) duplicate detection
     /// and — when this world is one cell of a sharded run — the "is
     /// this destination local?" test on the send path.
-    local_addrs: HashMap<Addr, NodeId>,
+    local_addrs: FxHashMap<Addr, NodeId>,
     /// When `true`, packets addressed outside this world are captured
     /// into `egress` (stamped with the send time) instead of being
     /// routed onto the default link. Off by default: a standalone world
@@ -247,7 +270,7 @@ impl Kernel {
             tcp_config: TcpConfig::default(),
             next_conn_id: 0,
             next_timer_id: 0,
-            cancelled_timers: HashSet::new(),
+            cancelled_timers: FxHashSet::default(),
             app_nodes: Vec::new(),
             app_provenance: Vec::new(),
             events_processed: 0,
@@ -255,7 +278,7 @@ impl Kernel {
             ctx_scratch: Vec::new(),
             effects_scratch: TcpEffects::new(),
             buggify: Buggify::disabled(),
-            local_addrs: HashMap::new(),
+            local_addrs: FxHashMap::default(),
             egress_enabled: false,
             egress: Vec::new(),
         }
@@ -359,7 +382,7 @@ impl Kernel {
     /// events and return `false` so the original still dispatches.
     ///
     /// Only called when buggify is enabled, so the disabled hot path
-    /// pays exactly one branch in [`World::step`]. Deferred events are
+    /// pays exactly one branch in [`World::dispatch`]. Deferred events are
     /// re-evaluated on their next pop; fire probabilities are well
     /// below 1, so repeated deferral terminates almost surely.
     fn buggify_perturb(&mut self, time: SimTime, event: &Event) -> bool {
@@ -989,12 +1012,20 @@ impl World {
         let Some((time, event)) = self.kernel.queue.pop() else {
             return false;
         };
+        self.dispatch(time, event);
+        true
+    }
+
+    /// The one event-loop body: every popped event goes through here,
+    /// whichever of [`World::step`], [`World::run_until`] or
+    /// [`World::run_before`] popped it.
+    fn dispatch(&mut self, time: SimTime, event: Event) {
         debug_assert!(time >= self.kernel.clock, "time went backwards");
         // Buggify runs before any accounting: a deferred event is not
         // "processed" (it will be popped again later), so the per-phase
         // counters still partition `events_processed` exactly.
         if self.kernel.buggify.enabled() && self.kernel.buggify_perturb(time, &event) {
-            return true;
+            return;
         }
         let advance_ns = time.as_nanos().saturating_sub(self.kernel.clock.as_nanos());
         let phase = phase_index(&event);
@@ -1046,7 +1077,6 @@ impl World {
         }
         self.dispatch_notifications(&mut notifications);
         self.notify_scratch = notifications;
-        true
     }
 
     fn dispatch_notifications(&mut self, notifications: &mut Vec<(AppId, AppEvent)>) {
@@ -1069,14 +1099,18 @@ impl World {
     /// Runs until the virtual clock reaches `until` (events at exactly
     /// `until` are processed). The clock is left at `until`.
     pub fn run_until(&mut self, until: SimTime) {
-        while let Some(t) = self.kernel.queue.peek_time() {
-            if t > until {
-                break;
-            }
-            self.step();
+        self.run_while_due(|t| t <= until, until);
+    }
+
+    /// Dispatches events while `due` accepts the earliest one's time,
+    /// popping each with a single queue call, then advances the clock
+    /// to `end`.
+    fn run_while_due(&mut self, due: impl Fn(SimTime) -> bool, end: SimTime) {
+        while let Some((time, event)) = self.kernel.queue.pop_if(&due) {
+            self.dispatch(time, event);
         }
-        if self.kernel.clock < until {
-            self.kernel.clock = until;
+        if self.kernel.clock < end {
+            self.kernel.clock = end;
         }
     }
 
@@ -1097,15 +1131,7 @@ impl World {
     /// queued, because a cross-shard packet arriving *at* the horizon
     /// may still be injected before they run (see [`crate::shard`]).
     pub fn run_before(&mut self, horizon: SimTime) {
-        while let Some(t) = self.kernel.queue.peek_time() {
-            if t >= horizon {
-                break;
-            }
-            self.step();
-        }
-        if self.kernel.clock < horizon {
-            self.kernel.clock = horizon;
-        }
+        self.run_while_due(|t| t < horizon, horizon);
     }
 
     /// The timestamp of the earliest pending event, if any. Takes
@@ -1666,6 +1692,30 @@ mod tests {
         // The whole artifact is byte-identical across same-seed runs.
         let (_, telemetry2) = run();
         assert_eq!(telemetry.render_text(), telemetry2.render_text());
+    }
+
+    /// The local histograms' closed-form bucket against the registry's
+    /// own rule, `partition_point(|b| b < value)` over the same
+    /// `pow2_bounds`: at every power-of-two edge, at the extremes and
+    /// on random values of every magnitude.
+    #[test]
+    fn pow2_bucket_matches_the_bounds_search() {
+        let mut rng = SimRng::seed_from(0xb0c4);
+        for (min_pow, max_pow) in [ADVANCE_POW2, DEPTH_POW2, (3, 7), (5, 5)] {
+            let bounds = pow2_bounds(min_pow, max_pow);
+            let mut values = vec![0, u64::MAX - 1, u64::MAX];
+            for k in 0..64 {
+                values.extend([(1u64 << k) - 1, 1 << k, (1 << k) + 1]);
+            }
+            values.extend((0..4000).map(|_| rng.next_u64() >> rng.below(64)));
+            for v in values {
+                assert_eq!(
+                    pow2_bucket(v, min_pow, max_pow),
+                    bounds.partition_point(|&b| b < v),
+                    "value {v}, bounds ({min_pow}, {max_pow})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -86,8 +86,7 @@ impl FtpServer {
         session.pending_file = None;
         let size = self.files.size(file).unwrap_or(0);
         self.reply(ctx, control, "150 Opening BINARY mode data connection");
-        let body: Vec<u8> = generated_body(size).collect();
-        ctx.tcp_send(data_conn, &body);
+        ctx.tcp_send_bytes(data_conn, generated_body(size));
         ctx.tcp_close(data_conn);
         self.stats.add_served();
         self.stats.add_bytes_sent(size as u64);

@@ -74,7 +74,7 @@ impl HttpServer {
         let Some(path) = line.strip_prefix("GET ").and_then(|r| r.split(' ').next()) else {
             self.stats.add_error();
             let resp = http_response(400, "Bad Request", 0);
-            ctx.tcp_send(conn, &resp);
+            ctx.tcp_send_bytes(conn, resp);
             return;
         };
         let object = path.strip_prefix("/obj/").and_then(|id| id.parse::<usize>().ok());
@@ -83,12 +83,12 @@ impl HttpServer {
                 let resp = http_response(200, "OK", size);
                 self.stats.add_served();
                 self.stats.add_bytes_sent(size as u64);
-                ctx.tcp_send(conn, &resp);
+                ctx.tcp_send_bytes(conn, resp);
             }
             None => {
                 self.stats.add_error();
                 let resp = http_response(404, "Not Found", 0);
-                ctx.tcp_send(conn, &resp);
+                ctx.tcp_send_bytes(conn, resp);
             }
         }
     }

@@ -103,7 +103,7 @@ pub fn http_response(status: u16, reason: &str, body_len: usize) -> Bytes {
     );
     let mut out = Vec::with_capacity(head.len() + body_len);
     out.extend_from_slice(head.as_bytes());
-    out.extend(generated_body(body_len));
+    extend_with_body(&mut out, body_len);
     Bytes::from(out)
 }
 
@@ -117,14 +117,41 @@ pub fn parse_content_length(line: &str) -> Option<usize> {
     }
 }
 
-/// Deterministic filler payload of the given length (a repeating pattern,
-/// so tests can verify integrity cheaply).
-pub fn generated_body(len: usize) -> impl Iterator<Item = u8> {
-    (0..len).map(|i| (i % 251) as u8)
+/// One period of the deterministic filler pattern: body byte `i` is
+/// `i % 251`.
+const FILLER: [u8; 251] = {
+    let mut period = [0u8; 251];
+    let mut i = 0;
+    while i < period.len() {
+        period[i] = i as u8;
+        i += 1;
+    }
+    period
+};
+
+/// Appends `len` bytes of the deterministic filler pattern (a repeating
+/// pattern, so tests can verify integrity cheaply) to `out`, a whole
+/// period per copy. The pattern starts at body offset 0, wherever `out`
+/// already ends.
+pub fn extend_with_body(out: &mut Vec<u8>, len: usize) {
+    out.reserve(len);
+    for _ in 0..len / FILLER.len() {
+        out.extend_from_slice(&FILLER);
+    }
+    out.extend_from_slice(&FILLER[..len % FILLER.len()]);
+}
+
+/// A filler body of `len` bytes as an owned chunk, ready for
+/// [`netsim::world::Ctx::tcp_send_bytes`].
+pub fn generated_body(len: usize) -> Bytes {
+    let mut body = Vec::with_capacity(len);
+    extend_with_body(&mut body, len);
+    Bytes::from(body)
 }
 
 /// Verifies that `bytes` is a prefix of the deterministic filler pattern
-/// starting at `offset`.
+/// starting at `offset`. Computed byte by byte, independently of the
+/// period copies that build bodies.
 pub fn body_matches(offset: usize, bytes: &[u8]) -> bool {
     bytes.iter().enumerate().all(|(i, &b)| b == ((offset + i) % 251) as u8)
 }
@@ -193,10 +220,48 @@ mod tests {
 
     #[test]
     fn generated_body_roundtrips_with_matcher() {
-        let body: Vec<u8> = generated_body(600).collect();
+        let body = generated_body(600);
         assert!(body_matches(0, &body));
         assert!(body_matches(100, &body[100..]));
         assert!(!body_matches(1, &body));
+    }
+
+    /// The period-copy fill against the byte-by-byte checker at every
+    /// length around the period edges and at the FTP catalogue's
+    /// largest file, appended after a prefix as `http_response` does.
+    #[test]
+    fn period_fill_matches_the_pattern_at_every_length() {
+        let max = crate::workload::WorkloadConfig::default().ftp_max_bytes;
+        for len in (0..=2 * FILLER.len() + 1).chain([max - 1, max, max + 1]) {
+            let body = generated_body(len);
+            assert_eq!(body.len(), len);
+            assert!(body_matches(0, &body), "len {len}");
+            let mut out = b"head".to_vec();
+            extend_with_body(&mut out, len);
+            assert_eq!(
+                (&out[..4], &out[4..]),
+                (&b"head"[..], &body[..]),
+                "len {len}"
+            );
+        }
+    }
+
+    /// `http_response` bytes are unchanged: the head, then the pattern
+    /// from body offset 0 (pinned against the per-byte formula).
+    #[test]
+    fn http_response_bytes_are_pinned() {
+        for len in [0, 1, 250, 251, 252, 10_000] {
+            let head = format!(
+                "HTTP/1.1 200 OK\r\nServer: ddoshield-tserver\r\nContent-Length: {len}\r\n\r\n"
+            );
+            let mut expected = head.into_bytes();
+            expected.extend((0..len).map(|i| (i % 251) as u8));
+            assert_eq!(
+                &http_response(200, "OK", len)[..],
+                &expected[..],
+                "len {len}"
+            );
+        }
     }
 
     /// Property: however a CRLF-framed stream is chunked — including

@@ -3,9 +3,9 @@
 //! bandwidth throttle, and a CPU-pressure spike on the IDS node.
 //!
 //! Every line printed is a pure function of the seed: the CI
-//! `chaos-smoke` job runs this twice with the same seed and diffs the
-//! output byte for byte. Keep wall-clock-dependent values (measured
-//! CPU percent, timings) out of the output.
+//! `determinism-smoke` (chaos) job runs this twice with the same seed
+//! and diffs the output byte for byte. Keep wall-clock-dependent values
+//! (measured CPU percent, timings) out of the output.
 //!
 //! Run with: `cargo run --release --example chaos_run [seed]`
 

@@ -5,9 +5,9 @@
 //! them through.
 //!
 //! Every line printed is a pure function of the seed: the CI
-//! `lifecycle-smoke` job runs this twice with the same seed and diffs
-//! the output byte for byte. Keep wall-clock-dependent values
-//! (measured CPU percent, timings) out of the output.
+//! `determinism-smoke` (lifecycle) job runs this twice with the same
+//! seed and diffs the output byte for byte. Keep wall-clock-dependent
+//! values (measured CPU percent, timings) out of the output.
 //!
 //! Run with: `cargo run --release --example lifecycle_run [seed]`
 

@@ -4,8 +4,8 @@
 //! that hot-swap the model at window boundaries.
 //!
 //! Every line printed is a pure function of the seed: the CI
-//! `serving-smoke` job runs this twice with the same seed and diffs
-//! the output byte for byte. Keep wall-clock-dependent values
+//! `determinism-smoke` (serving) job runs this twice with the same seed
+//! and diffs the output byte for byte. Keep wall-clock-dependent values
 //! (measured CPU percent, timings) out of the output.
 //!
 //! Run with: `cargo run --release --example serving_run [seed]`

@@ -3,9 +3,9 @@
 //! log and telemetry section.
 //!
 //! Every line printed is a pure function of the seed and scale — the
-//! shard count is *not* part of that function. The CI `shard-smoke`
-//! job runs this at `--shards 1`, `2` and `8` with the same seed and
-//! diffs the full output byte for byte.
+//! shard count is *not* part of that function. The CI
+//! `determinism-smoke` (shard) job runs this at `--shards 1`, `2` and
+//! `8` with the same seed and diffs the full output byte for byte.
 //!
 //! Run with: `cargo run --release --example shard_run [seed] [--shards N] [--buggify SWARM_SEED]`
 

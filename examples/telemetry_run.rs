@@ -4,8 +4,9 @@
 //! traffic outcomes, IDS stage timings and the ML predict-work profile.
 //!
 //! Every line printed is a pure function of the seed: the CI
-//! `telemetry-smoke` job runs this twice with the same seed and diffs
-//! the output byte for byte. Keep wall-clock-dependent values out.
+//! `determinism-smoke` (telemetry) job runs this twice with the same
+//! seed and diffs the output byte for byte. Keep wall-clock-dependent
+//! values out.
 //!
 //! Run with: `cargo run --release --example telemetry_run [seed] [--json]`
 

@@ -8,7 +8,7 @@
 //! - same-seed, same-shards runs are byte-identical (plain determinism),
 //! - 1-shard, 2-shard and 8-shard runs of the same seed produce
 //!   byte-identical detection logs and telemetry (the invariance the
-//!   `shard-smoke` CI job also diffs end to end),
+//!   `determinism-smoke` (shard) CI job also diffs end to end),
 //! - the artifact matches a committed golden fixture
 //!   (`tests/golden/shard_chaos.txt`), so the cross-shard merge order
 //!   cannot silently drift between refactors.
