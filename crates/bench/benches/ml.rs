@@ -403,8 +403,8 @@ fn bench_serving_window(c: &mut Criterion) {
             let mut detections = 0u64;
             while let Some(record) = queue.pop() {
                 if let Some(window) = aggregator.push(record) {
-                    let (detection, _) = model
-                        .try_classify_window_profiled(&window, &mut scratch, &mut predictions)
+                    let detection = model
+                        .try_classify_window(&window, &mut scratch, &mut predictions)
                         .expect("arity matches");
                     black_box(detection);
                     detections += 1;

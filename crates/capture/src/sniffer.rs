@@ -159,38 +159,25 @@ impl SnifferHandle {
         out
     }
 
-    /// Moves all buffered records into `out` (cleared first) by
-    /// swapping buffers: the sniffer keeps capturing into the
-    /// allocation `out` brought back, so a consumer draining on a
-    /// cadence ping-pongs two buffers and never allocates after warmup.
+    /// Moves all buffered records into `out` (cleared first): the
+    /// unbounded [`SnifferHandle::drain_up_to`].
     pub fn drain_into(&self, out: &mut Vec<PacketRecord>) {
-        out.clear();
-        let mut state = self.state.borrow_mut();
-        let state = &mut *state;
-        std::mem::swap(&mut state.records, out);
-        if let Some(chaos) = state.chaos.as_mut() {
-            let p = DecisionPoint::CaptureDrainPartial.base_probability() * chaos.intensity;
-            if out.len() >= 2 && chaos.drain_rng.chance(p) {
-                // Partial drain: a random suffix stays buffered, as if
-                // the consumer's read returned short. Conservation is
-                // preserved — the suffix counts as buffered, not drained.
-                let keep = chaos.drain_rng.int_range(1, out.len() as u64 - 1) as usize;
-                state.records.extend(out.drain(out.len() - keep..));
-                chaos.partial_drains += 1;
-            }
-        }
-        state.drained_total += out.len() as u64;
+        self.drain_up_to(usize::MAX, out);
     }
 
     /// Moves up to `max` of the oldest buffered records into `out`
     /// (cleared first), leaving the rest buffered. The serving layer's
     /// block-upstream backpressure uses this to drain only what its
     /// ingestion queue has room for; records left behind stay subject to
-    /// the sniffer's own capacity/tail-drop accounting. Partial-drain
-    /// chaos applies here too (same stream as [`drain_into`]): a fired
-    /// draw shortens the take further, conservation preserved.
+    /// the sniffer's own capacity/tail-drop accounting.
     ///
-    /// [`drain_into`]: SnifferHandle::drain_into
+    /// A take of everything swaps buffers: the sniffer keeps capturing
+    /// into the allocation `out` brought back, so a consumer draining on
+    /// a cadence ping-pongs two buffers and never allocates after
+    /// warmup. Partial-drain chaos may shorten any take of two or more
+    /// records: a random suffix of it stays buffered, as if the
+    /// consumer's read returned short. Conservation is preserved — the
+    /// suffix counts as buffered, not drained.
     pub fn drain_up_to(&self, max: usize, out: &mut Vec<PacketRecord>) {
         out.clear();
         if max == 0 {
@@ -198,7 +185,8 @@ impl SnifferHandle {
         }
         let mut state = self.state.borrow_mut();
         let state = &mut *state;
-        let mut take = state.records.len().min(max);
+        let buffered = state.records.len();
+        let mut take = buffered.min(max);
         if let Some(chaos) = state.chaos.as_mut() {
             let p = DecisionPoint::CaptureDrainPartial.base_probability() * chaos.intensity;
             if take >= 2 && chaos.drain_rng.chance(p) {
@@ -207,7 +195,11 @@ impl SnifferHandle {
                 chaos.partial_drains += 1;
             }
         }
-        out.extend(state.records.drain(..take));
+        if take == buffered {
+            std::mem::swap(&mut state.records, out);
+        } else {
+            out.extend(state.records.drain(..take));
+        }
         state.drained_total += take as u64;
     }
 

@@ -4,11 +4,12 @@
 //! the [`netsim::buggify`] layer armed under a *swarm seed*, then checks
 //! machine-readable invariants: the run must not panic, the IDS must
 //! stay live (every window classified or degraded, indices strictly
-//! increasing), the sniffer feed must conserve records, the packet pool
-//! must stay healthy, and the virtual clock must land exactly where the
-//! phase arithmetic says. Monotone-clock and ChunkQueue-accounting
-//! checks ride along as `debug_assert!`s, which is why swarm binaries
-//! are built with debug assertions on (the `swarm` profile).
+//! increasing), the paper-preset IDS tenant must never shed, the sniffer
+//! feed must conserve records, the packet pool must stay healthy, and
+//! the virtual clock must land exactly where the phase arithmetic says.
+//! Monotone-clock and ChunkQueue-accounting checks ride along as
+//! `debug_assert!`s, which is why swarm binaries are built with debug
+//! assertions on (the `swarm` profile).
 //!
 //! A failing swarm seed replays bit-identically:
 //! [`SwarmReport::repro_command`] prints the exact command.
@@ -20,6 +21,7 @@ use ml::kmeans::KMeansConfig;
 use netsim::buggify::BuggifyConfig;
 use netsim::rng::SimRng;
 use netsim::time::{SimDuration, SimTime};
+use obs::RunTelemetry;
 
 use crate::experiments::{
     chaos_scenario, lifecycle_scenario, run_training_capture, train_serving_models,
@@ -80,7 +82,8 @@ impl SwarmCase {
 pub struct SwarmViolation {
     /// Stable invariant name (`no-panic`, `ids-liveness`,
     /// `feed-conservation`, `pool-health`, `clock-horizon`,
-    /// `determinism`; serving case also: `serving-conservation`,
+    /// `determinism`; chaos and lifecycle cases also:
+    /// `paper-tenant-never-sheds`; serving case also: `serving-conservation`,
     /// `flow-state-conservation`, `generation-monotone`, `swap-landed`;
     /// sharded case also:
     /// `shard-conservation`, `shard-invariance`).
@@ -222,10 +225,11 @@ pub fn run_swarm_case(
         let now = tb.runtime().now();
         let log_text = report.log.serialize_compact();
         let liveness = report.log.liveness_violation();
-        let telemetry_text = report.telemetry.render_text();
+        let shed = paper_tenant_shed_violation(&report.telemetry);
+        let telemetry = report.telemetry.render_text();
         let windows = report.log.len();
         let degraded = report.log.degraded_count();
-        (feed, pool_health, fires, now, log_text, liveness, telemetry_text, windows, degraded)
+        (feed, pool_health, fires, now, log_text, liveness, shed, telemetry, windows, degraded)
     }));
 
     let (windows, degraded, fires, fingerprint) = match run {
@@ -238,7 +242,7 @@ pub fn run_swarm_case(
             violations.push(SwarmViolation { invariant: "no-panic", detail: msg });
             (0, 0, 0, 0)
         }
-        Ok((feed, pool, fires, now, log_text, liveness, telemetry_text, windows, degraded)) => {
+        Ok((feed, pool, fires, now, log_text, liveness, shed, telemetry, windows, degraded)) => {
             let (captured, drained, buffered, _dropped) = feed;
             if captured != drained + buffered {
                 violations.push(SwarmViolation {
@@ -260,6 +264,9 @@ pub fn run_swarm_case(
             if let Some(detail) = liveness {
                 violations.push(SwarmViolation { invariant: "ids-liveness", detail });
             }
+            if let Some(detail) = shed {
+                violations.push(SwarmViolation { invariant: "paper-tenant-never-sheds", detail });
+            }
             let expected =
                 SimTime::ZERO + lead + SimDuration::from_secs(epoch_offset + live_secs);
             if now != expected {
@@ -269,7 +276,7 @@ pub fn run_swarm_case(
                 });
             }
             let mut fp = fnv1a(log_text.as_bytes());
-            fp ^= fnv1a(telemetry_text.as_bytes()).rotate_left(17);
+            fp ^= fnv1a(telemetry.as_bytes()).rotate_left(17);
             (windows, degraded, fires, fp)
         }
     };
@@ -284,6 +291,23 @@ pub fn run_swarm_case(
         buggify_fires: fires,
         fingerprint,
     }
+}
+
+/// The `paper-tenant-never-sheds` invariant: [`Testbed::run_live`]'s
+/// single tenant (the paper preset, named `tserver`) sheds no record and
+/// no window, however the feed is perturbed. Read back from the run's
+/// telemetry export, as the serving case reads its conservation
+/// counters; a missing counter is a violation too.
+fn paper_tenant_shed_violation(telemetry: &RunTelemetry) -> Option<String> {
+    for name in ["records_shed", "records_sampled_out", "windows_shed"] {
+        let key = format!("ids.serving.tserver.{name}");
+        match telemetry.counter(&key) {
+            Some(0) => {}
+            Some(n) => return Some(format!("{key} = {n}")),
+            None => return Some(format!("{key} missing from the telemetry export")),
+        }
+    }
+    None
 }
 
 /// The serving-layer swarm case: [`chaos_scenario`] + kernel buggify +

@@ -16,13 +16,13 @@ use capture::sniffer::{sniffer_pair, SnifferFilter, SnifferHandle};
 use containers::meter::ResourceMeter;
 use containers::runtime::{ContainerId, ContainerSpec, Role, Runtime};
 use ids::pipeline::TrainedIds;
-use ids::realtime::{DetectionLog, RealTimeIds};
+use ids::realtime::DetectionLog;
 use ids::resources::{RobustnessReport, SustainabilityReport};
 use ids::serving::{serving_pair, ServingConfig, ServingHandle, TenantConfig, TenantCounters};
 use netsim::rng::SimRng;
 use netsim::time::{SimDuration, SimTime};
 use netsim::Addr;
-use obs::{Registry, RunTelemetry};
+use obs::{Registry, RunTelemetry, Scope};
 use traffic::workload::{install_device_client_mix, install_tserver, ClientStatsBundle, ServerStatsBundle};
 
 use crate::scenario::ScenarioConfig;
@@ -297,56 +297,35 @@ impl Testbed {
     }
 
     /// Runs the real-time detection phase (the paper's 5-minute run):
-    /// installs the trained IDS into the IDS container, runs for
-    /// `duration`, and returns its per-window log plus sustainability
-    /// metrics.
+    /// installs the trained IDS into the IDS container as the serving
+    /// layer's single-tenant paper preset ([`TenantConfig::paper`]),
+    /// runs for `duration`, and returns its per-window log plus
+    /// sustainability metrics.
+    ///
+    /// The service is not finalized: like the paper's IDS, the run logs
+    /// only the windows that closed during it (a window closes when the
+    /// next window's first record arrives), not the still-open last one.
     pub fn run_live(&mut self, duration: SimDuration, ids: TrainedIds) -> LiveReport {
-        let meter = self.rt.meter(self.ids_container);
-        meter.set_obs(&self.registry.scope("containers.ids"));
-        let log = DetectionLog::new();
-        let model_size_kb = ids.model().encode().len() as f64 / 1024.0;
-        let mut app = RealTimeIds::new(ids, self.sniffer.clone(), meter.clone(), log.clone());
-        app.set_obs(self.registry.scope("ids"));
         // Wall-clock predict latency lives in its own registry: the
         // measured numbers are host-dependent, and mixing them into the
         // deterministic registry would break byte-identical exports.
         let wall_registry = Registry::new();
-        app.set_wallclock_obs(wall_registry.scope("ids.wallclock"));
-        let now = self.rt.now();
-        self.rt.install(
-            self.ids_container,
-            Box::new(app),
-            netsim::packet::Provenance::Benign,
-            now,
+        let served = self.serve(
+            duration,
+            ServingConfig::new(ids),
+            vec![(TenantConfig::paper("tserver"), ServingTenantTarget::TServer)],
+            Some(wall_registry.scope("ids.wallclock")),
+            false,
         );
-        self.rt.run_for(duration);
-        let sustainability = SustainabilityReport {
-            cpu_percent: meter.mean_cpu_percent(),
-            memory_kb: meter.memory_peak_bytes() as f64 / 1024.0,
-            model_size_kb,
-        };
-        let mut robustness = RobustnessReport::collect(&log, &self.sniffer);
-        // Lifecycle accounting: container downtime, benign success
-        // rates (cumulative since deploy) and botnet eviction /
-        // reinfection counters. Everything is integer-valued, so two
-        // same-seed runs report byte-identically.
-        robustness.container_downtime = self.rt.downtime_table();
-        let benign = [
-            self.client_stats.http.snapshot(),
-            self.client_stats.video.snapshot(),
-            self.client_stats.ftp.snapshot(),
-        ];
-        robustness.benign_started = benign.iter().map(|c| c.started).sum();
-        robustness.benign_completed = benign.iter().map(|c| c.completed).sum();
-        robustness.benign_failed = benign.iter().map(|c| c.failed).sum();
-        robustness.benign_retried = benign.iter().map(|c| c.retried).sum();
-        let bots = self.botnet_stats.snapshot();
-        robustness.bots_evicted = bots.bots_evicted;
-        robustness.reinfections = bots.reinfections;
-        robustness.reinfection_latency_total_nanos = bots.reinfection_latency_total_nanos;
-        let telemetry = self.telemetry();
-        let wallclock = wall_registry.snapshot();
-        LiveReport { log, sustainability, robustness, meter, telemetry, wallclock }
+        let log = served.tenants.into_iter().next().expect("the paper tenant").log;
+        LiveReport {
+            log,
+            sustainability: served.sustainability,
+            robustness: served.robustness,
+            meter: served.meter,
+            telemetry: self.telemetry(),
+            wallclock: wall_registry.snapshot(),
+        }
     }
 
     /// Runs the long-lived serving phase: installs an
@@ -367,6 +346,49 @@ impl Testbed {
         config: ServingConfig,
         tenants: Vec<(TenantConfig, ServingTenantTarget)>,
     ) -> ServingRunReport {
+        let served = self.serve(duration, config, tenants, None, true);
+        let handle = served.handle;
+        // Serving-chaos counters follow the capture-chaos convention:
+        // exported only when armed, keeping baseline telemetry
+        // fixture-identical.
+        if let Some((swap_delay_fires, queue_full_fires, state_cull_fires)) = handle.chaos_counts()
+        {
+            let scope = self.registry.scope("ids.serving.chaos");
+            scope.gauge("swap_delay_fires").set(swap_delay_fires as i64);
+            scope.gauge("queue_full_fires").set(queue_full_fires as i64);
+            scope.gauge("state_cull_fires").set(state_cull_fires as i64);
+        }
+        let (swaps, retrains, retrains_failed) = handle.swap_counts();
+        let generation = handle.generation();
+        let telemetry = self.telemetry();
+        ServingRunReport {
+            tenants: served.tenants,
+            generation,
+            swaps,
+            retrains,
+            retrains_failed,
+            handle,
+            sustainability: served.sustainability,
+            robustness: served.robustness,
+            meter: served.meter,
+            telemetry,
+        }
+    }
+
+    /// The body [`Testbed::run_live`] and [`Testbed::run_live_serving`]
+    /// share: wires each tenant to its feed, installs the service into
+    /// the IDS container with telemetry under `ids.serving`, runs for
+    /// `duration`, optionally finalizes, and assembles the reports.
+    /// Tenant counters are synced before returning, so a telemetry
+    /// snapshot taken afterwards carries the queue accounting.
+    fn serve(
+        &mut self,
+        duration: SimDuration,
+        config: ServingConfig,
+        tenants: Vec<(TenantConfig, ServingTenantTarget)>,
+        wallclock: Option<Scope>,
+        finalize: bool,
+    ) -> Served {
         let meter = self.rt.meter(self.ids_container);
         meter.set_obs(&self.registry.scope("containers.ids"));
         let model_size_kb = config.champion.model().encode().len() as f64 / 1024.0;
@@ -393,6 +415,9 @@ impl Testbed {
         }
         let (mut app, handle) = serving_pair(config, wired, meter.clone());
         app.set_obs(self.registry.scope("ids.serving"));
+        if let Some(scope) = wallclock {
+            app.set_wallclock_obs(scope);
+        }
         let now = self.rt.now();
         self.rt.install(
             self.ids_container,
@@ -401,14 +426,16 @@ impl Testbed {
             now,
         );
         self.rt.run_for(duration);
-        handle.finalize();
+        if finalize {
+            handle.finalize();
+        }
 
         let sustainability = SustainabilityReport {
             cpu_percent: meter.mean_cpu_percent(),
             memory_kb: meter.memory_peak_bytes() as f64 / 1024.0,
             model_size_kb,
         };
-        let tenant_reports: Vec<TenantReport> = handle
+        let tenants: Vec<TenantReport> = handle
             .all_counters()
             .into_iter()
             .map(|(name, counters)| {
@@ -416,68 +443,34 @@ impl Testbed {
                 TenantReport { name, log, counters }
             })
             .collect();
-        let mut robustness = RobustnessReport {
-            windows_total: tenant_reports.iter().map(|t| t.log.len()).sum(),
-            windows_degraded: tenant_reports.iter().map(|t| t.log.degraded_count()).sum(),
-            windows_shed: tenant_reports
-                .iter()
-                .map(|t| t.counters.windows_shed as usize)
-                .sum(),
-            records_shed: tenant_reports.iter().map(|t| t.counters.records_shed).sum(),
-            records_sampled_out: tenant_reports
-                .iter()
-                .map(|t| t.counters.records_sampled_out)
-                .sum(),
-            feed_dropped: feeds.iter().map(|f| f.dropped_overflow()).sum(),
-            feed_captured: feeds.iter().map(|f| f.captured_total()).sum(),
-            container_downtime: self.rt.downtime_table(),
-            benign_started: 0,
-            benign_completed: 0,
-            benign_failed: 0,
-            benign_retried: 0,
-            bots_evicted: 0,
-            reinfections: 0,
-            reinfection_latency_total_nanos: 0,
-        };
+        // Lifecycle accounting: container downtime, benign success
+        // rates (cumulative since deploy) and botnet eviction /
+        // reinfection counters. Everything is integer-valued, so two
+        // same-seed runs report byte-identically.
         let benign = [
             self.client_stats.http.snapshot(),
             self.client_stats.video.snapshot(),
             self.client_stats.ftp.snapshot(),
         ];
-        robustness.benign_started = benign.iter().map(|c| c.started).sum();
-        robustness.benign_completed = benign.iter().map(|c| c.completed).sum();
-        robustness.benign_failed = benign.iter().map(|c| c.failed).sum();
-        robustness.benign_retried = benign.iter().map(|c| c.retried).sum();
         let bots = self.botnet_stats.snapshot();
-        robustness.bots_evicted = bots.bots_evicted;
-        robustness.reinfections = bots.reinfections;
-        robustness.reinfection_latency_total_nanos = bots.reinfection_latency_total_nanos;
-
-        // Serving-chaos counters follow the capture-chaos convention:
-        // exported only when armed, keeping baseline telemetry
-        // fixture-identical.
-        if let Some((swap_delay_fires, queue_full_fires, state_cull_fires)) = handle.chaos_counts()
-        {
-            let scope = self.registry.scope("ids.serving.chaos");
-            scope.gauge("swap_delay_fires").set(swap_delay_fires as i64);
-            scope.gauge("queue_full_fires").set(queue_full_fires as i64);
-            scope.gauge("state_cull_fires").set(state_cull_fires as i64);
-        }
-        let (swaps, retrains, retrains_failed) = handle.swap_counts();
-        let generation = handle.generation();
-        let telemetry = self.telemetry();
-        ServingRunReport {
-            tenants: tenant_reports,
-            generation,
-            swaps,
-            retrains,
-            retrains_failed,
-            handle,
-            sustainability,
-            robustness,
-            meter,
-            telemetry,
-        }
+        let robustness = RobustnessReport {
+            windows_total: tenants.iter().map(|t| t.log.len()).sum(),
+            windows_degraded: tenants.iter().map(|t| t.log.degraded_count()).sum(),
+            windows_shed: tenants.iter().map(|t| t.counters.windows_shed as usize).sum(),
+            records_shed: tenants.iter().map(|t| t.counters.records_shed).sum(),
+            records_sampled_out: tenants.iter().map(|t| t.counters.records_sampled_out).sum(),
+            feed_dropped: feeds.iter().map(|f| f.dropped_overflow()).sum(),
+            feed_captured: feeds.iter().map(|f| f.captured_total()).sum(),
+            container_downtime: self.rt.downtime_table(),
+            benign_started: benign.iter().map(|c| c.started).sum(),
+            benign_completed: benign.iter().map(|c| c.completed).sum(),
+            benign_failed: benign.iter().map(|c| c.failed).sum(),
+            benign_retried: benign.iter().map(|c| c.retried).sum(),
+            bots_evicted: bots.bots_evicted,
+            reinfections: bots.reinfections,
+            reinfection_latency_total_nanos: bots.reinfection_latency_total_nanos,
+        };
+        Served { handle, tenants, sustainability, robustness, meter }
     }
 
     /// A snapshot of the run's telemetry: every counter, gauge and
@@ -530,6 +523,15 @@ pub enum ServingTenantTarget {
     TServer,
     /// Everything involving the i-th device container.
     Device(usize),
+}
+
+/// What [`Testbed::serve`] hands back to the two run methods.
+struct Served {
+    handle: ServingHandle,
+    tenants: Vec<TenantReport>,
+    sustainability: SustainabilityReport,
+    robustness: RobustnessReport,
+    meter: ResourceMeter,
 }
 
 /// One tenant's slice of a serving run.

@@ -22,7 +22,7 @@ pub mod serving;
 pub use alerts::{alert_episodes, detection_latencies, summarize, AlertPolicy, AlertSummary};
 pub use federated::{train_federated, FederatedConfig, FederatedOutcome};
 pub use pipeline::{train_model, IdsConfig, ModelKind, TrainedIds, TrainingOutcome, WindowDetection};
-pub use realtime::{DetectionLog, OverloadPolicy, RealTimeIds};
+pub use realtime::{DetectionLog, OverloadPolicy};
 pub use resources::{RobustnessReport, SustainabilityReport};
 pub use serving::{
     serving_pair, Admission, BackpressurePolicy, IdsService, IngestQueue, RetrainPolicy,

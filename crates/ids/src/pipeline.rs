@@ -203,62 +203,24 @@ impl TrainedIds {
 
     /// Classifies every packet of a completed window, returning the
     /// per-window detection result (the paper's per-second accuracy).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fitted scaler's arity does not match the feature
+    /// layout; [`TrainedIds::try_classify_window`] reports that as a
+    /// [`ClassifyError`] instead.
     pub fn classify_window(&self, window: &Window) -> WindowDetection {
         let mut scratch = FeatureMatrix::new(TOTAL_FEATURES);
-        let mut predictions = Vec::new();
-        self.classify_window_into(window, &mut scratch, &mut predictions)
-    }
-
-    /// Like [`TrainedIds::classify_window`], but extracts features into a
-    /// caller-owned scratch matrix and predicts into a caller-owned
-    /// buffer, so a detection loop allocates nothing per window after
-    /// warm-up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was not created with [`TOTAL_FEATURES`]
-    /// columns.
-    pub fn classify_window_into(
-        &self,
-        window: &Window,
-        scratch: &mut FeatureMatrix,
-        predictions: &mut Vec<usize>,
-    ) -> WindowDetection {
-        self.classify_window_profiled(window, scratch, predictions).0
-    }
-
-    /// Like [`TrainedIds::classify_window_into`], but also returns the
-    /// window's [`WindowProfile`]: the deterministic work units the
-    /// model's predict path performed (see
-    /// [`Classifier::predict_with_work`]) — the profiling signal the
-    /// real-time IDS feeds into its telemetry histograms — plus the
-    /// wall-clock time the predict call took, which may only ever feed
-    /// reporting surfaces (never control flow or deterministic
-    /// telemetry).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was not created with [`TOTAL_FEATURES`]
-    /// columns or the fitted scaler's arity does not match the feature
-    /// layout. Long-lived serving loops should prefer
-    /// [`TrainedIds::try_classify_window_profiled`], which reports those
-    /// conditions as a [`ClassifyError`] instead so a bad hot-swapped
-    /// model degrades windows rather than killing the service.
-    pub fn classify_window_profiled(
-        &self,
-        window: &Window,
-        scratch: &mut FeatureMatrix,
-        predictions: &mut Vec<usize>,
-    ) -> (WindowDetection, WindowProfile) {
-        self.try_classify_window_profiled(window, scratch, predictions)
+        self.try_classify_window(window, &mut scratch, &mut Vec::new())
             .unwrap_or_else(|e| panic!("classify_window: {e}"))
     }
 
-    /// Fallible core of [`TrainedIds::classify_window_profiled`]: arity
-    /// mismatches between the scratch matrix, the fitted scaler, and the
-    /// feature layout come back as a [`ClassifyError`] instead of a
-    /// panic, so overload paths can account the window as degraded and
-    /// keep serving.
+    /// Fallible core of [`TrainedIds::classify_window`]: extracts
+    /// features into a caller-owned scratch matrix and predicts into a
+    /// caller-owned buffer, so a caller classifying window after window
+    /// allocates nothing after warm-up. Arity mismatches between the
+    /// scratch matrix, the fitted scaler and the feature layout come
+    /// back as a [`ClassifyError`] instead of a panic.
     ///
     /// # Errors
     ///
@@ -266,23 +228,19 @@ impl TrainedIds {
     /// created with [`TOTAL_FEATURES`] columns, and
     /// [`ClassifyError::ScalerArity`] when the fitted scaler expects a
     /// different feature count (e.g. a model assembled via
-    /// [`TrainedIds::from_parts`] from an incompatible pipeline was
-    /// swapped in).
-    pub fn try_classify_window_profiled(
+    /// [`TrainedIds::from_parts`] from an incompatible pipeline).
+    pub fn try_classify_window(
         &self,
         window: &Window,
         scratch: &mut FeatureMatrix,
         predictions: &mut Vec<usize>,
-    ) -> Result<(WindowDetection, WindowProfile), ClassifyError> {
+    ) -> Result<WindowDetection, ClassifyError> {
         self.check_classify_arity(scratch)?;
         scratch.clear();
         window.append_features(scratch);
         self.scaler.transform_matrix(scratch);
-        let predict_started = std::time::Instant::now();
-        let work = self.model.predict_batch_into(scratch.view(), predictions);
-        let predict_wall_ns = predict_started.elapsed().as_nanos() as u64;
-        let detection = detection_from_predictions(window, predictions);
-        Ok((detection, WindowProfile { work_units: work, predict_wall_ns }))
+        self.model.predict_batch_into(scratch.view(), predictions);
+        Ok(detection_from_predictions(window, predictions))
     }
 
     /// The arity preconditions of a classify pass, shared by the
@@ -294,7 +252,7 @@ impl TrainedIds {
     /// # Errors
     ///
     /// The same [`ClassifyError`] variants as
-    /// [`TrainedIds::try_classify_window_profiled`].
+    /// [`TrainedIds::try_classify_window`].
     pub fn check_classify_arity(&self, scratch: &FeatureMatrix) -> Result<(), ClassifyError> {
         if scratch.n_cols() != TOTAL_FEATURES {
             return Err(ClassifyError::ScratchArity {
@@ -373,19 +331,6 @@ impl std::fmt::Display for ClassifyError {
 }
 
 impl std::error::Error for ClassifyError {}
-
-/// Profiling signals of one classified window.
-#[derive(Debug, Clone, Copy)]
-pub struct WindowProfile {
-    /// Deterministic model work units (RF: nodes visited; CNN: MACs;
-    /// K-Means: distance multiply-adds). A pure function of model and
-    /// input — safe to export in byte-identical telemetry.
-    pub work_units: u64,
-    /// Wall-clock nanoseconds the predict call took. Host-dependent:
-    /// feeds the wall-clock reporting registry and the sustainability
-    /// meter only, never deterministic telemetry or control flow.
-    pub predict_wall_ns: u64,
-}
 
 /// Trains the concrete model behind the [`Classifier`] interface.
 pub fn train_model(
@@ -626,7 +571,7 @@ mod tests {
         let mut scratch = FeatureMatrix::new(TOTAL_FEATURES);
         let mut predictions = Vec::new();
         let err = bad_ids
-            .try_classify_window_profiled(&windows[0], &mut scratch, &mut predictions)
+            .try_classify_window(&windows[0], &mut scratch, &mut predictions)
             .unwrap_err();
         assert_eq!(err, ClassifyError::ScalerArity { expected: TOTAL_FEATURES, got: 2 });
         assert!(err.to_string().contains("scaler fitted for 2 features"));
@@ -644,7 +589,7 @@ mod tests {
         let mut bad_scratch = FeatureMatrix::new(3);
         let err = outcome
             .ids
-            .try_classify_window_profiled(&windows[0], &mut bad_scratch, &mut predictions)
+            .try_classify_window(&windows[0], &mut bad_scratch, &mut predictions)
             .unwrap_err();
         assert_eq!(err, ClassifyError::ScratchArity { expected: TOTAL_FEATURES, got: 3 });
     }

@@ -1,27 +1,18 @@
-//! The Real-Time IDS Unit: the fourth container of DDoShield-IoT.
+//! The detection loop's shared pieces: the per-window [`DetectionLog`]
+//! and the one model of detection cost, [`OverloadPolicy`].
 //!
-//! [`RealTimeIds`] is a hosted application that wakes every window
-//! interval, drains the sniffer feed, aggregates the elapsed window,
-//! extracts features, runs the configured model, and logs the window's
-//! accuracy — while metering its *actual* compute time and memory
-//! footprint into the container's [`ResourceMeter`] (the paper's
-//! sustainability metrics are measured on exactly this loop).
+//! The paper's Real-Time IDS Unit — wake every window interval, drain
+//! the sniffer feed, aggregate the elapsed window, extract features, run
+//! the model and log the window's accuracy while metering compute time
+//! and memory — runs as the single-tenant preset of the serving layer
+//! ([`crate::serving::TenantConfig::paper`]).
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Instant;
 
-use capture::record::{Label, PacketRecord};
-use capture::sniffer::SnifferHandle;
-use containers::meter::ResourceMeter;
-use features::extract::{WindowAggregator, TOTAL_FEATURES};
-use ml::classifier::RowSpan;
-use ml::matrix::FeatureMatrix;
-use netsim::time::SimDuration;
-use netsim::world::{App, Ctx};
-use obs::{pow2_bounds, Counter, Histogram, Scope};
+use capture::record::Label;
 
-use crate::pipeline::{detection_from_predictions, TrainedIds, WindowDetection};
+use crate::pipeline::WindowDetection;
 
 /// Shared log of per-window detection results.
 #[derive(Debug, Clone, Default)]
@@ -227,6 +218,11 @@ impl DetectionLog {
 /// detection time exceeds the window interval is marked
 /// [`degraded`](WindowDetection::degraded) instead of silently skewing
 /// the next drain.
+///
+/// This is the only cost model: every serving tenant prices its windows
+/// with the default policy and bounds its sniffer feed at its
+/// `feed_capacity`; a tenant's [`crate::serving::TenantBudget`] only
+/// decides where the cost lands on the degradation ladder.
 #[derive(Debug, Clone, Copy)]
 pub struct OverloadPolicy {
     /// Modelled cost per classified packet, in seconds.
@@ -257,307 +253,21 @@ impl OverloadPolicy {
         (self.per_window_overhead_secs + self.per_packet_cost_secs * packets as f64)
             * pressure.max(0.0)
     }
-}
 
-/// Telemetry for the per-window detection loop. Every figure is
-/// deterministic: stage timings come from the modelled cost under
-/// injected pressure (the same numbers that decide degradation), and the
-/// predict-path profile counts model work units — wall-clock time never
-/// enters, so the export stays byte-identical across same-seed runs.
-#[derive(Debug)]
-struct IdsObs {
-    scope: Scope,
-    windows: Counter,
-    packets_classified: Counter,
-    budget_exceeded: Counter,
-    classify_errors: Counter,
-    extract_ns: Histogram,
-    classify_ns: Histogram,
-    predict_work: Histogram,
-    /// Flow-state cardinality reported by the incremental extractor
-    /// (`features.incremental.flows_touched`): distinct flows folded at
-    /// each window close, summed over the run.
-    flows_touched: Counter,
-}
-
-impl IdsObs {
-    fn new(scope: Scope) -> Self {
-        // Modelled stage costs: ~1 µs up to ~17 s of modelled time.
-        let ns_bounds = pow2_bounds(10, 34);
-        // Predict work units (nodes / MACs / distance ops) per window.
-        let work_bounds = pow2_bounds(4, 30);
-        let incremental = scope.registry().scope("features.incremental");
-        IdsObs {
-            windows: scope.counter("windows"),
-            packets_classified: scope.counter("packets_classified"),
-            budget_exceeded: scope.counter("budget_exceeded"),
-            classify_errors: scope.counter("classify_errors"),
-            extract_ns: scope.histogram("extract_modelled_ns", &ns_bounds),
-            classify_ns: scope.histogram("classify_modelled_ns", &ns_bounds),
-            predict_work: scope.histogram("predict_work_units", &work_bounds),
-            flows_touched: incremental.counter("flows_touched"),
-            scope,
-        }
-    }
-}
-
-/// Wall-clock telemetry for the predict hot path, kept in a registry
-/// *separate* from the deterministic one: the measured latency is
-/// host-dependent by nature, so it must never share an export with the
-/// byte-identity-pinned metrics. One histogram per model, named after
-/// the model (`<Model>.predict_wall_ns`), makes the batch-predict
-/// speedups visible in exported telemetry rather than only in criterion
-/// output.
-#[derive(Debug)]
-struct WallclockObs {
-    predict_wall_ns: Histogram,
-}
-
-impl WallclockObs {
-    fn new(scope: &Scope, model: &str) -> Self {
-        // Measured predict latency: ~0.25 µs up to ~17 s.
-        let ns_bounds = pow2_bounds(8, 34);
-        WallclockObs {
-            predict_wall_ns: scope.child(model).histogram("predict_wall_ns", &ns_bounds),
-        }
-    }
-}
-
-/// The real-time IDS application hosted in the IDS container.
-pub struct RealTimeIds {
-    ids: TrainedIds,
-    feed: SnifferHandle,
-    aggregator: WindowAggregator,
-    meter: ResourceMeter,
-    log: DetectionLog,
-    overload: OverloadPolicy,
-    /// Feature scratch reused every window — the steady-state detection
-    /// loop performs no per-window feature allocation.
-    scratch: FeatureMatrix,
-    /// Prediction scratch reused every tick: one coalesced
-    /// [`ml::classifier::Classifier::predict_batch_spans_into`] pass
-    /// covers every window the tick completed.
-    predictions: Vec<usize>,
-    /// Per-window row spans into `scratch` for the coalesced pass.
-    spans: Vec<RowSpan>,
-    /// Per-window predict work returned by the span API, so the
-    /// per-window telemetry attribution survives batching.
-    span_work: Vec<u64>,
-    /// `aggregator.flows_touched()` at the last telemetry top-up.
-    flows_touched_reported: u64,
-    /// Drain scratch swapped with the sniffer buffer every tick
-    /// ([`SnifferHandle::drain_into`]), so the feed ping-pongs two
-    /// buffers instead of allocating one per window.
-    drain_buf: Vec<PacketRecord>,
-    obs: Option<IdsObs>,
-    wall_obs: Option<WallclockObs>,
-}
-
-impl std::fmt::Debug for RealTimeIds {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RealTimeIds").field("model", &self.ids.model().name()).finish()
-    }
-}
-
-impl RealTimeIds {
-    /// Creates the IDS app over a trained model and a sniffer feed,
-    /// with the default [`OverloadPolicy`].
-    pub fn new(ids: TrainedIds, feed: SnifferHandle, meter: ResourceMeter, log: DetectionLog) -> Self {
-        Self::with_overload(ids, feed, meter, log, OverloadPolicy::default())
-    }
-
-    /// Creates the IDS app with an explicit overload policy.
-    pub fn with_overload(
-        ids: TrainedIds,
-        feed: SnifferHandle,
-        meter: ResourceMeter,
-        log: DetectionLog,
-        overload: OverloadPolicy,
-    ) -> Self {
-        let window_secs = ids.window_secs();
-        let refresh = ids.stats_refresh();
-        // The model's resident footprint counts against the container.
-        meter.set_memory_bytes(ids.model().memory_bytes());
-        RealTimeIds {
-            ids,
-            feed,
-            aggregator: WindowAggregator::new(window_secs).with_stats_refresh(refresh),
-            meter,
-            log,
-            overload,
-            scratch: FeatureMatrix::new(TOTAL_FEATURES),
-            predictions: Vec::new(),
-            spans: Vec::new(),
-            span_work: Vec::new(),
-            flows_touched_reported: 0,
-            drain_buf: Vec::new(),
-            obs: None,
-            wall_obs: None,
-        }
-    }
-
-    /// Attaches telemetry (call before installing the app): per-window
-    /// stage histograms, the predict-path work profile, and a trace
-    /// event for every window whose modelled cost blows the interval
-    /// budget.
-    pub fn set_obs(&mut self, scope: Scope) {
-        self.obs = Some(IdsObs::new(scope));
-    }
-
-    /// Attaches the wall-clock reporting scope (call before installing
-    /// the app). Must come from a registry separate from the
-    /// deterministic one — measured predict latency is host-dependent
-    /// and would break byte-identical telemetry exports if mixed in.
-    pub fn set_wallclock_obs(&mut self, scope: Scope) {
-        self.wall_obs = Some(WallclockObs::new(&scope, self.ids.model().name()));
-    }
-
-    fn tick(&mut self, ctx: &mut Ctx<'_>) {
-        let started = Instant::now();
-        let mut completed = Vec::new();
-        self.feed.drain_into(&mut self.drain_buf);
-        for &record in &self.drain_buf {
-            if let Some(window) = self.aggregator.push(record) {
-                completed.push(window);
-            }
-        }
-        // Overload is decided from the modelled cost under the node's
-        // injected CPU pressure — never from wall-clock time, which
-        // would make the detection log host-dependent.
-        let pressure = ctx.cpu_pressure();
-        let window_interval_secs = self.ids.window_secs() as f64;
-        let mut buffered_bytes = 0u64;
-        // Coalesce every window the tick completed into one feature
-        // matrix and a single span-batched predict pass; the span API
-        // returns per-window work, so telemetry attribution stays
-        // per-window even though the model runs once per tick. An arity
-        // failure (e.g. an incompatible model assembled via from_parts)
-        // is recoverable: it poisons the whole batch, and each window is
-        // logged as degraded with zero classified packets.
-        self.scratch.clear();
-        self.spans.clear();
-        let arity = self.ids.check_classify_arity(&self.scratch);
-        if arity.is_ok() {
-            let mut row_start = 0;
-            for window in &completed {
-                window.append_features(&mut self.scratch);
-                let len = self.scratch.n_rows() - row_start;
-                self.spans.push(RowSpan { start: row_start, len });
-                row_start += len;
-            }
-            self.ids.scaler().transform_matrix(&mut self.scratch);
-            let predict_started = Instant::now();
-            self.ids.model().predict_batch_spans_into(
-                self.scratch.view(),
-                &self.spans,
-                &mut self.predictions,
-                &mut self.span_work,
-            );
-            if !completed.is_empty() {
-                if let Some(wall) = &self.wall_obs {
-                    wall.predict_wall_ns.observe(predict_started.elapsed().as_nanos() as u64);
-                }
-            }
-        }
-        for (slot, window) in completed.iter().enumerate() {
-            if let Err(e) = &arity {
-                if let Some(obs) = &self.obs {
-                    obs.classify_errors.inc();
-                    obs.windows.inc();
-                    obs.scope.event(
-                        ctx.now().as_nanos(),
-                        "classify_error",
-                        format!("w={} {e}", window.index),
-                    );
-                }
-                self.log.push(WindowDetection {
-                    window_index: window.index,
-                    packets: window.records.len(),
-                    correct: 0,
-                    predicted_malicious: 0,
-                    truth_malicious: 0,
-                    malicious_correct: 0,
-                    mixed: window.is_mixed(),
-                    majority_truth: window.majority_label(),
-                    generation: 0,
-                    degraded: true,
-                });
-                continue;
-            }
-            let span = self.spans[slot];
-            let mut detection =
-                detection_from_predictions(window, &self.predictions[span.range()]);
-            let modelled_secs = self.overload.modelled_cost_secs(window.records.len(), pressure);
-            detection.degraded = modelled_secs > window_interval_secs;
-            buffered_bytes += window.records.len() as u64 * 64; // record footprint
-            if let Some(obs) = &self.obs {
-                obs.windows.inc();
-                obs.packets_classified.add(window.records.len() as u64);
-                // Stage split of the modelled budget: the fixed overhead
-                // is the drain/extract stage, the per-packet term is
-                // classification.
-                let load = pressure.max(0.0);
-                let extract_ns = (self.overload.per_window_overhead_secs * load * 1e9) as u64;
-                let classify_ns = (self.overload.per_packet_cost_secs
-                    * window.records.len() as f64
-                    * load
-                    * 1e9) as u64;
-                obs.extract_ns.observe(extract_ns);
-                obs.classify_ns.observe(classify_ns);
-                obs.predict_work.observe(self.span_work[slot]);
-                if detection.degraded {
-                    obs.budget_exceeded.inc();
-                    obs.scope.event(
-                        ctx.now().as_nanos(),
-                        "degraded_window",
-                        format!("w={} packets={}", detection.window_index, detection.packets),
-                    );
-                }
-            }
-            self.log.push(detection);
-        }
-        // Top up the incremental extractor's flow-state counter with the
-        // flows folded since the last tick (the aggregator reports a
-        // cumulative total).
-        if let Some(obs) = &self.obs {
-            let touched = self.aggregator.flows_touched();
-            obs.flows_touched.add(touched - self.flows_touched_reported);
-            self.flows_touched_reported = touched;
-        }
-        // Wall-clock busy time, stretched by the injected pressure,
-        // feeds the sustainability meter only (reporting, not control).
-        let busy = started.elapsed().as_secs_f64();
-        self.meter.record_cpu_seconds(busy * pressure.max(0.0));
-        self.meter
-            .set_memory_bytes(self.ids.model().memory_bytes() + buffered_bytes);
-
-        // Close this observation interval (its CPU sample includes the
-        // work just recorded) and open the next one.
-        self.meter.end_window(ctx.now());
-        self.meter.begin_window(ctx.now());
-        ctx.set_timer(SimDuration::from_secs(self.ids.window_secs()), 0);
-    }
-}
-
-impl App for RealTimeIds {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(capacity) = self.overload.feed_capacity {
-            self.feed.set_capacity(Some(capacity));
-        }
-        self.meter.begin_window(ctx.now());
-        ctx.set_timer(SimDuration::from_secs(self.ids.window_secs()), 0);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        self.tick(ctx);
+    /// The same modelled cost split into its two stages, in
+    /// nanoseconds: the fixed per-window overhead is the drain/extract
+    /// stage, the per-packet term is classification.
+    pub fn modelled_stage_ns(&self, packets: usize, pressure: f64) -> (u64, u64) {
+        let load = pressure.max(0.0);
+        let extract_ns = (self.per_window_overhead_secs * load * 1e9) as u64;
+        let classify_ns = (self.per_packet_cost_secs * packets as f64 * load * 1e9) as u64;
+        (extract_ns, classify_ns)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use capture::record::Label;
-    use crate::pipeline::WindowDetection;
 
     fn detection(acc_num: usize, packets: usize, mixed: bool) -> WindowDetection {
         WindowDetection {

@@ -2,12 +2,9 @@
 //! plus the robustness accounting that proves the detection loop held
 //! up under injected faults and overload.
 
-use capture::sniffer::SnifferHandle;
 use containers::meter::ResourceMeter;
 use ml::classifier::Classifier;
 use serde::{Deserialize, Serialize};
-
-use crate::realtime::DetectionLog;
 
 /// The three sustainability metrics the paper reports per model:
 /// CPU usage (%), occupied RAM (Kb) and model size (Kb).
@@ -93,29 +90,6 @@ pub struct RobustnessReport {
 }
 
 impl RobustnessReport {
-    /// Assembles the IDS-loop half of the report from the detection log
-    /// and the sniffer feed; lifecycle fields start zeroed and are
-    /// filled in by the testbed when it owns the container runtime.
-    pub fn collect(log: &DetectionLog, feed: &SnifferHandle) -> Self {
-        RobustnessReport {
-            windows_total: log.len(),
-            windows_degraded: log.degraded_count(),
-            windows_shed: 0,
-            records_shed: 0,
-            records_sampled_out: 0,
-            feed_dropped: feed.dropped_overflow(),
-            feed_captured: feed.captured_total(),
-            container_downtime: Vec::new(),
-            benign_started: 0,
-            benign_completed: 0,
-            benign_failed: 0,
-            benign_retried: 0,
-            bots_evicted: 0,
-            reinfections: 0,
-            reinfection_latency_total_nanos: 0,
-        }
-    }
-
     /// Fraction of benign transactions that completed, or `None` before
     /// any started.
     pub fn benign_success_rate(&self) -> Option<f64> {

@@ -1,8 +1,11 @@
 //! The long-lived IDS serving layer: bounded ingestion, model
 //! hot-swap, shadow evaluation, and multi-link tenancy.
 //!
-//! [`IdsService`] restructures the per-run [`crate::realtime`] pipeline
-//! into a production-style service:
+//! [`IdsService`] is the one detection loop: every window interval it
+//! drains each tenant's sniffer feed, aggregates, extracts, classifies
+//! every completed window in one coalesced predict and logs the
+//! verdicts. The paper's Real-Time IDS Unit is its single-tenant preset
+//! ([`TenantConfig::paper`]); the production-style service adds:
 //!
 //! * **Bounded ingestion.** Each tenant owns an [`IngestQueue`] between
 //!   its sniffer drain and feature extraction, with an explicit
@@ -21,7 +24,7 @@
 //!   scores the same windows without emitting alerts; verdict and
 //!   packet-level disagreements export through `obs`.
 //! * **Multi-link tenancy.** One service instance monitors several
-//!   links; budgets (per-tick processing budget, modelled cost) are per
+//!   links; budgets (per-tick processing budget, shed threshold) are per
 //!   tenant, so one tenant's overload degrades only its own windows.
 //!
 //! Determinism contract: all control flow runs on modelled cost, the
@@ -32,7 +35,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::collections::VecDeque;
+use std::collections::{vec_deque, VecDeque};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -47,12 +50,12 @@ use netsim::buggify::{stream_seed, DecisionPoint};
 use netsim::rng::SimRng;
 use netsim::time::{SimDuration, SimTime};
 use netsim::world::{App, Ctx};
-use obs::{Counter, Gauge, Scope};
+use obs::{pow2_bounds, Counter, Gauge, Histogram, Scope};
 
 use ml::classifier::RowSpan;
 
 use crate::pipeline::{detection_from_predictions, ModelKind, TrainedIds, WindowDetection};
-use crate::realtime::DetectionLog;
+use crate::realtime::{DetectionLog, OverloadPolicy};
 
 /// What a tenant does when its ingestion queue is full (or chaos
 /// pretends it is).
@@ -86,21 +89,17 @@ impl BackpressurePolicy {
     }
 }
 
-/// Per-tenant modelled compute budget. Mirrors
-/// [`crate::realtime::OverloadPolicy`], with one extra rung on the
-/// degradation ladder: a window whose modelled cost exceeds
-/// `shed_factor ×` the window interval is shed whole (accounted, never
-/// classified) instead of merely marked degraded.
+/// Per-tenant compute budget. A window's modelled cost comes from the
+/// one cost model, [`OverloadPolicy`]; the budget sets where that cost
+/// lands on the degradation ladder: past one window interval the window
+/// is classified late (degraded), past `shed_factor ×` the interval it
+/// is shed whole (accounted, never classified).
 #[derive(Debug, Clone, Copy)]
 pub struct TenantBudget {
     /// Records the tenant may move from its queue into feature
     /// extraction per service tick. The queue absorbs the rest — this
     /// is what makes the bound meaningful under flood.
     pub drain_records_per_tick: usize,
-    /// Modelled cost per classified packet, in seconds.
-    pub per_packet_cost_secs: f64,
-    /// Modelled fixed cost per window, in seconds.
-    pub per_window_overhead_secs: f64,
     /// Multiple of the window interval beyond which a window is shed
     /// whole rather than classified late.
     pub shed_factor: f64,
@@ -108,25 +107,13 @@ pub struct TenantBudget {
 
 impl Default for TenantBudget {
     fn default() -> Self {
-        TenantBudget {
-            drain_records_per_tick: 4_096,
-            per_packet_cost_secs: 2e-6,
-            per_window_overhead_secs: 1e-4,
-            shed_factor: 8.0,
-        }
+        TenantBudget { drain_records_per_tick: 4_096, shed_factor: 8.0 }
     }
 }
 
-impl TenantBudget {
-    /// Modelled detection seconds for a window of `packets` packets
-    /// under `pressure`.
-    pub fn modelled_cost_secs(&self, packets: usize, pressure: f64) -> f64 {
-        (self.per_window_overhead_secs + self.per_packet_cost_secs * packets as f64)
-            * pressure.max(0.0)
-    }
-}
-
-/// Static configuration of one tenant (one monitored link).
+/// Static configuration of one tenant (one monitored link). Every
+/// tenant's sniffer feed is bounded on start at
+/// [`OverloadPolicy::feed_capacity`].
 #[derive(Debug, Clone)]
 pub struct TenantConfig {
     /// Stable tenant name (telemetry scope suffix, report key).
@@ -137,22 +124,32 @@ pub struct TenantConfig {
     pub policy: BackpressurePolicy,
     /// The tenant's compute budget.
     pub budget: TenantBudget,
-    /// Bound applied to the tenant's sniffer feed on start (`None`
-    /// leaves it unbounded).
-    pub feed_capacity: Option<usize>,
 }
 
 impl TenantConfig {
     /// A tenant with the given name and defaults everywhere else:
-    /// 8192-record queue, drop-oldest, default budget, 65536-record
-    /// feed bound.
+    /// 8192-record queue, drop-oldest, default budget.
     pub fn new(name: impl Into<String>) -> Self {
         TenantConfig {
             name: name.into(),
             queue_capacity: 8_192,
             policy: BackpressurePolicy::DropOldest,
             budget: TenantBudget::default(),
-            feed_capacity: Some(65_536),
+        }
+    }
+
+    /// The paper's Real-Time IDS Unit as a tenant: every tick drains
+    /// and classifies everything its feed holds, and no window is ever
+    /// shed. The queue is as deep as the bounded feed and blocks
+    /// upstream, and the drain budget is unlimited, so the queue is
+    /// empty at every tick start; a window whose modelled cost exceeds
+    /// one interval is logged degraded.
+    pub fn paper(name: impl Into<String>) -> Self {
+        TenantConfig {
+            name: name.into(),
+            queue_capacity: OverloadPolicy::default().feed_capacity.unwrap_or(usize::MAX),
+            policy: BackpressurePolicy::BlockUpstream,
+            budget: TenantBudget { drain_records_per_tick: usize::MAX, shed_factor: f64::INFINITY },
         }
     }
 }
@@ -351,11 +348,15 @@ impl IngestQueue {
 
     /// Pops the oldest admitted record for feature extraction.
     pub fn pop(&mut self) -> Option<PacketRecord> {
-        let record = self.queue.pop_front();
-        if record.is_some() {
-            self.popped += 1;
-        }
-        record
+        self.pop_up_to(1).next()
+    }
+
+    /// Pops up to `max` of the oldest admitted records for feature
+    /// extraction, oldest first, in one batch.
+    pub fn pop_up_to(&mut self, max: usize) -> vec_deque::Drain<'_, PacketRecord> {
+        let n = self.queue.len().min(max);
+        self.popped += n as u64;
+        self.queue.drain(..n)
     }
 
     /// `(offered, admitted, popped, shed, sampled_out)` record
@@ -482,7 +483,12 @@ impl TenantCounters {
     }
 }
 
-/// Per-tenant deterministic telemetry instruments.
+/// Per-tenant deterministic telemetry instruments. Every figure is
+/// deterministic: the per-window stage timings come from the modelled
+/// cost under injected pressure (the same numbers that decide
+/// degradation), and the predict-path profile counts model work units —
+/// wall-clock time never enters, so the export stays byte-identical
+/// across same-seed runs.
 #[derive(Debug)]
 struct TenantObs {
     scope: Scope,
@@ -496,6 +502,12 @@ struct TenantObs {
     windows_degraded: Counter,
     windows_shed: Counter,
     classify_errors: Counter,
+    /// Windows whose modelled cost exceeded the window interval.
+    budget_exceeded: Counter,
+    packets_classified: Counter,
+    extract_ns: Histogram,
+    classify_ns: Histogram,
+    predict_work: Histogram,
     queue_depth: Gauge,
     queue_high_water: Gauge,
     challenger_windows: Counter,
@@ -506,6 +518,10 @@ struct TenantObs {
 impl TenantObs {
     fn new(scope: Scope) -> Self {
         let challenger = scope.child("challenger");
+        // Modelled stage costs: ~1 µs up to ~17 s of modelled time.
+        let ns_bounds = pow2_bounds(10, 34);
+        // Predict work units (nodes / MACs / distance ops) per window.
+        let work_bounds = pow2_bounds(4, 30);
         TenantObs {
             records_offered: scope.counter("records_offered"),
             records_admitted: scope.counter("records_admitted"),
@@ -517,6 +533,11 @@ impl TenantObs {
             windows_degraded: scope.counter("windows_degraded"),
             windows_shed: scope.counter("windows_shed"),
             classify_errors: scope.counter("classify_errors"),
+            budget_exceeded: scope.counter("budget_exceeded"),
+            packets_classified: scope.counter("packets_classified"),
+            extract_ns: scope.histogram("extract_modelled_ns", &ns_bounds),
+            classify_ns: scope.histogram("classify_modelled_ns", &ns_bounds),
+            predict_work: scope.histogram("predict_work_units", &work_bounds),
             queue_depth: scope.gauge("queue_depth"),
             queue_high_water: scope.gauge("queue_high_water"),
             challenger_windows: challenger.counter("windows"),
@@ -595,9 +616,6 @@ struct ServiceObs {
     retrains: Counter,
     retrains_failed: Counter,
     generation: Gauge,
-    /// Rows pushed through the coalesced cross-tenant predict batches
-    /// (`ids.serving.batch_rows`).
-    batch_rows: Counter,
     /// Distinct flows folded at window close across every tenant's
     /// incremental extractor (`features.incremental.flows_touched`).
     flows_touched: Counter,
@@ -611,9 +629,30 @@ impl ServiceObs {
             retrains: scope.counter("retrains"),
             retrains_failed: scope.counter("retrains_failed"),
             generation: scope.gauge("generation"),
-            batch_rows: scope.counter("batch_rows"),
             flows_touched: incremental.counter("flows_touched"),
             scope,
+        }
+    }
+}
+
+/// Wall-clock telemetry for the predict hot path, kept in a registry
+/// *separate* from the deterministic one: the measured latency is
+/// host-dependent by nature, so it must never share an export with the
+/// byte-identity-pinned metrics. One histogram, named after the
+/// champion model the service started with
+/// (`<Model>.predict_wall_ns`), observes the tick's one coalesced
+/// predict.
+#[derive(Debug)]
+struct WallclockObs {
+    predict_wall_ns: Histogram,
+}
+
+impl WallclockObs {
+    fn new(scope: &Scope, model: &str) -> Self {
+        // Measured predict latency: ~0.25 µs up to ~17 s.
+        let ns_bounds = pow2_bounds(8, 34);
+        WallclockObs {
+            predict_wall_ns: scope.child(model).histogram("predict_wall_ns", &ns_bounds),
         }
     }
 }
@@ -689,6 +728,7 @@ struct ServingCore {
     /// cull (`features.state_cull` chaos), or `None`.
     flow_state_violation: Option<String>,
     obs: Option<ServiceObs>,
+    wall_obs: Option<WallclockObs>,
     // Scratch reused across tenants and windows.
     scratch: FeatureMatrix,
     predictions: Vec<usize>,
@@ -874,14 +914,13 @@ impl ServingCore {
         let room = tenant.queue.drain_room();
         tenant.feed.drain_up_to(room, &mut self.drain_buf);
         for &record in &self.drain_buf {
-            let index = record.window_index(self.window_secs);
             match tenant.queue.offer(record) {
                 Admission::Admitted => {}
                 Admission::AdmittedSheddingOldest(shed_index) => {
                     tenant.affected_pending.insert(shed_index);
                 }
                 Admission::SampledOut | Admission::Shed => {
-                    tenant.affected_pending.insert(index);
+                    tenant.affected_pending.insert(record.window_index(self.window_secs));
                 }
             }
         }
@@ -900,10 +939,7 @@ impl ServingCore {
         // Budgeted extraction: move at most the tenant's per-tick record
         // budget into the aggregator; the queue holds the rest.
         let tenant = &mut self.tenants[t];
-        let mut budget = tenant.config.budget.drain_records_per_tick;
-        while budget > 0 {
-            let Some(record) = tenant.queue.pop() else { break };
-            budget -= 1;
+        for record in tenant.queue.pop_up_to(tenant.config.budget.drain_records_per_tick) {
             if let Some(window) = tenant.aggregator.push(record) {
                 self.completed.push(window);
                 self.completed_by.push(t);
@@ -949,6 +985,7 @@ impl ServingCore {
     fn classify_batch(&mut self, now: SimTime, pressure: f64) -> u64 {
         let mut packets_total = 0u64;
         let window_interval_secs = self.window_secs as f64;
+        let cost = OverloadPolicy::default();
 
         // Decision pass: shed verdicts and degradation inputs per
         // window, features of the survivors appended to the shared
@@ -961,8 +998,7 @@ impl ServingCore {
             let t = self.completed_by[i];
             let tenant = &mut self.tenants[t];
             let affected = tenant.affected_pending.remove(&window.index);
-            let modelled_secs =
-                tenant.config.budget.modelled_cost_secs(window.records.len(), pressure);
+            let modelled_secs = cost.modelled_cost_secs(window.records.len(), pressure);
             let shed_threshold =
                 window_interval_secs * tenant.config.budget.shed_factor.max(1.0);
             if modelled_secs > shed_threshold {
@@ -1003,14 +1039,15 @@ impl ServingCore {
         let champion_ok = match champion.value.check_classify_arity(&self.scratch) {
             Ok(()) => {
                 champion.value.scaler().transform_matrix(&mut self.scratch);
+                let predict_started = Instant::now();
                 champion.value.model().predict_batch_spans_into(
                     self.scratch.view(),
                     &self.spans,
                     &mut self.predictions,
                     &mut self.span_work,
                 );
-                if let Some(obs) = &self.obs {
-                    obs.batch_rows.add(row_start as u64);
+                if let Some(wall) = &self.wall_obs {
+                    wall.predict_wall_ns.observe(predict_started.elapsed().as_nanos() as u64);
                 }
                 true
             }
@@ -1049,6 +1086,22 @@ impl ServingCore {
             let tenant = &mut self.tenants[meta.tenant];
             let span = self.spans[j];
             let mut detection = if champion_ok {
+                if let Some(obs) = &tenant.obs {
+                    let packets = window.records.len();
+                    let (extract_ns, classify_ns) = cost.modelled_stage_ns(packets, pressure);
+                    obs.packets_classified.add(packets as u64);
+                    obs.extract_ns.observe(extract_ns);
+                    obs.classify_ns.observe(classify_ns);
+                    obs.predict_work.observe(self.span_work[j]);
+                    if meta.late {
+                        obs.budget_exceeded.inc();
+                        obs.scope.event(
+                            now.as_nanos(),
+                            "degraded_window",
+                            format!("w={} packets={packets}", window.index),
+                        );
+                    }
+                }
                 detection_from_predictions(window, &self.predictions[span.range()])
             } else {
                 let e = champion
@@ -1134,7 +1187,7 @@ impl ServingCore {
         self.completed_by.clear();
         for t in 0..self.tenants.len() {
             let tenant = &mut self.tenants[t];
-            while let Some(record) = tenant.queue.pop() {
+            for record in tenant.queue.pop_up_to(usize::MAX) {
                 if let Some(window) = tenant.aggregator.push(record) {
                     self.completed.push(window);
                     self.completed_by.push(t);
@@ -1272,6 +1325,7 @@ pub fn serving_pair(
         finalized: false,
         flow_state_violation: None,
         obs: None,
+        wall_obs: None,
         scratch: FeatureMatrix::new(TOTAL_FEATURES),
         predictions: Vec::new(),
         challenger_scratch: FeatureMatrix::new(TOTAL_FEATURES),
@@ -1299,13 +1353,23 @@ impl IdsService {
         }
         core.obs = Some(ServiceObs::new(scope));
     }
+
+    /// Attaches the wall-clock reporting scope (call before installing
+    /// the app). Must come from a registry separate from the
+    /// deterministic one — measured predict latency is host-dependent
+    /// and would break byte-identical telemetry exports if mixed in.
+    pub fn set_wallclock_obs(&mut self, scope: Scope) {
+        let mut core = self.core.borrow_mut();
+        let model = core.champion.load().value.model().name();
+        core.wall_obs = Some(WallclockObs::new(&scope, model));
+    }
 }
 
 impl App for IdsService {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let core = self.core.borrow();
-        for tenant in &core.tenants {
-            if let Some(capacity) = tenant.config.feed_capacity {
+        if let Some(capacity) = OverloadPolicy::default().feed_capacity {
+            for tenant in &core.tenants {
                 tenant.feed.set_capacity(Some(capacity));
             }
         }
@@ -1444,8 +1508,13 @@ impl ServingHandle {
 mod tests {
     use super::*;
     use capture::record::Label;
-    use netsim::packet::Protocol;
-    use netsim::Addr;
+    use capture::sniffer::{sniffer_pair, Sniffer, SnifferFilter};
+    use features::scaling::{Scaler, ScalingMethod};
+    use netsim::packet::{Packet, Protocol, Provenance};
+    use netsim::tap::{PacketTap, TapMeta};
+    use netsim::{Addr, LinkId, NodeId};
+
+    use crate::pipeline::IdsConfig;
 
     fn record(secs: u64, offset_ms: u64) -> PacketRecord {
         PacketRecord {
@@ -1558,6 +1627,96 @@ mod tests {
         assert!(bad.conservation_violation().unwrap().contains("windows unaccounted"));
         let bad = TenantCounters { records_shed: 0, ..good };
         assert!(bad.conservation_violation().unwrap().contains("records unaccounted"));
+    }
+
+    /// Calls every packet benign: enough model to drive the loop.
+    struct AllBenign;
+
+    impl ml::classifier::Classifier for AllBenign {
+        fn name(&self) -> &'static str {
+            "all-benign"
+        }
+        fn predict(&self, _features: &[f64]) -> usize {
+            0
+        }
+        fn encode(&self) -> Vec<u8> {
+            Vec::new()
+        }
+        fn memory_bytes(&self) -> u64 {
+            0
+        }
+        fn clone_box(&self) -> Box<dyn ml::classifier::Classifier> {
+            Box::new(AllBenign)
+        }
+    }
+
+    /// Captures `n` benign packets stamped `at` into the sniffer.
+    fn capture(tap: &mut Sniffer, at: SimTime, n: usize) {
+        let meta = TapMeta { time: at, link: LinkId::from_raw(0), receiver: NodeId::from_raw(0) };
+        let (src, dst) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
+        let packet = Packet::udp(src, dst, 1000, 80, Default::default())
+            .with_provenance(Provenance::Benign);
+        for _ in 0..n {
+            tap.on_packet(&meta, &packet);
+        }
+    }
+
+    /// The paper preset never sheds: a tick that delivers exactly the
+    /// feed bound drains and processes all of it, and a tick at 10⁴×
+    /// CPU pressure logs its window late (degraded) instead of shedding
+    /// it, where a default tenant's 8× shed factor would have.
+    #[test]
+    fn paper_tenant_never_sheds_at_the_feed_bound_or_under_pressure() {
+        let mut rows = vec![vec![0.0; TOTAL_FEATURES], vec![1.0; TOTAL_FEATURES]];
+        let scaler = Scaler::fit_transform(ScalingMethod::MinMax, &mut rows);
+        let ids = TrainedIds::from_parts(Box::new(AllBenign), scaler, IdsConfig::default());
+        let (mut tap, feed) = sniffer_pair(SnifferFilter::All);
+        let bound = OverloadPolicy::default().feed_capacity.expect("the feed is bounded");
+        // What `IdsService::on_start` applies.
+        feed.set_capacity(Some(bound));
+        let (service, handle) = serving_pair(
+            ServingConfig::new(ids),
+            vec![(TenantConfig::paper("paper"), feed.clone())],
+            ResourceMeter::new(),
+        );
+        let log = handle.tenant_log("paper").expect("the tenant");
+        let assert_never_shed = |tick: &str| {
+            let c = handle.tenant_counters("paper").expect("the tenant");
+            assert_eq!(
+                (c.records_shed, c.records_sampled_out, c.windows_shed),
+                (0, 0, 0),
+                "{tick}"
+            );
+            assert_eq!(c.records_processed, c.records_offered, "{tick}");
+            assert!(service.core.borrow().tenants[0].queue.is_empty(), "{tick}");
+            // Every completed window is logged; only the open one waits.
+            assert_eq!(log.len() as u64, c.windows_ingested - 1, "{tick}");
+            assert_eq!(c.windows_classified + c.windows_degraded, log.len() as u64, "{tick}");
+        };
+
+        // Windows 0..=2 full, window 3 opened: exactly the bound. One
+        // more packet overflows the feed upstream of the tenant.
+        for (secs, n) in [(0, 20_000), (1, 20_000), (2, 20_000), (3, bound - 60_000)] {
+            capture(&mut tap, SimTime::from_millis(secs * 1000 + 500), n);
+        }
+        capture(&mut tap, SimTime::from_millis(3_600), 1);
+        assert_eq!((feed.buffered(), feed.dropped_overflow()), (bound, 1));
+        service.core.borrow_mut().tick(SimTime::from_secs(4), 1.0);
+        assert_eq!(handle.tenant_counters("paper").unwrap().records_offered, bound as u64);
+        assert_eq!(feed.buffered(), 0);
+        assert_never_shed("feed-bound tick");
+        assert_eq!(log.len(), 3);
+        assert_eq!(log.degraded_count(), 0);
+
+        // Window 3 closes on a tick at 10⁴× pressure: modelled cost
+        // ~112 s, far past a default tenant's 8 s shed threshold.
+        capture(&mut tap, SimTime::from_millis(4_500), 100);
+        service.core.borrow_mut().tick(SimTime::from_secs(5), 1e4);
+        assert_never_shed("pressure tick");
+        let late = log.results()[3];
+        assert_eq!((late.window_index, late.packets), (3, bound - 60_000));
+        assert!(late.degraded, "a late window is degraded, not shed");
+        assert_eq!(handle.tenant_counters("paper").unwrap().windows_degraded, 1);
     }
 
     #[test]

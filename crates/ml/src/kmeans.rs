@@ -468,22 +468,31 @@ impl KMeansDetector {
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] on malformed input.
+    /// Returns a [`DecodeError`] on malformed input, including blobs
+    /// predict could not run on: no clusters, centroids of different
+    /// lengths, or a cluster labelled outside {0, 1}.
     pub fn decode(blob: &[u8]) -> Result<Self, DecodeError> {
         let mut d = Decoder::new(blob);
         d.expect_magic(KMEANS_MAGIC)?;
         let k = d.get_usize()?;
-        if k > 1 << 16 {
+        if k == 0 || k > 1 << 16 {
             return Err(DecodeError::Corrupt("cluster count"));
         }
-        let mut centroids = Vec::with_capacity(k);
+        let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
         for _ in 0..k {
-            centroids.push(d.get_f64_slice()?);
+            let centroid = d.get_f64_slice()?;
+            if centroids.first().is_some_and(|first| first.len() != centroid.len()) {
+                return Err(DecodeError::Corrupt("ragged centroids"));
+            }
+            centroids.push(centroid);
         }
         let proportions = d.get_f64_slice()?;
         let cluster_labels = d.get_usize_slice()?;
         if cluster_labels.len() != k || proportions.len() != k {
             return Err(DecodeError::Corrupt("label/proportion arity"));
+        }
+        if cluster_labels.iter().any(|&label| label > 1) {
+            return Err(DecodeError::Corrupt("cluster label"));
         }
         Ok(KMeansDetector {
             model: KMeans { centroids, proportions, inertia: 0.0, iterations: 0 },
@@ -694,6 +703,94 @@ mod tests {
         let back = KMeansDetector::decode(&blob).unwrap();
         for xi in &x {
             assert_eq!(detector.predict(xi), back.predict(xi));
+        }
+    }
+
+    /// Field mutations of a trained detector's blob: every count,
+    /// length and label word is overwritten with 0, its own value ±1 and
+    /// `u64::MAX`. Every mutant must fail to decode or decode to a
+    /// detector whose predict entry points all finish without panicking
+    /// and answer a binary class; every truncation must fail.
+    #[test]
+    fn decode_mutants_error_or_predict_cleanly() {
+        let mut rng = SimRng::seed_from(15);
+        let (x, y) = blobs(240, &[(-5.0, 0.0), (0.0, 5.0), (5.0, 0.0), (0.0, -5.0)], &mut rng);
+        let detector = KMeansDetector::fit(&x, &y, &KMeansConfig::default(), &mut rng).unwrap();
+        let k = detector.model().k();
+        assert!(k >= 2);
+        let blob = detector.encode();
+        let word = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+        // Offsets of the cluster count, each centroid's length, the
+        // proportion and label lengths, and each label.
+        let mut fields = vec![4];
+        let mut at = 4 + 8;
+        for _ in 0..k {
+            fields.push(at);
+            at += 8 + 8 * word(at) as usize;
+        }
+        fields.push(at);
+        at += 8 + 8 * k;
+        fields.extend((0..=k).map(|i| at + 8 * i));
+        at += 8 + 8 * k;
+        assert_eq!(at, blob.len());
+
+        let rows = FeatureMatrix::from_rows(&x[..40]).unwrap();
+        let spans = [RowSpan { start: 0, len: 15 }, RowSpan { start: 15, len: 25 }];
+        let mut decoded = 0;
+        for &field in &fields {
+            let own = word(field);
+            for value in [0, own.wrapping_sub(1), own.wrapping_add(1), u64::MAX] {
+                let mut mutant = blob.clone();
+                mutant[field..field + 8].copy_from_slice(&value.to_le_bytes());
+                let Ok(back) = KMeansDetector::decode(&mutant) else {
+                    continue;
+                };
+                decoded += 1;
+                let mut batch = Vec::new();
+                let work = back.predict_batch_into(rows.view(), &mut batch);
+                let (mut spanned, mut span_work) = (Vec::new(), Vec::new());
+                let spanned_work = back.predict_batch_spans_into(
+                    rows.view(),
+                    &spans,
+                    &mut spanned,
+                    &mut span_work,
+                );
+                assert_eq!((spanned_work, &spanned), (work, &batch));
+                for (row, &class) in x[..40].iter().zip(&batch) {
+                    assert!(class <= 1, "word at {field} set to {value}: class {class}");
+                    assert_eq!(back.predict_with_work(row).0, class);
+                }
+            }
+        }
+        // Labels that stay binary still decode.
+        assert!(decoded > 0);
+        for cut in 0..blob.len() {
+            assert!(KMeansDetector::decode(&blob[..cut]).is_err(), "truncated at {cut}");
+        }
+    }
+
+    /// Blobs no single-word mutation reaches: no clusters, centroids of
+    /// different lengths, and a cluster labelled outside {0, 1}.
+    #[test]
+    fn decode_rejects_empty_ragged_and_non_binary_models() {
+        let blob = |centroids: &[&[f64]], labels: &[usize]| {
+            let mut e = Encoder::new();
+            e.put_u32(KMEANS_MAGIC);
+            e.put_usize(centroids.len());
+            for c in centroids {
+                e.put_f64_slice(c);
+            }
+            e.put_f64_slice(&vec![0.5; centroids.len()]);
+            e.put_usize_slice(labels);
+            e.finish()
+        };
+        assert!(KMeansDetector::decode(&blob(&[&[0.0, 1.0], &[1.0, 0.0]], &[0, 1])).is_ok());
+        for (bad, why) in [
+            (blob(&[], &[]), "cluster count"),
+            (blob(&[&[0.0, 1.0], &[1.0]], &[0, 1]), "ragged centroids"),
+            (blob(&[&[0.0, 1.0], &[1.0, 0.0]], &[0, 7]), "cluster label"),
+        ] {
+            assert_eq!(KMeansDetector::decode(&bad).err(), Some(DecodeError::Corrupt(why)));
         }
     }
 

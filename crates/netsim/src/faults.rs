@@ -58,8 +58,8 @@ pub enum FaultAction {
         delay: SimDuration,
     },
     /// Set a node's CPU-pressure factor: modelled compute on the node
-    /// costs `factor ×` its nominal time (`1.0` is unloaded). The
-    /// realtime IDS uses this to decide deterministically whether a
+    /// costs `factor ×` its nominal time (`1.0` is unloaded). The IDS
+    /// service uses this to decide deterministically whether a
     /// window's detection overran its interval.
     SetCpuPressure {
         /// The affected node.

@@ -1423,7 +1423,7 @@ impl<'a> Ctx<'a> {
     }
 
     /// The hosting node's CPU-pressure factor (1.0 = unloaded). Apps
-    /// that model compute cost — the realtime IDS — multiply their
+    /// that model compute cost — the IDS service — multiply their
     /// nominal per-window cost by this, so injected pressure stretches
     /// metered compute deterministically.
     pub fn cpu_pressure(&self) -> f64 {

@@ -18,7 +18,8 @@ fn run_telemetry(seed: u64) -> RunTelemetry {
 
 #[test]
 fn telemetry_is_byte_identical_across_same_seed_runs() {
-    let a = run_telemetry(7);
+    let live = run_baseline_detection(7, &tiny()).live;
+    let a = live.telemetry;
     let b = run_telemetry(7);
     assert_eq!(a.render_text(), b.render_text());
     assert_eq!(a.render_json(), b.render_json());
@@ -28,13 +29,21 @@ fn telemetry_is_byte_identical_across_same_seed_runs() {
     let deliver = a.histogram("netsim.phase.deliver.advance_ns").expect("phase histogram");
     assert!(deliver.count > 0);
     assert!(a.gauge("netsim.link.0.delivered_packets").expect("link gauge") > 0);
-    assert!(a.counter("ids.windows").expect("ids windows") > 0);
-    assert!(a.histogram("ids.extract_modelled_ns").expect("extract stage").count > 0);
-    assert!(a.histogram("ids.classify_modelled_ns").expect("classify stage").count > 0);
-    assert!(a.histogram("ids.predict_work_units").expect("predict profile").sum > 0);
+    let ids = |name: &str| format!("ids.serving.tserver.{name}");
+    assert!(a.counter(&ids("windows_classified")).expect("ids windows") > 0);
+    assert!(a.histogram(&ids("extract_modelled_ns")).expect("extract stage").count > 0);
+    assert!(a.histogram(&ids("classify_modelled_ns")).expect("classify stage").count > 0);
+    assert!(a.histogram(&ids("predict_work_units")).expect("predict profile").sum > 0);
     assert!(a.counter("botnet.infections").expect("botnet counter") > 0);
     assert!(a.counter("traffic.client.http.completed").expect("traffic counter") > 0);
     assert!(a.counter("containers.ids.cpu_windows").expect("meter counter") > 0);
+
+    // Measured predict latency lives in its own registry, never in the
+    // deterministic export: at most one observation per tick.
+    let wall = live.wallclock.histogram("ids.wallclock.K-Means.predict_wall_ns");
+    let wall = wall.expect("wall-clock predict histogram");
+    assert!(wall.count > 0 && wall.count <= live.log.len() as u64);
+    assert!(!a.render_text().contains("wallclock"));
 }
 
 #[test]
