@@ -18,7 +18,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use features::extract::WindowAggregator;
 use ids::pipeline::{IdsConfig, ModelKind, TrainedIds};
 use ids::serving::{BackpressurePolicy, IngestQueue};
-use ml::classifier::Classifier;
+use ml::classifier::{predict_view, Classifier, RowSpan};
 use ml::cnn::{Cnn, CnnConfig};
 use ml::kmeans::{KMeans, KMeansConfig};
 use ml::matrix::FeatureMatrix;
@@ -309,17 +309,23 @@ fn bench_ml(c: &mut Criterion) {
     let forest = RandomForest::fit_view(matrix.view(), &labels, &forest_config, &mut rng).unwrap();
     let mut group = c.benchmark_group("predict_batch");
     group.sample_size(20);
-    group.bench_function("rf", |b| {
-        b.iter(|| black_box(forest.predict_batch(matrix.view())))
-    });
-    // The CNN classifies the same matrix through the serial
-    // `predict_batch_into`, reusing one output buffer; the IDS tick's
-    // span entry point runs the same kernel.
+    group.bench_function("rf", |b| b.iter(|| black_box(predict_view(&forest, matrix.view()))));
+    // The CNN classifies the same matrix through its serial span kernel,
+    // one span over every row, reusing the output buffers as the IDS
+    // tick does.
     let mut rng = SimRng::seed_from(7);
     let cnn = Cnn::fit_view(cnn_matrix.view(), &cnn_labels, &cnn_config, &mut rng).unwrap();
-    let mut predictions = Vec::new();
+    let whole = [RowSpan { start: 0, len: matrix.n_rows() }];
+    let (mut predictions, mut span_work) = (Vec::new(), Vec::new());
     group.bench_function("cnn", |b| {
-        b.iter(|| black_box(cnn.predict_batch_into(matrix.view(), &mut predictions)))
+        b.iter(|| {
+            black_box(cnn.predict_batch_spans_into(
+                matrix.view(),
+                &whole,
+                &mut predictions,
+                &mut span_work,
+            ))
+        })
     });
     group.finish();
 

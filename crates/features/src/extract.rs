@@ -160,7 +160,6 @@ impl Window {
 pub struct WindowAggregator {
     window_secs: u64,
     stats_refresh: usize,
-    ack_grace_secs: f64,
     ack_carry: AckGrace,
     windows_emitted: usize,
     cached_stats: Option<WindowStats>,
@@ -175,7 +174,7 @@ pub struct WindowAggregator {
     /// aggregates updated per record, folded (flows touched only) at
     /// close. Its scratch maps are cleared (not dropped) at every
     /// window close. Bit-identical to the batch oracle
-    /// ([`crate::window::WindowAccumulator`]).
+    /// ([`WindowStats::compute_streaming`]).
     delta: FlowDelta,
     /// Whether the in-progress window tracks full statistics or only
     /// handshake state (its stats will come from the refresh cache).
@@ -183,9 +182,9 @@ pub struct WindowAggregator {
     full_tracking: bool,
 }
 
-/// Default cross-window handshake grace, in seconds: a SYN this close
-/// to a window boundary waits for its ACK in the next window before
-/// being counted as unanswered.
+/// The aggregator's cross-window handshake grace, in seconds: a SYN this
+/// close to a window boundary waits for its ACK in the next window
+/// before being counted as unanswered.
 pub const DEFAULT_ACK_GRACE_SECS: f64 = 0.1;
 
 impl WindowAggregator {
@@ -195,7 +194,6 @@ impl WindowAggregator {
         WindowAggregator {
             window_secs: window_secs.max(1),
             stats_refresh: 1,
-            ack_grace_secs: DEFAULT_ACK_GRACE_SECS,
             ack_carry: AckGrace::default(),
             windows_emitted: 0,
             cached_stats: None,
@@ -205,20 +203,6 @@ impl WindowAggregator {
             delta: FlowDelta::new(),
             full_tracking: true,
         }
-    }
-
-    /// Overrides the cross-window handshake grace (seconds). `0.0`
-    /// restores strict per-window `syn_without_ack` accounting, where a
-    /// handshake whose ACK lands just across the boundary is (wrongly)
-    /// counted as unanswered.
-    pub fn with_ack_grace(mut self, grace_secs: f64) -> Self {
-        self.ack_grace_secs = grace_secs.max(0.0);
-        self
-    }
-
-    /// The configured cross-window handshake grace, in seconds.
-    pub fn ack_grace_secs(&self) -> f64 {
-        self.ack_grace_secs
     }
 
     /// Recomputes the statistical features only every `refresh`-th
@@ -313,7 +297,7 @@ impl WindowAggregator {
             // push time, so close cost is O(flows touched), not
             // O(records) re-walked.
             let (stats, carry) =
-                self.delta.close(span, window_end, self.ack_grace_secs, &self.ack_carry);
+                self.delta.close(span, window_end, DEFAULT_ACK_GRACE_SECS, &self.ack_carry);
             self.ack_carry = carry;
             self.cached_stats = Some(stats);
             stats
@@ -321,7 +305,7 @@ impl WindowAggregator {
             // Cached stats are reused, but the handshake carry must
             // still track this window or the next fresh computation
             // would resolve SYNs against a stale boundary.
-            self.ack_carry = self.delta.advance_carry(window_end, self.ack_grace_secs);
+            self.ack_carry = self.delta.advance_carry(window_end, DEFAULT_ACK_GRACE_SECS);
             self.cached_stats.expect("cache checked above")
         };
         self.windows_emitted += 1;
@@ -554,13 +538,6 @@ mod tests {
         assert_eq!(w0.stats.syn_without_ack, 0.0, "boundary handshake not miscounted");
         let w1 = agg.flush().unwrap();
         assert_eq!(w1.stats.syn_without_ack, 0.0, "resolved by the grace carry");
-
-        // Strict mode (grace off) reproduces the old misattribution.
-        let mut strict = WindowAggregator::new(1).with_ack_grace(0.0);
-        strict.push(filler(100));
-        strict.push(syn(950));
-        let w0 = strict.push(ack(1_020)).expect("window 0 closes");
-        assert_eq!(w0.stats.syn_without_ack, 1.0);
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Generation-stamped maps over persistent key sets — the shared state
-//! layer under both the batch [`crate::window::WindowAccumulator`]
-//! oracle and the incremental [`crate::incremental::FlowDelta`] path.
+//! Generation-stamped maps over persistent key sets — the state layer
+//! under the incremental [`crate::incremental::FlowDelta`] path.
 //!
 //! A [`GenMap`] keeps its hash slots alive across windows while making
 //! stale values invisible through a `u32` generation stamp, so window
@@ -229,7 +228,7 @@ mod tests {
                 }
                 // Occasionally force an early cull mid-window: it must
                 // be invisible to every subsequent op and fold.
-                if rng.next() % 7 == 0 {
+                if rng.next().is_multiple_of(7) {
                     gm.force_cull();
                 }
                 let mut got: Vec<(u32, u64)> = gm.iter().map(|(k, v)| (*k, *v)).collect();

@@ -1,11 +1,12 @@
 //! Incremental per-flow feature state: busy-window cost scales with
 //! *new* records only.
 //!
-//! The batch oracle ([`crate::window::WindowAccumulator`]) updates
-//! three per-record count maps (destination port, source address, flow
-//! five-tuple) on every push and re-walks the record slice at close for
-//! the order-sensitive mean/std sweeps. [`FlowDelta`] collapses the
-//! per-record map work to **one** [`GenMap`] update — the flow's
+//! The batch oracle ([`WindowStats::compute_streaming`]) builds three
+//! count maps (destination port, source address, flow five-tuple) from
+//! the window's record slice, one update per record in each, and walks
+//! the slice again for the order-sensitive mean/std sweeps.
+//! [`FlowDelta`] collapses the per-record map work to **one** [`GenMap`]
+//! update as each record arrives — the flow's
 //! running aggregate ([`FlowAgg`]: packet/byte counts and timestamp
 //! span) — and recovers the port/address distributions at window close
 //! by folding only the flows touched since the last boundary: each
@@ -60,8 +61,7 @@ impl FlowAgg {
 /// [`WindowStats`] at window close.
 ///
 /// The intended driver is [`crate::extract::WindowAggregator`]; the
-/// call protocol mirrors the oracle's:
-/// [`FlowDelta::push`] per record (or
+/// call protocol is [`FlowDelta::push`] per record (or
 /// [`FlowDelta::push_handshake_only`] for cached-stats windows), then
 /// exactly one of [`FlowDelta::close`] / [`FlowDelta::advance_carry`]
 /// at the boundary. Unlike the oracle, `close` needs no record slice:
@@ -147,9 +147,8 @@ impl FlowDelta {
     /// slice — computing its statistics and the handshake carry for the
     /// next window, then resets (keeping map capacity).
     ///
-    /// Bit-identical to [`crate::window::WindowAccumulator::close`] /
-    /// [`WindowStats::compute_streaming`] over the records pushed since
-    /// the last boundary.
+    /// Bit-identical to [`WindowStats::compute_streaming`] over the
+    /// records pushed since the last boundary.
     pub fn close(
         &mut self,
         span_secs: f64,
@@ -316,15 +315,14 @@ impl FlowDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::WindowAccumulator;
     use capture::record::Label;
     use netsim::time::SimTime;
     use netsim::Addr;
 
     /// Deterministic pseudo-random record stream (xorshift, fixed seed)
     /// with mixed protocols, bare SYNs, ACKs and boundary-straddling
-    /// handshakes — the same adversarial shape the oracle's own tests
-    /// use.
+    /// handshakes — adversarial input for the oracle-equivalence checks
+    /// below.
     fn scrambled_records(n: usize, seed: u64) -> Vec<PacketRecord> {
         let mut state = seed | 1;
         let mut next = move || {
@@ -380,6 +378,24 @@ mod tests {
         windows
     }
 
+    /// A TCP record at 100 ms from `10.0.0.<src_host>:<src_port>` to
+    /// port 80.
+    fn record(src_host: u8, src_port: u16, flags: TcpFlags, seq: u32) -> PacketRecord {
+        PacketRecord {
+            ts: SimTime::from_millis(100),
+            src: Addr::new(10, 0, 0, src_host),
+            src_port,
+            dst: Addr::new(10, 0, 0, 2),
+            dst_port: 80,
+            protocol: Protocol::Tcp,
+            flags,
+            wire_len: 40,
+            payload_len: 0,
+            seq,
+            label: Label::Benign,
+        }
+    }
+
     /// The incremental path must be bit-identical to the batch oracle,
     /// window after window, including the handshake carry chain.
     #[test]
@@ -388,23 +404,95 @@ mod tests {
         assert!(windows.len() > 10, "stream must span many windows");
 
         let mut delta = FlowDelta::new();
-        let mut oracle = WindowAccumulator::new();
         let mut delta_carry = AckGrace::default();
         let mut oracle_carry = AckGrace::default();
         for (i, window) in windows.iter().enumerate() {
             let end = (i + 1) as f64;
             for r in window {
                 delta.push(r);
-                oracle.push(r);
             }
             assert_eq!(delta.state_conservation_violation(), None, "window {i}");
-            let (oracle_stats, oracle_next) = oracle.close(window, 1.0, end, 0.1, &oracle_carry);
+            let (oracle_stats, oracle_next) =
+                WindowStats::compute_streaming(window, 1.0, end, 0.1, &oracle_carry);
             let (delta_stats, delta_next) = delta.close(1.0, end, 0.1, &delta_carry);
             assert_eq!(delta_stats, oracle_stats, "window {i} stats diverged");
             assert_eq!(delta_next, oracle_next, "window {i} carry diverged");
             delta_carry = delta_next;
             oracle_carry = oracle_next;
         }
+    }
+
+    /// Persistent keys must never leak *values* across windows: an ACK
+    /// timestamp recorded for an endpoint in one window sits in the map
+    /// with a stale generation afterwards, and a bare SYN from the same
+    /// endpoint in the next window must still count as unanswered.
+    #[test]
+    fn stale_generation_handshake_state_is_invisible() {
+        let mut delta = FlowDelta::new();
+        let ack = record(8, 9000, TcpFlags::ACK, 2);
+        delta.push(&ack);
+        let (w0, carry) = delta.close(1.0, 1.0, 0.1, &AckGrace::default());
+        assert_eq!(w0.syn_without_ack, 0.0);
+
+        // Same endpoint, next window, SYN never answered — and sent well
+        // before the boundary so the grace deferral doesn't apply.
+        let syn = record(8, 9000, TcpFlags::SYN, 3);
+        delta.push(&syn);
+        let (w1, _) = delta.close(1.0, 2.0, 0.1, &carry);
+        assert_eq!(w1.syn_without_ack, 1.0, "stale first-ACK timestamp must not resolve a new SYN");
+        assert_eq!(w1, WindowStats::compute_streaming(&[syn], 1.0, 2.0, 0.1, &carry).0);
+    }
+
+    /// A huge key burst followed by many sparse windows crosses the
+    /// stale-key compaction threshold; the culled state must keep
+    /// matching the batch oracle exactly.
+    #[test]
+    fn flow_delta_survives_stale_key_compaction() {
+        let mut delta = FlowDelta::new();
+        let mut carry = AckGrace::default();
+        let mut oracle_carry = AckGrace::default();
+        for round in 0..40u32 {
+            let window: Vec<PacketRecord> = if round == 0 {
+                // ~2 000 distinct flows/endpoints in one window.
+                (0..2000u32)
+                    .map(|i| record((i % 200) as u8, 1024 + (i % 40000) as u16, TcpFlags::SYN, i))
+                    .collect()
+            } else {
+                (0..5u32).map(|i| record(1, 5000 + (round * 5 + i) as u16, TcpFlags::SYN, i)).collect()
+            };
+            let end = (round + 1) as f64;
+            for r in &window {
+                delta.push(r);
+            }
+            let (stats, next) = delta.close(1.0, end, 0.1, &carry);
+            let (oracle_stats, oracle_next) =
+                WindowStats::compute_streaming(&window, 1.0, end, 0.1, &oracle_carry);
+            assert_eq!(stats, oracle_stats, "round {round}");
+            assert_eq!(next, oracle_next, "round {round}");
+            carry = next;
+            oracle_carry = oracle_next;
+        }
+    }
+
+    /// Closing resets the state completely: a second window sees no
+    /// residue from the first.
+    #[test]
+    fn close_resets_state() {
+        let records = scrambled_records(600, 0xabcd);
+        let (first, second) = records.split_at(300);
+
+        let mut delta = FlowDelta::new();
+        for r in first {
+            delta.push(r);
+        }
+        let _ = delta.close(1.0, f64::INFINITY, 0.0, &AckGrace::default());
+        for r in second {
+            delta.push(r);
+        }
+        let (reused, _) = delta.close(1.0, f64::INFINITY, 0.0, &AckGrace::default());
+
+        let fresh = WindowStats::compute(second, 1.0);
+        assert_eq!(reused, fresh, "second window must not see the first's counts");
     }
 
     /// The cheap carry advance (cached-stats path, handshake-only

@@ -17,8 +17,6 @@ use capture::record::PacketRecord;
 use netsim::packet::{Protocol, TcpFlags};
 use serde::{Deserialize, Serialize};
 
-use crate::genmap::GenMap;
-
 /// The statistical features of one time window.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct WindowStats {
@@ -271,211 +269,6 @@ impl WindowStats {
             self.std_pkt_len,
             self.udp_fraction,
         ]
-    }
-}
-
-/// Streaming per-record accumulator — the batch **oracle** for the
-/// incremental path.
-///
-/// [`WindowStats::compute_streaming`] rebuilds every count map from
-/// scratch each window — O(packets) hash inserts *and* O(windows) map
-/// allocations. The accumulator instead absorbs each record as it
-/// arrives ([`WindowAccumulator::push`]) into generation-stamped
-/// [`GenMap`]s whose key sets **persist across windows**: a flow, port
-/// or endpoint seen before reuses its hash slot, window turnover is
-/// O(keys touched) rather than O(map capacity), and steady-state
-/// windows allocate nothing once the maps have grown to the traffic's
-/// working set. [`WindowAccumulator::close`] only walks the touched
-/// keys (plus the two-pass mean/std sweeps over the record slice, which
-/// are unavoidable for bit-identical results — see DESIGN.md §10).
-///
-/// `close` reproduces the exact float-operation order of
-/// `compute_streaming`: entropy counts are sorted before summation,
-/// mean/std run two passes in record order, and all integer tallies are
-/// exact (every reduction over a map is order-insensitive, so the
-/// touch-order iteration cannot leak in). Same input stream →
-/// bit-identical [`WindowStats`], which the
-/// `accumulator_matches_batch_computation` test and the repo-level
-/// identity test both pin.
-///
-/// The production aggregator now runs on
-/// [`crate::incremental::FlowDelta`], which folds per-flow running
-/// aggregates instead of three per-record count maps; this accumulator
-/// is kept as the slower, record-slice-driven **oracle** the identity
-/// tests compare it against.
-#[derive(Debug, Default)]
-pub struct WindowAccumulator {
-    dst_ports: GenMap<u16, u64>,
-    src_addrs: GenMap<u32, u64>,
-    flows: GenMap<(u32, u16, u32, u16, u8), u64>,
-    syns_per_source: GenMap<(u32, u16), u64>,
-    last_syn_ts: GenMap<(u32, u16), f64>,
-    first_ack_ts: GenMap<(u32, u16), f64>,
-    total_bytes: u64,
-    udp_count: u64,
-    /// Reusable scratch for entropy's sorted-count summation.
-    count_scratch: Vec<u64>,
-}
-
-impl WindowAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorbs one record of the current window.
-    pub fn push(&mut self, r: &PacketRecord) {
-        self.total_bytes += r.wire_len as u64;
-        *self.dst_ports.entry_or(r.dst_port, 0) += 1;
-        *self.src_addrs.entry_or(r.src.to_bits(), 0) += 1;
-        *self.flows.entry_or(r.flow_key(), 0) += 1;
-        match r.protocol {
-            Protocol::Udp => self.udp_count += 1,
-            Protocol::Tcp => self.track_handshake(r),
-        }
-    }
-
-    /// Absorbs one record tracking *only* the SYN/ACK handshake state —
-    /// all that [`WindowAccumulator::advance_carry`] needs. Used for
-    /// windows whose statistics will be served from cache
-    /// (`stats_refresh > 1`), so the §IV-E mitigation's CPU saving is
-    /// preserved: cached windows skip the port/address/flow map updates
-    /// entirely. Not valid before [`WindowAccumulator::close`].
-    pub fn push_handshake_only(&mut self, r: &PacketRecord) {
-        if r.protocol == Protocol::Tcp {
-            self.track_handshake(r);
-        }
-    }
-
-    fn track_handshake(&mut self, r: &PacketRecord) {
-        let endpoint = (r.src.to_bits(), r.src_port);
-        if r.is_bare_syn() {
-            *self.syns_per_source.entry_or(endpoint, 0) += 1;
-            self.last_syn_ts.insert(endpoint, r.ts.as_secs_f64());
-        } else if r.flags.contains(TcpFlags::ACK) {
-            // First touch wins: `entry_or` only writes the timestamp the
-            // first time this window sees the endpoint ACK.
-            self.first_ack_ts.entry_or(endpoint, r.ts.as_secs_f64());
-        }
-    }
-
-    /// Closes the window: computes its statistics and the handshake
-    /// carry for the next window, then resets for the next window
-    /// (keeping map capacity). `records` must be exactly the records
-    /// pushed since the last close, in push order — the mean/std
-    /// features are order-sensitive two-pass sweeps over them.
-    ///
-    /// Bit-identical to
-    /// [`WindowStats::compute_streaming`]`(records, ...)` on the same
-    /// inputs.
-    pub fn close(
-        &mut self,
-        records: &[PacketRecord],
-        span_secs: f64,
-        window_end_secs: f64,
-        grace_secs: f64,
-        carry: &AckGrace,
-    ) -> (WindowStats, AckGrace) {
-        if records.is_empty() {
-            self.clear();
-            return (WindowStats::default(), carry.clone());
-        }
-        let n = records.len() as f64;
-        let secs = if span_secs.is_finite() && span_secs > 0.0 { span_secs } else { 1.0 };
-
-        let unresolved_carry: u64 = carry
-            .pending
-            .iter()
-            .filter(|(endpoint, _)| match self.first_ack_ts.get(*endpoint) {
-                Some(&ts) => ts > carry.boundary_secs + grace_secs,
-                None => true,
-            })
-            .map(|(_, &count)| count)
-            .sum();
-
-        let defer_after = window_end_secs - grace_secs;
-        let mut next_carry = AckGrace { boundary_secs: window_end_secs, pending: HashMap::new() };
-        let syn_without_ack: u64 = unresolved_carry
-            + self
-                .syns_per_source
-                .iter()
-                .filter(|(endpoint, _)| !self.first_ack_ts.contains_key(*endpoint))
-                .map(|(endpoint, &count)| {
-                    if grace_secs > 0.0
-                        && self.last_syn_ts.get(endpoint).is_some_and(|&ts| ts > defer_after)
-                    {
-                        next_carry.pending.insert(*endpoint, count);
-                        0
-                    } else {
-                        count
-                    }
-                })
-                .sum::<u64>();
-
-        let dst_port_entropy =
-            entropy_sorted(&mut self.count_scratch, self.dst_ports.values().copied());
-        let src_addr_entropy =
-            entropy_sorted(&mut self.count_scratch, self.src_addrs.values().copied());
-        let top_dst_port = self.dst_ports.values().copied().max().unwrap_or(0) as f64;
-        let short_lived = self.flows.values().filter(|&&c| c <= 2).count() as f64;
-        let repeated_syn = self.syns_per_source.values().filter(|&&c| c > 1).count() as f64;
-
-        let (mean_len, std_len) = mean_std_two_pass(records.iter().map(|r| r.wire_len as f64));
-        let (_, seq_std) = mean_std_two_pass(
-            records.iter().filter(|r| r.protocol == Protocol::Tcp).map(|r| r.seq as f64),
-        );
-
-        let stats = WindowStats {
-            packet_count: n,
-            byte_rate: self.total_bytes as f64 / secs,
-            dst_port_entropy,
-            src_addr_entropy,
-            top_dst_port_fraction: top_dst_port / n,
-            short_lived_flows: short_lived,
-            repeated_syn_sources: repeated_syn,
-            syn_without_ack: syn_without_ack as f64,
-            flow_rate: self.flows.len() as f64 / secs,
-            seq_std,
-            mean_pkt_len: mean_len,
-            std_pkt_len: std_len,
-            udp_fraction: self.udp_count as f64 / n,
-        };
-        self.clear();
-        (stats, next_carry)
-    }
-
-    /// Advances the handshake carry across the current window *without*
-    /// computing its statistics (the `stats_refresh > 1` cached path),
-    /// then resets. Produces the same carry [`WindowAccumulator::close`]
-    /// would, matching [`AckGrace::advance`] over the pushed records.
-    pub fn advance_carry(&mut self, window_end_secs: f64, grace_secs: f64) -> AckGrace {
-        let mut pending: HashMap<(u32, u16), u64> = HashMap::new();
-        if grace_secs > 0.0 && window_end_secs.is_finite() {
-            let defer_after = window_end_secs - grace_secs;
-            for (endpoint, &count) in self.syns_per_source.iter() {
-                if !self.first_ack_ts.contains_key(endpoint)
-                    && self.last_syn_ts.get(endpoint).is_some_and(|&ts| ts > defer_after)
-                {
-                    pending.insert(*endpoint, count);
-                }
-            }
-        }
-        self.clear();
-        AckGrace { boundary_secs: window_end_secs, pending }
-    }
-
-    /// Ends the window: O(keys touched this window), not O(map
-    /// capacity). Key sets (and map/scratch capacity) persist so that
-    /// recurring flows keep their hash slots across windows.
-    pub fn clear(&mut self) {
-        self.dst_ports.clear();
-        self.src_addrs.clear();
-        self.flows.clear();
-        self.syns_per_source.clear();
-        self.last_syn_ts.clear();
-        self.first_ack_ts.clear();
-        self.total_bytes = 0;
-        self.udp_count = 0;
     }
 }
 
@@ -774,178 +567,6 @@ mod tests {
             WindowStats::compute_streaming(&records, 1.0, 1.0, 0.0, &AckGrace::default());
         assert_eq!(strict, streaming);
         assert!(carry.is_empty());
-    }
-
-    /// Deterministic pseudo-random record stream (xorshift, fixed seed)
-    /// with mixed protocols, bare SYNs, ACKs and boundary-straddling
-    /// handshakes — adversarial input for the accumulator/batch
-    /// equivalence checks below.
-    fn scrambled_records(n: usize, seed: u64) -> Vec<PacketRecord> {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut ts = 0u64;
-        (0..n)
-            .map(|_| {
-                ts += next() % 120; // non-decreasing, frequently crosses 1 s boundaries
-                let r = next();
-                let proto = if r % 3 == 0 { Protocol::Udp } else { Protocol::Tcp };
-                let flags = if proto == Protocol::Udp {
-                    TcpFlags::EMPTY
-                } else {
-                    match r % 5 {
-                        0 | 1 => TcpFlags::SYN,
-                        2 => TcpFlags::ACK,
-                        3 => TcpFlags::ACK | TcpFlags::PSH,
-                        _ => TcpFlags::SYN | TcpFlags::ACK,
-                    }
-                };
-                PacketRecord {
-                    ts: SimTime::from_millis(ts),
-                    src: Addr::new(10, 0, 0, (r % 7) as u8 + 1),
-                    src_port: 1024 + (r % 13) as u16,
-                    dst: Addr::new(10, 0, 0, 2),
-                    dst_port: [80u16, 443, 53, 8080][(r % 4) as usize],
-                    protocol: proto,
-                    flags,
-                    wire_len: 40 + (r % 1460) as u32,
-                    payload_len: (r % 1460) as u32,
-                    seq: (r >> 8) as u32,
-                    label: Label::Benign,
-                }
-            })
-            .collect()
-    }
-
-    /// The streaming accumulator must be bit-identical to the batch
-    /// computation, window after window, including the handshake carry
-    /// chain across boundaries.
-    #[test]
-    fn accumulator_matches_batch_computation() {
-        let records = scrambled_records(4_000, 0x5eed);
-        // Split into 1 s windows by timestamp.
-        let mut windows: Vec<Vec<PacketRecord>> = Vec::new();
-        let mut current_index = u64::MAX;
-        for r in records {
-            let index = r.ts.as_nanos() / 1_000_000_000;
-            if index != current_index {
-                windows.push(Vec::new());
-                current_index = index;
-            }
-            windows.last_mut().unwrap().push(r);
-        }
-        assert!(windows.len() > 10, "stream must span many windows");
-
-        let mut acc = WindowAccumulator::new();
-        let mut batch_carry = AckGrace::default();
-        let mut acc_carry = AckGrace::default();
-        for (i, window) in windows.iter().enumerate() {
-            let end = (i + 1) as f64;
-            let (batch_stats, next_batch_carry) =
-                WindowStats::compute_streaming(window, 1.0, end, 0.1, &batch_carry);
-            for r in window {
-                acc.push(r);
-            }
-            let (acc_stats, next_acc_carry) = acc.close(window, 1.0, end, 0.1, &acc_carry);
-            assert_eq!(acc_stats, batch_stats, "window {i} stats diverged");
-            assert_eq!(next_acc_carry, next_batch_carry, "window {i} carry diverged");
-            batch_carry = next_batch_carry;
-            acc_carry = next_acc_carry;
-        }
-    }
-
-    /// The accumulator's cheap carry advance (cached-stats path) must
-    /// match the records-based [`AckGrace::advance`].
-    #[test]
-    fn accumulator_advance_matches_ack_grace_advance() {
-        let records = scrambled_records(1_500, 0xfeed);
-        let mut acc = WindowAccumulator::new();
-        for chunk in records.chunks(100) {
-            let end = chunk.last().unwrap().ts.as_secs_f64() + 0.05;
-            let reference = AckGrace::default().advance(chunk, end, 0.1);
-            for r in chunk {
-                acc.push(r);
-            }
-            let advanced = acc.advance_carry(end, 0.1);
-            assert_eq!(advanced, reference);
-        }
-    }
-
-    /// Persistent keys must never leak *values* across windows: an ACK
-    /// timestamp recorded for an endpoint in one window sits in the map
-    /// with a stale generation afterwards, and a bare SYN from the same
-    /// endpoint in the next window must still count as unanswered.
-    #[test]
-    fn stale_generation_handshake_state_is_invisible() {
-        let mut acc = WindowAccumulator::new();
-        let ack = record(8, 9000, 80, TcpFlags::ACK, 2);
-        acc.push(&ack);
-        let (w0, carry) = acc.close(
-            std::slice::from_ref(&ack), 1.0, 1.0, 0.1, &AckGrace::default());
-        assert_eq!(w0.syn_without_ack, 0.0);
-
-        // Same endpoint, next window, SYN never answered — and sent well
-        // before the boundary so the grace deferral doesn't apply.
-        let syn = record(8, 9000, 80, TcpFlags::SYN, 3);
-        acc.push(&syn);
-        let (w1, _) = acc.close(std::slice::from_ref(&syn), 1.0, 2.0, 0.1, &carry);
-        assert_eq!(w1.syn_without_ack, 1.0, "stale first-ACK timestamp must not resolve a new SYN");
-    }
-
-    /// A huge key burst followed by many sparse windows crosses the
-    /// stale-key compaction threshold; the culled accumulator must keep
-    /// matching the batch computation exactly.
-    #[test]
-    fn accumulator_survives_stale_key_compaction() {
-        let mut acc = WindowAccumulator::new();
-        let mut carry = AckGrace::default();
-        let mut batch_carry = AckGrace::default();
-        for round in 0..40u32 {
-            let window: Vec<PacketRecord> = if round == 0 {
-                // ~2 000 distinct flows/endpoints in one window.
-                (0..2000u32)
-                    .map(|i| record((i % 200) as u8, 1024 + (i % 40000) as u16, 80, TcpFlags::SYN, i))
-                    .collect()
-            } else {
-                (0..5u32).map(|i| record(1, 5000 + (round * 5 + i) as u16, 80, TcpFlags::SYN, i)).collect()
-            };
-            let end = (round + 1) as f64;
-            for r in &window {
-                acc.push(r);
-            }
-            let (acc_stats, acc_next) = acc.close(&window, 1.0, end, 0.1, &carry);
-            let (batch_stats, batch_next) =
-                WindowStats::compute_streaming(&window, 1.0, end, 0.1, &batch_carry);
-            assert_eq!(acc_stats, batch_stats, "round {round}");
-            assert_eq!(acc_next, batch_next, "round {round}");
-            carry = acc_next;
-            batch_carry = batch_next;
-        }
-    }
-
-    /// Closing resets the accumulator completely: a second window sees
-    /// no residue from the first.
-    #[test]
-    fn accumulator_close_resets_state() {
-        let records = scrambled_records(600, 0xabcd);
-        let (first, second) = records.split_at(300);
-
-        let mut acc = WindowAccumulator::new();
-        for r in first {
-            acc.push(r);
-        }
-        let _ = acc.close(first, 1.0, f64::INFINITY, 0.0, &AckGrace::default());
-        for r in second {
-            acc.push(r);
-        }
-        let (reused, _) = acc.close(second, 1.0, f64::INFINITY, 0.0, &AckGrace::default());
-
-        let fresh = WindowStats::compute(second, 1.0);
-        assert_eq!(reused, fresh, "second window must not see the first's counts");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use capture::record::Label;
 use features::extract::{extract_matrix, Window, TOTAL_FEATURES};
 use features::scaling::{Scaler, ScalingMethod};
 use ml::autoencoder::{Autoencoder, AutoencoderConfig};
-use ml::classifier::{evaluate_view, Classifier, TrainError};
+use ml::classifier::{evaluate_view, Classifier, RowSpan, TrainError};
 use ml::matrix::{gather, FeatureMatrix, MatrixView};
 use ml::cnn::{Cnn, CnnConfig};
 use ml::iforest::{IsolationForest, IsolationForestConfig};
@@ -217,10 +217,12 @@ impl TrainedIds {
 
     /// Fallible core of [`TrainedIds::classify_window`]: extracts
     /// features into a caller-owned scratch matrix and predicts into a
-    /// caller-owned buffer, so a caller classifying window after window
-    /// allocates nothing after warm-up. Arity mismatches between the
-    /// scratch matrix, the fitted scaler and the feature layout come
-    /// back as a [`ClassifyError`] instead of a panic.
+    /// caller-owned buffer through the model's span kernel, with the
+    /// whole matrix as one span. Both buffers are reused window after
+    /// window; the one-entry span-work vector is built per call. Arity
+    /// mismatches between the scratch matrix, the fitted scaler and the
+    /// feature layout come back as a [`ClassifyError`] instead of a
+    /// panic.
     ///
     /// # Errors
     ///
@@ -239,7 +241,8 @@ impl TrainedIds {
         scratch.clear();
         window.append_features(scratch);
         self.scaler.transform_matrix(scratch);
-        self.model.predict_batch_into(scratch.view(), predictions);
+        let whole = [RowSpan { start: 0, len: scratch.n_rows() }];
+        self.model.predict_batch_spans_into(scratch.view(), &whole, predictions, &mut Vec::new());
         Ok(detection_from_predictions(window, predictions))
     }
 

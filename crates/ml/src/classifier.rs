@@ -54,53 +54,21 @@ pub trait Classifier: Send + Sync {
         (self.predict(features), 0)
     }
 
-    /// Classifies every row visible through a flat matrix view (default:
-    /// rows in parallel, results in row order — identical output at any
-    /// thread count). All batch feature data travels as
-    /// [`crate::matrix::FeatureMatrix`] rows; there is no nested-`Vec`
-    /// batch path.
-    fn predict_batch(&self, view: MatrixView<'_>) -> Vec<usize> {
-        par::par_map_indexed(view.n_rows(), |i| self.predict(view.row(i)))
-    }
-
-    /// Classifies every row of a view and totals the deterministic work
-    /// units (see [`Classifier::predict_with_work`]). Rows run in
-    /// parallel; integer summation makes the total independent of
-    /// completion order, so the figure is thread-count invariant.
-    fn predict_batch_with_work(&self, view: MatrixView<'_>) -> (Vec<usize>, u64) {
-        let results =
-            par::par_map_indexed(view.n_rows(), |i| self.predict_with_work(view.row(i)));
-        let work = results.iter().map(|&(_, w)| w).sum();
-        (results.into_iter().map(|(class, _)| class).collect(), work)
-    }
-
-    /// Serial, allocation-free batch prediction into a caller-owned
-    /// buffer: `out` is cleared and refilled, reusing its capacity. This
-    /// is the real-time IDS hot path — after warm-up a steady-state
-    /// window classifies without touching the allocator. Returns the
-    /// summed deterministic work units; row order (and therefore the
-    /// work total) matches [`Classifier::predict_batch_with_work`].
-    fn predict_batch_into(&self, view: MatrixView<'_>, out: &mut Vec<usize>) -> u64 {
-        out.clear();
-        out.reserve(view.n_rows());
-        let mut work = 0u64;
-        for i in 0..view.n_rows() {
-            let (class, w) = self.predict_with_work(view.row(i));
-            out.push(class);
-            work += w;
-        }
-        work
-    }
-
-    /// Classifies the rows of several disjoint, in-order [`RowSpan`]s in
-    /// one pass: `out` receives every span's predictions back to back
-    /// (span order), `span_work` receives one deterministic work total
-    /// per span, and the return value is the grand total. Per-row
-    /// predictions and work are identical to
-    /// [`Classifier::predict_batch_into`] over the same rows — batching
-    /// across spans must never change any output — which is what lets
-    /// the serving layer coalesce all tenants' windows into one matrix
-    /// pass while keeping per-window work attribution exact.
+    /// The one batch kernel: classifies the rows of several disjoint,
+    /// in-order [`RowSpan`]s in one serial pass. `out` is cleared and
+    /// receives every span's predictions back to back (span order),
+    /// `span_work` is cleared and receives one deterministic work total
+    /// per span, and the return value is the grand total. Per-row classes
+    /// and work equal [`Classifier::predict_with_work`] on each row, for
+    /// any tiling of the rows into spans — which is what lets the serving
+    /// layer coalesce all tenants' windows into one matrix pass while
+    /// keeping per-window work attribution exact.
+    ///
+    /// This is the real-time IDS hot path: both buffers are reused, so
+    /// once they have grown to the working set a call touches the
+    /// allocator not at all (`crates/ml/tests/zero_alloc.rs` counts).
+    /// The default is the per-row loop; models with a faster batch walk
+    /// override it. Whole-view prediction is [`predict_view`].
     fn predict_batch_spans_into(
         &self,
         view: MatrixView<'_>,
@@ -146,10 +114,38 @@ impl Clone for Box<dyn Classifier> {
     }
 }
 
+/// Rows per block of [`predict_view`]. A constant, never derived from
+/// the thread count, so the blocks — and with them every output — are
+/// the same on any machine. Of 64, 256 and 1024 rows, 256 ran the
+/// forest fastest (DESIGN.md §11.1).
+const VIEW_BLOCK_ROWS: usize = 256;
+
+/// Classifies every row of a view, returning the classes in row order
+/// and the summed deterministic work units. Fixed 256-row blocks spread
+/// across threads, each one [`Classifier::predict_batch_spans_into`]
+/// call with a single span; the kernel's per-row outputs do not depend
+/// on the tiling and the work total is an integer sum, so the result is
+/// identical at any thread count.
+pub fn predict_view(model: &dyn Classifier, view: MatrixView<'_>) -> (Vec<usize>, u64) {
+    let parts = par::par_chunks(view.n_rows(), VIEW_BLOCK_ROWS, |rows| {
+        let span = [RowSpan { start: rows.start, len: rows.len() }];
+        let mut classes = Vec::new();
+        let work = model.predict_batch_spans_into(view, &span, &mut classes, &mut Vec::new());
+        (classes, work)
+    });
+    let mut classes = Vec::with_capacity(view.n_rows());
+    let mut work = 0u64;
+    for (part, w) in parts {
+        classes.extend(part);
+        work += w;
+    }
+    (classes, work)
+}
+
 /// Evaluates a classifier on the labelled rows of a matrix view,
 /// producing the paper's train-time metric row.
 pub fn evaluate_view(model: &dyn Classifier, view: MatrixView<'_>, y: &[usize]) -> MetricsReport {
-    let predictions = model.predict_batch(view);
+    let (predictions, _) = predict_view(model, view);
     let m = ConfusionMatrix::from_predictions(y, &predictions);
     MetricsReport::from_confusion(&m)
 }
@@ -220,7 +216,11 @@ pub type LoadError = DecodeError;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cnn::{Cnn, CnnConfig};
+    use crate::kmeans::{KMeansConfig, KMeansDetector};
     use crate::matrix::FeatureMatrix;
+    use crate::rf::{ForestConfig, RandomForest};
+    use netsim::rng::SimRng;
 
     struct Always(usize);
     impl Classifier for Always {
@@ -263,26 +263,6 @@ mod tests {
         assert!((sub.accuracy - 1.0).abs() < 1e-12);
     }
 
-    /// The three batch entry points agree row-for-row, and the into-
-    /// variant reuses its output buffer without reallocating.
-    #[test]
-    fn batch_entry_points_agree() {
-        let x = vec![vec![0.5], vec![1.5], vec![2.5]];
-        let m = FeatureMatrix::from_rows(&x).unwrap();
-        let model = Always(1);
-        let batch = model.predict_batch(m.view());
-        let (with_work, work) = model.predict_batch_with_work(m.view());
-        let mut into = Vec::with_capacity(8);
-        let into_work = model.predict_batch_into(m.view(), &mut into);
-        assert_eq!(batch, vec![1, 1, 1]);
-        assert_eq!(batch, with_work);
-        assert_eq!(batch, into);
-        assert_eq!(work, into_work);
-        let ptr = into.as_ptr();
-        let _ = model.predict_batch_into(m.view(), &mut into);
-        assert_eq!(ptr, into.as_ptr(), "into-variant must reuse its buffer");
-    }
-
     /// Wraps `Always` with work proportional to the row's first value,
     /// so per-span work attribution is observable.
     struct Weighted;
@@ -307,24 +287,75 @@ mod tests {
         }
     }
 
-    /// Spans tiling the matrix must reproduce `predict_batch_into`
-    /// exactly — same predictions, same total work — while splitting the
-    /// work by span.
+    /// Spans tiling the matrix must reproduce per-row
+    /// `predict_with_work` exactly — same predictions, same total work —
+    /// while splitting the work by span, and a second pass must reuse
+    /// the output buffer.
     #[test]
     fn span_batch_matches_plain_batch() {
         let x: Vec<Vec<f64>> = (0..7).map(|i| vec![i as f64]).collect();
         let m = FeatureMatrix::from_rows(&x).unwrap();
         let model = Weighted;
-        let mut plain = Vec::new();
-        let plain_work = model.predict_batch_into(m.view(), &mut plain);
+        let per_row: Vec<(usize, u64)> = x.iter().map(|row| model.predict_with_work(row)).collect();
         let spans =
             [RowSpan { start: 0, len: 3 }, RowSpan { start: 3, len: 0 }, RowSpan { start: 3, len: 4 }];
         let mut spanned = Vec::new();
         let mut span_work = Vec::new();
         let total = model.predict_batch_spans_into(m.view(), &spans, &mut spanned, &mut span_work);
-        assert_eq!(spanned, plain);
-        assert_eq!(total, plain_work);
-        assert_eq!(span_work, vec![0 + 1 + 2, 0, 3 + 4 + 5 + 6]);
+        assert_eq!(spanned, per_row.iter().map(|&(c, _)| c).collect::<Vec<_>>());
+        assert_eq!(total, per_row.iter().map(|&(_, w)| w).sum::<u64>());
+        assert_eq!(span_work, vec![1 + 2, 0, 3 + 4 + 5 + 6]);
+        let ptr = spanned.as_ptr();
+        let _ = model.predict_batch_spans_into(m.view(), &spans, &mut spanned, &mut span_work);
+        assert_eq!(ptr, spanned.as_ptr(), "the kernel must reuse its output buffer");
+    }
+
+    /// Whole-view prediction splits the rows into fixed blocks and fans
+    /// them out across threads: for row counts around the block size, at
+    /// 1 and at 4 threads, every model's classes and work equal its
+    /// per-row `predict_with_work`.
+    #[test]
+    fn predict_view_matches_per_row_at_any_thread_count() {
+        const DIMS: usize = 8;
+        let rows = |n: usize| {
+            let mut rng = SimRng::seed_from(41);
+            let mut m = FeatureMatrix::new(DIMS);
+            for _ in 0..n {
+                let row: Vec<f64> = (0..DIMS).map(|_| rng.uniform_range(-1.0, 3.0)).collect();
+                m.push_row(&row);
+            }
+            m
+        };
+        let train = rows(300);
+        let labels: Vec<usize> =
+            (0..train.n_rows()).map(|i| usize::from(train.row(i)[0] > 1.0)).collect();
+        let mut rng = SimRng::seed_from(42);
+        let forest_config = ForestConfig { n_trees: 5, ..ForestConfig::default() };
+        let cnn_config = CnnConfig { input_len: DIMS, epochs: 1, ..CnnConfig::default() };
+        let models: [Box<dyn Classifier>; 4] = [
+            Box::new(Weighted),
+            Box::new(RandomForest::fit_view(train.view(), &labels, &forest_config, &mut rng).unwrap()),
+            Box::new(
+                KMeansDetector::fit_view(train.view(), &labels, &KMeansConfig::default(), &mut rng)
+                    .unwrap(),
+            ),
+            Box::new(Cnn::fit_view(train.view(), &labels, &cnn_config, &mut rng).unwrap()),
+        ];
+        for n in [0, 1, 255, 256, 257, 3 * 256 + 5] {
+            let m = rows(n);
+            for model in &models {
+                let per_row: Vec<(usize, u64)> =
+                    (0..n).map(|i| model.predict_with_work(m.row(i))).collect();
+                let want = (
+                    per_row.iter().map(|&(c, _)| c).collect::<Vec<_>>(),
+                    per_row.iter().map(|&(_, w)| w).sum::<u64>(),
+                );
+                for threads in [1, 4] {
+                    let got = par::with_threads(threads, || predict_view(model.as_ref(), m.view()));
+                    assert_eq!(got, want, "{}: {n} rows, {threads} threads", model.name());
+                }
+            }
+        }
     }
 
     #[test]

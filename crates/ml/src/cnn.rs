@@ -294,9 +294,9 @@ impl LaneScratch {
 }
 
 thread_local! {
-    /// Per-thread lane scratch behind every prediction entry point, so
-    /// steady-state inference allocates nothing without threading a
-    /// buffer through the [`Classifier`] trait.
+    /// Per-thread lane scratch behind the span kernel and single-row
+    /// prediction, so steady-state inference allocates nothing without
+    /// threading a buffer through the [`Classifier`] trait.
     static PREDICT_SCRATCH: RefCell<LaneScratch> = RefCell::new(LaneScratch::default());
 }
 
@@ -648,16 +648,6 @@ impl Cnn {
         });
     }
 
-    /// Appends the class of every `view` row named by `rows` to `out`.
-    fn classify_into(
-        &self,
-        view: MatrixView<'_>,
-        rows: impl Iterator<Item = usize>,
-        out: &mut Vec<usize>,
-    ) {
-        self.forward_rows(view, rows, |probs| out.extend(probs.iter().map(class_of)));
-    }
-
     /// Class probabilities of one row, through the one-lane kernel.
     ///
     /// # Panics
@@ -879,27 +869,6 @@ impl Classifier for Cnn {
         (self.predict(features), self.macs_per_row())
     }
 
-    // Every batch entry point runs the serial lane kernel. The trait's
-    // row-parallel default would start an OS thread per split (the
-    // vendored `rayon::join`), which costs more than a block.
-    fn predict_batch(&self, view: MatrixView<'_>) -> Vec<usize> {
-        let mut out = Vec::with_capacity(view.n_rows());
-        self.classify_into(view, 0..view.n_rows(), &mut out);
-        out
-    }
-
-    fn predict_batch_with_work(&self, view: MatrixView<'_>) -> (Vec<usize>, u64) {
-        let out = self.predict_batch(view);
-        let work = self.macs_per_row() * out.len() as u64;
-        (out, work)
-    }
-
-    fn predict_batch_into(&self, view: MatrixView<'_>, out: &mut Vec<usize>) -> u64 {
-        out.clear();
-        self.classify_into(view, 0..view.n_rows(), out);
-        self.macs_per_row() * view.n_rows() as u64
-    }
-
     fn predict_batch_spans_into(
         &self,
         view: MatrixView<'_>,
@@ -907,8 +876,13 @@ impl Classifier for Cnn {
         out: &mut Vec<usize>,
         span_work: &mut Vec<u64>,
     ) -> u64 {
+        // The spans' rows run back to back through the serial lane
+        // kernel; blocks may straddle span boundaries because lanes
+        // never mix.
         out.clear();
-        self.classify_into(view, spans.iter().flat_map(RowSpan::range), out);
+        self.forward_rows(view, spans.iter().flat_map(RowSpan::range), |probs| {
+            out.extend(probs.iter().map(class_of))
+        });
         let macs = self.macs_per_row();
         span_work.clear();
         span_work.extend(spans.iter().map(|span| macs * span.len as u64));
@@ -953,6 +927,7 @@ impl Classifier for Cnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classifier::predict_view;
 
     fn tiny_config() -> CnnConfig {
         CnnConfig {
@@ -1107,20 +1082,17 @@ mod tests {
         out
     }
 
-    /// Every batch entry point agrees with per-row `predict_with_work`
-    /// on classes and work totals over `view`; the span entry point over
-    /// the in-order `spans`.
-    fn assert_entry_points_agree(net: &Cnn, view: MatrixView<'_>, spans: &[RowSpan]) {
+    /// `predict_view` over `view`, and the span kernel over the in-order
+    /// `spans`, agree with per-row `predict_with_work` on classes and
+    /// work totals.
+    fn assert_batch_matches_per_row(net: &Cnn, view: MatrixView<'_>, spans: &[RowSpan]) {
         let per_row: Vec<(usize, u64)> = (0..view.n_rows())
             .map(|i| net.predict_with_work(view.row(i)))
             .collect();
         let classes: Vec<usize> = per_row.iter().map(|&(c, _)| c).collect();
         let work: u64 = per_row.iter().map(|&(_, w)| w).sum();
-        assert_eq!(net.predict_batch(view), classes);
-        assert_eq!(net.predict_batch_with_work(view), (classes.clone(), work));
+        assert_eq!(predict_view(net, view), (classes.clone(), work));
         let mut out = vec![9; 3];
-        assert_eq!(net.predict_batch_into(view, &mut out), work);
-        assert_eq!(out, classes);
         let mut span_work = vec![7];
         let total = net.predict_batch_spans_into(view, spans, &mut out, &mut span_work);
         let span_rows: Vec<usize> = spans.iter().flat_map(RowSpan::range).collect();
@@ -1141,7 +1113,7 @@ mod tests {
     /// across seeds, for single rows (one lane) and for every row count
     /// through two full blocks and a partial tail, on subset views with
     /// repeats and on span tilings with empty spans and spans straddling
-    /// a lane block. The four batch entry points must agree with
+    /// a lane block. The span kernel and `predict_view` must agree with
     /// per-row prediction on classes and work.
     #[test]
     fn lane_kernel_matches_reference_bits() {
@@ -1178,7 +1150,7 @@ mod tests {
                         "seed {seed}: {n} subset rows"
                     );
                     let all = [RowSpan { start: 0, len: n }];
-                    assert_entry_points_agree(net, view, &all);
+                    assert_batch_matches_per_row(net, view, &all);
                 }
                 // Spans straddling the first block boundary, empty spans
                 // between and at both ends, and skipped rows.
@@ -1208,7 +1180,7 @@ mod tests {
                         want,
                         "seed {seed}: spans {spans:?}"
                     );
-                    assert_entry_points_agree(net, view, spans);
+                    assert_batch_matches_per_row(net, view, spans);
                 }
             }
         }
@@ -1226,18 +1198,17 @@ mod tests {
         m
     }
 
-    /// Runs every prediction entry point of `net` once.
+    /// Runs every prediction path of `net` once.
     fn exercise(net: &Cnn) {
         let m = probe_rows(net.config().input_len);
-        let classes = net.predict_batch(m.view());
+        let (classes, _) = predict_view(net, m.view());
         assert_eq!(classes.len(), m.n_rows());
         assert_eq!(net.predict(m.row(0)), classes[0]);
         assert_eq!(net.predict_proba(m.row(1)).len(), CLASSES);
-        let _ = net.predict_batch_with_work(m.view());
-        let mut out = Vec::new();
-        let _ = net.predict_batch_into(m.view(), &mut out);
         let spans = [RowSpan { start: 0, len: 9 }, RowSpan { start: 9, len: 8 }];
+        let mut out = Vec::new();
         let _ = net.predict_batch_spans_into(m.view(), &spans, &mut out, &mut Vec::new());
+        assert_eq!(out, classes);
     }
 
     /// The unchecked decoder's two shown defects — a conv1 weight vector
@@ -1287,8 +1258,8 @@ mod tests {
     /// Structure-aware decoder fuzzing: each config field and each
     /// parameter-vector length prefix of a valid blob is overwritten with
     /// a spread of values. Every mutant must either fail to decode or
-    /// decode to a network whose prediction entry points all run to
-    /// completion without panicking.
+    /// decode to a network whose prediction paths all run to completion
+    /// without panicking.
     #[test]
     fn decode_mutants_error_or_predict_cleanly() {
         let mut rng = SimRng::seed_from(10);

@@ -387,40 +387,29 @@ impl KMeansDetector {
         &self.cluster_labels
     }
 
-    /// Flattens the centroids into one contiguous buffer for the batch
-    /// predict path: `k × dims` values, centroid-major, so the per-row
-    /// centroid sweep walks a single cache-friendly slice instead of
-    /// chasing one heap pointer per centroid. Returns the buffer and
-    /// `dims`.
-    fn flat_centroids(&self) -> (Vec<f64>, usize) {
-        let dims = self.model.centroids().first().map_or(0, Vec::len);
-        let mut flat = Vec::with_capacity(self.model.k() * dims);
-        for c in self.model.centroids() {
-            flat.extend_from_slice(c);
-        }
-        (flat, dims)
+    /// Distance multiply-adds of one prediction, the deterministic work
+    /// unit: one squared distance per centroid, each a dims-long sweep.
+    fn work_per_row(&self) -> u64 {
+        (self.model.k() * self.model.centroids().first().map_or(0, Vec::len)) as u64
     }
 
-    /// Classifies `rows` of `view` against the flattened centroids,
-    /// appending one class per row to `out`. Same arithmetic (a
-    /// sequential squared-distance sweep per centroid) and the same
-    /// strict-`<` tie-breaking as [`KMeans::assign`], so batch
-    /// predictions are bit-identical to the per-row path.
-    fn assign_rows_flat(
-        &self,
-        view: MatrixView<'_>,
-        rows: std::ops::Range<usize>,
-        flat: &[f64],
-        dims: usize,
-        out: &mut Vec<usize>,
-    ) {
-        // Four rows share each pass over the centroid buffer. A single
-        // row's distance is a sequential dims-long add chain — latency
-        // bound — but different rows' chains are independent, so
-        // interleaving four hides that latency without touching any
-        // row's operation order: each accumulator still sums its
-        // squared differences in dimension order, bit-identical to the
-        // one-row sweep below.
+    /// Classifies `rows` of `view`, appending one class per row to
+    /// `out`. Same arithmetic (a sequential squared-distance sweep per
+    /// centroid) and the same strict-`<` tie-breaking as
+    /// [`KMeans::assign`], so batch predictions are bit-identical to the
+    /// per-row path. The centroids are swept in place, so a call
+    /// allocates nothing beyond `out`'s growth.
+    fn assign_rows(&self, view: MatrixView<'_>, rows: std::ops::Range<usize>, out: &mut Vec<usize>) {
+        let centroids = self.model.centroids();
+        let dims = centroids.first().map_or(0, Vec::len);
+        // Four rows share each pass over the centroids. A single row's
+        // distance is a sequential dims-long add chain — latency bound —
+        // but different rows' chains are independent, so interleaving
+        // four hides that latency without touching any row's operation
+        // order: each accumulator still sums its squared differences in
+        // dimension order, bit-identical to the one-row `predict`.
+        // Zero-width centroids leave every distance at zero, so they
+        // pick cluster 0, as `assign` does.
         let mut i = rows.start;
         while i + 4 <= rows.end {
             let x0 = &view.row(i)[..dims];
@@ -429,7 +418,11 @@ impl KMeansDetector {
             let x3 = &view.row(i + 3)[..dims];
             let mut best = [0usize; 4];
             let mut best_d = [f64::INFINITY; 4];
-            for (j, c) in flat.chunks_exact(dims).enumerate() {
+            for (j, c) in centroids.iter().enumerate() {
+                // The same length as the row slices, so indexing them by
+                // `jd` needs no bounds check (decode rejects ragged
+                // centroids).
+                let c = &c[..dims];
                 let mut d = [0.0f64; 4];
                 for (jd, &cv) in c.iter().enumerate() {
                     d[0] += (x0[jd] - cv).powi(2);
@@ -449,19 +442,7 @@ impl KMeansDetector {
             }
             i += 4;
         }
-        for i in i..rows.end {
-            let x = view.row(i);
-            let mut best = 0;
-            let mut best_d = f64::INFINITY;
-            for (j, c) in flat.chunks_exact(dims).enumerate() {
-                let d: f64 = x.iter().zip(c).map(|(a, b)| (a - b).powi(2)).sum();
-                if d < best_d {
-                    best_d = d;
-                    best = j;
-                }
-            }
-            out.push(self.cluster_labels[best]);
-        }
+        out.extend((i..rows.end).map(|i| self.predict(view.row(i))));
     }
 
     /// Decodes a detector from its binary blob.
@@ -511,28 +492,7 @@ impl Classifier for KMeansDetector {
     }
 
     fn predict_with_work(&self, features: &[f64]) -> (usize, u64) {
-        // Assignment computes one squared distance per centroid, each a
-        // dims-long multiply-add sweep.
-        let dims = self.model.centroids().first().map_or(0, Vec::len) as u64;
-        (self.predict(features), self.model.k() as u64 * dims)
-    }
-
-    fn predict_batch_into(&self, view: MatrixView<'_>, out: &mut Vec<usize>) -> u64 {
-        out.clear();
-        out.reserve(view.n_rows());
-        let (flat, dims) = self.flat_centroids();
-        if dims == 0 {
-            // Degenerate dimensionless model: keep the per-row path.
-            let mut work = 0u64;
-            for i in 0..view.n_rows() {
-                let (class, w) = self.predict_with_work(view.row(i));
-                out.push(class);
-                work += w;
-            }
-            return work;
-        }
-        self.assign_rows_flat(view, 0..view.n_rows(), &flat, dims, out);
-        (view.n_rows() * self.model.k() * dims) as u64
+        (self.predict(features), self.work_per_row())
     }
 
     fn predict_batch_spans_into(
@@ -546,22 +506,10 @@ impl Classifier for KMeansDetector {
         out.reserve(spans.iter().map(|s| s.len).sum());
         span_work.clear();
         span_work.reserve(spans.len());
-        let (flat, dims) = self.flat_centroids();
-        let per_row = (self.model.k() * dims) as u64;
+        let per_row = self.work_per_row();
         let mut total = 0u64;
         for span in spans {
-            if dims == 0 {
-                let mut work = 0u64;
-                for i in span.range() {
-                    let (class, w) = self.predict_with_work(view.row(i));
-                    out.push(class);
-                    work += w;
-                }
-                span_work.push(work);
-                total += work;
-                continue;
-            }
-            self.assign_rows_flat(view, span.range(), &flat, dims, out);
+            self.assign_rows(view, span.range(), out);
             let work = span.len as u64 * per_row;
             span_work.push(work);
             total += work;
@@ -595,6 +543,7 @@ impl Classifier for KMeansDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classifier::predict_view;
 
     fn blobs(n: usize, centers: &[(f64, f64)], rng: &mut SimRng) -> (Vec<Vec<f64>>, Vec<usize>) {
         let mut x = Vec::new();
@@ -608,38 +557,59 @@ mod tests {
         (x, y)
     }
 
+    /// The span kernel and `predict_view` are bit-identical to per-row
+    /// prediction on classes and work, across ragged tilings.
     #[test]
     fn flat_batch_predict_is_bit_identical_to_per_row() {
         let mut rng = SimRng::seed_from(7);
         let (x, y) = blobs(240, &[(-5.0, 0.0), (0.0, 5.0), (5.0, 0.0), (0.0, -5.0)], &mut rng);
         let detector = KMeansDetector::fit(&x, &y, &KMeansConfig::default(), &mut rng).unwrap();
-        let mut m = FeatureMatrix::new(2);
-        for row in &x {
-            m.push_row(row);
-        }
-        // Batch vs per-row.
-        let mut batch = Vec::new();
-        let work = detector.predict_batch_into(m.view(), &mut batch);
-        let mut per_row_work = 0u64;
-        for (i, row) in x.iter().enumerate() {
-            let (class, w) = detector.predict_with_work(row);
-            assert_eq!(batch[i], class, "row {i}");
-            per_row_work += w;
-        }
-        assert_eq!(work, per_row_work);
-        // Span-batched vs batch, across ragged tilings.
-        let spans = [
-            RowSpan { start: 0, len: 100 },
-            RowSpan { start: 100, len: 0 },
-            RowSpan { start: 100, len: 140 },
+        let m = FeatureMatrix::from_rows(&x).unwrap();
+        let per_row: Vec<(usize, u64)> = x.iter().map(|row| detector.predict_with_work(row)).collect();
+        let classes: Vec<usize> = per_row.iter().map(|&(c, _)| c).collect();
+        let work: u64 = per_row.iter().map(|&(_, w)| w).sum();
+        assert_eq!(predict_view(&detector, m.view()), (classes.clone(), work));
+        let tilings: [&[RowSpan]; 2] = [
+            &[RowSpan { start: 0, len: 240 }],
+            &[
+                RowSpan { start: 0, len: 101 },
+                RowSpan { start: 101, len: 0 },
+                RowSpan { start: 101, len: 139 },
+            ],
         ];
-        let mut spanned = Vec::new();
-        let mut span_work = Vec::new();
-        let total = detector.predict_batch_spans_into(m.view(), &spans, &mut spanned, &mut span_work);
-        assert_eq!(spanned, batch);
-        assert_eq!(total, work);
-        assert_eq!(span_work.iter().sum::<u64>(), total);
-        assert_eq!(span_work[1], 0);
+        for spans in tilings {
+            let mut spanned = Vec::new();
+            let mut span_work = Vec::new();
+            let total =
+                detector.predict_batch_spans_into(m.view(), spans, &mut spanned, &mut span_work);
+            let expected: Vec<u64> =
+                spans.iter().map(|span| span.range().map(|i| per_row[i].1).sum()).collect();
+            assert_eq!(spanned, classes, "{spans:?}");
+            assert_eq!(span_work, expected, "{spans:?}");
+            assert_eq!(total, work, "{spans:?}");
+        }
+    }
+
+    /// Zero-width centroids give every row distance zero to each
+    /// cluster, so the kernel picks cluster 0 for every row, as
+    /// `assign` does, and reports no work.
+    #[test]
+    fn zero_width_centroids_pick_the_first_cluster() {
+        let detector = KMeansDetector {
+            model: KMeans {
+                centroids: vec![Vec::new(), Vec::new()],
+                proportions: vec![0.5, 0.5],
+                inertia: 0.0,
+                iterations: 0,
+            },
+            cluster_labels: vec![1, 0],
+        };
+        let m = FeatureMatrix::from_rows(&vec![vec![3.0, -1.0]; 6]).unwrap();
+        let (mut out, mut span_work) = (Vec::new(), Vec::new());
+        let spans = [RowSpan { start: 0, len: 6 }];
+        assert_eq!(detector.predict_batch_spans_into(m.view(), &spans, &mut out, &mut span_work), 0);
+        assert_eq!(out, vec![1; 6]);
+        assert_eq!(detector.predict_with_work(m.row(0)), (1, 0));
     }
 
     #[test]
@@ -709,8 +679,9 @@ mod tests {
     /// Field mutations of a trained detector's blob: every count,
     /// length and label word is overwritten with 0, its own value ±1 and
     /// `u64::MAX`. Every mutant must fail to decode or decode to a
-    /// detector whose predict entry points all finish without panicking
-    /// and answer a binary class; every truncation must fail.
+    /// detector whose span kernel, whole-view and per-row predictions
+    /// agree, finish without panicking and answer a binary class; every
+    /// truncation must fail.
     #[test]
     fn decode_mutants_error_or_predict_cleanly() {
         let mut rng = SimRng::seed_from(15);
@@ -746,8 +717,7 @@ mod tests {
                     continue;
                 };
                 decoded += 1;
-                let mut batch = Vec::new();
-                let work = back.predict_batch_into(rows.view(), &mut batch);
+                let (batch, work) = predict_view(&back, rows.view());
                 let (mut spanned, mut span_work) = (Vec::new(), Vec::new());
                 let spanned_work = back.predict_batch_spans_into(
                     rows.view(),

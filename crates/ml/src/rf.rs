@@ -26,14 +26,9 @@ const FOREST_MAGIC: u32 = 0x666f_7273; // "fors"
 /// Marks a leaf in the structure-of-arrays node pool's `feature` lane.
 const LEAF_SENTINEL: u32 = u32::MAX;
 
-/// Rows per parallel block in batch prediction. A fixed constant (never
-/// derived from the thread count) keeps the work split — and therefore
-/// the result concatenation order — identical on every machine.
-const BATCH_ROWS: usize = 64;
-
-/// Rows walked in lockstep per tree inside a block. Small enough that
-/// the lane cursors live in registers, wide enough to overlap one
-/// lane's node loads with its neighbours'.
+/// Rows walked in lockstep down one tree. Small enough that the lane
+/// cursors live in registers, wide enough to overlap one lane's node
+/// loads with its neighbours'.
 const PREDICT_LANES: usize = 8;
 
 /// Hyper-parameters of a single CART tree.
@@ -604,49 +599,6 @@ impl NodePool {
         (usize::from(votes * 2 > self.roots.len()), work)
     }
 
-    /// Accumulates per-row votes for a block of at most [`BATCH_ROWS`]
-    /// rows, walking every tree over all rows in lockstep: each pass of
-    /// the inner loop advances every row by one level, so the
-    /// dependent-load chain of a single root-to-leaf walk is hidden
-    /// behind the independent loads of its 63 neighbours. The pass count
-    /// is the tree's precomputed max depth and rows that reach a leaf
-    /// early self-loop there via the same select as the child step —
-    /// the body has no data-dependent branches at all.
-    ///
-    /// `votes` is overwritten; `work` accrues the same visited-node
-    /// count, node for node, as the one-row [`Self::walk`]: each row
-    /// pays `depth_of` of the leaf it lands on — its exact path length.
-    fn predict_block(&self, rows: &[&[f64]], votes: &mut [u32], work: &mut u64) {
-        let m = rows.len();
-        debug_assert!(m <= BATCH_ROWS && votes.len() == m);
-        votes.fill(0);
-        let mut w = 0u64;
-        for (&root, &depth) in self.roots.iter().zip(&self.depths) {
-            let mut i = 0;
-            while i + PREDICT_LANES <= m {
-                let group: [&[f64]; PREDICT_LANES] =
-                    rows[i..i + PREDICT_LANES].try_into().expect("group width");
-                let leaves = self.walk_group(&group, root, depth);
-                for &leaf in &leaves {
-                    debug_assert_eq!(self.feature[leaf as usize], LEAF_SENTINEL);
-                    w += u64::from(self.depth_of[leaf as usize]);
-                }
-                for lane in 0..PREDICT_LANES {
-                    votes[i + lane] += self.class_of[leaves[lane] as usize];
-                }
-                i += PREDICT_LANES;
-            }
-            // Ragged tail: the plain serial walk, which counts its own
-            // exact path length.
-            for r in i..m {
-                let (class, visited) = self.walk(root, rows[r]);
-                votes[r] += class;
-                w += visited;
-            }
-        }
-        *work += w;
-    }
-
     /// Walks `LANES` rows down one tree in lockstep, returning each
     /// lane's leaf id. Each pass of the outer loop advances every lane
     /// by one level, so the dependent-load chain of a single
@@ -656,7 +608,11 @@ impl NodePool {
     /// self-loop children — the step body is the same
     /// load/compare/select for every node kind, with no data-dependent
     /// branch and no work bookkeeping (the caller reads `depth_of`).
-    #[inline]
+    ///
+    /// Kept out of line, like [`RandomForest::lockstep_votes`]: inlined
+    /// into the tree loop, whole-view prediction ran 13–17% slower on a
+    /// 2-core x86-64 VM (DESIGN.md §11.1).
+    #[inline(never)]
     fn walk_group<const LANES: usize>(
         &self,
         group: &[&[f64]; LANES],
@@ -681,20 +637,6 @@ impl NodePool {
             }
         }
         cur
-    }
-
-    /// Classifies a block of rows via [`Self::predict_block`].
-    fn predict_rows(&self, view: MatrixView<'_>, rows: std::ops::Range<usize>) -> (Vec<usize>, u64) {
-        let m = rows.len();
-        let mut row_refs: [&[f64]; BATCH_ROWS] = [&[]; BATCH_ROWS];
-        for (i, r) in rows.enumerate() {
-            row_refs[i] = view.row(r);
-        }
-        let mut votes = [0u32; BATCH_ROWS];
-        let mut work = 0u64;
-        self.predict_block(&row_refs[..m], &mut votes[..m], &mut work);
-        let n = self.roots.len();
-        (votes[..m].iter().map(|&v| usize::from(v as usize * 2 > n)).collect(), work)
     }
 }
 
@@ -812,12 +754,14 @@ impl RandomForest {
     /// Tree-outer lockstep vote accumulation over a contiguous row
     /// range: raw malicious-vote counts land in `votes` (one slot per
     /// row, pre-zeroed by the caller) and the return value is the
-    /// visited-node work. Shared core of
-    /// [`Classifier::predict_batch_into`] and the span variant — lane
-    /// grouping depends on where the range starts, but every row pays
-    /// the exact path length of the leaf it lands on and votes with that
-    /// leaf's class, so the split into ranges can never change any
-    /// output.
+    /// visited-node work. Trees sit on the *outer* loop, so each tree's
+    /// node lanes are pulled into cache once and stay hot across the
+    /// whole range. Lane grouping depends on where the range starts, but
+    /// every row pays the exact path length of the leaf it lands on and
+    /// votes with that leaf's class, so the split into ranges can never
+    /// change any output. Kept out of line for the same reason as
+    /// [`NodePool::walk_group`].
+    #[inline(never)]
     fn lockstep_votes(
         &self,
         view: MatrixView<'_>,
@@ -835,6 +779,7 @@ impl RandomForest {
                     std::array::from_fn(|l| view.row(base + i + l));
                 let leaves = self.pool.walk_group(&group, root, depth);
                 for &leaf in &leaves {
+                    debug_assert_eq!(self.pool.feature[leaf as usize], LEAF_SENTINEL);
                     work += u64::from(self.pool.depth_of[leaf as usize]);
                 }
                 for lane in 0..PREDICT_LANES {
@@ -865,41 +810,6 @@ impl Classifier for RandomForest {
         self.pool.predict_with_work(features)
     }
 
-    fn predict_batch(&self, view: MatrixView<'_>) -> Vec<usize> {
-        self.predict_batch_with_work(view).0
-    }
-
-    fn predict_batch_with_work(&self, view: MatrixView<'_>) -> (Vec<usize>, u64) {
-        // Fixed-size row blocks keep the split deterministic at any
-        // thread count; each block walks the shared SoA pool in lockstep.
-        let parts = par::par_chunks(view.n_rows(), BATCH_ROWS, |r| self.pool.predict_rows(view, r));
-        let mut classes = Vec::with_capacity(view.n_rows());
-        let mut work = 0u64;
-        for (part, w) in parts {
-            classes.extend(part);
-            work += w;
-        }
-        (classes, work)
-    }
-
-    fn predict_batch_into(&self, view: MatrixView<'_>, out: &mut Vec<usize>) -> u64 {
-        // Serial lockstep with the trees on the OUTER loop: each tree's
-        // node lanes are pulled into cache once and stay hot across the
-        // whole matrix, instead of being re-fetched per row block. The
-        // walks and work totals are node-for-node identical to the
-        // parallel batch; `out` doubles as the vote accumulator, so the
-        // only heap touch is its one-time growth to `n_rows`.
-        let n_rows = view.n_rows();
-        out.clear();
-        out.resize(n_rows, 0);
-        let work = self.lockstep_votes(view, 0..n_rows, out);
-        let n = self.pool.roots.len();
-        for votes in out.iter_mut() {
-            *votes = usize::from(*votes * 2 > n);
-        }
-        work
-    }
-
     fn predict_batch_spans_into(
         &self,
         view: MatrixView<'_>,
@@ -907,9 +817,10 @@ impl Classifier for RandomForest {
         out: &mut Vec<usize>,
         span_work: &mut Vec<u64>,
     ) -> u64 {
-        // Same lockstep core as `predict_batch_into`, run span by span
-        // so each span's visited-node work is attributed exactly; `out`
-        // again doubles as the vote accumulator.
+        // The lockstep core, run span by span so each span's
+        // visited-node work is attributed exactly. `out` doubles as the
+        // vote accumulator, so the only heap touch is its one-time
+        // growth to the batch's row count.
         let total_rows: usize = spans.iter().map(|s| s.len).sum();
         out.clear();
         out.resize(total_rows, 0);
@@ -955,6 +866,7 @@ impl Classifier for RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classifier::predict_view;
     use crate::matrix::gather;
 
     /// Two Gaussian-ish blobs separable on feature 0.
@@ -1147,7 +1059,12 @@ mod tests {
                 RandomForest::fit(&x, &y, &ForestConfig { n_trees: 9, ..Default::default() }, &mut rng)
                     .unwrap();
             let m = FeatureMatrix::from_rows(&x).unwrap();
-            let (batch, batch_work) = forest.predict_batch_with_work(m.view());
+            let (batch, batch_work) = predict_view(&forest, m.view());
+            let whole = [RowSpan { start: 0, len: x.len() }];
+            let (mut spanned, mut span_work) = (Vec::new(), Vec::new());
+            let spanned_work =
+                forest.predict_batch_spans_into(m.view(), &whole, &mut spanned, &mut span_work);
+            assert_eq!((&spanned, spanned_work), (&batch, batch_work), "seed {seed}");
             let mut reference_work = 0u64;
             for (i, xi) in x.iter().enumerate() {
                 let mut votes = 0usize;
@@ -1167,10 +1084,10 @@ mod tests {
         }
     }
 
-    /// The span override must reproduce `predict_batch_into` exactly
-    /// (predictions and total work) for any tiling of the matrix, with
-    /// per-span work summing to the total — including spans whose length
-    /// is not a multiple of the lockstep lane width.
+    /// The span kernel must reproduce per-row `predict_with_work`
+    /// exactly (predictions, per-span work and total work) for any tiling
+    /// of the matrix — including spans whose length is not a multiple of
+    /// the lockstep lane width.
     #[test]
     fn span_batch_matches_plain_batch_for_any_tiling() {
         let mut rng = SimRng::seed_from(31);
@@ -1179,8 +1096,8 @@ mod tests {
             RandomForest::fit(&x, &y, &ForestConfig { n_trees: 7, ..Default::default() }, &mut rng)
                 .unwrap();
         let m = FeatureMatrix::from_rows(&x).unwrap();
-        let mut plain = Vec::new();
-        let plain_work = forest.predict_batch_into(m.view(), &mut plain);
+        let per_row: Vec<(usize, u64)> = x.iter().map(|xi| forest.predict_with_work(xi)).collect();
+        let classes: Vec<usize> = per_row.iter().map(|&(c, _)| c).collect();
         for lens in [vec![150], vec![64, 86], vec![1, 7, 64, 13, 65], vec![50, 0, 100]] {
             let mut spans = Vec::new();
             let mut start = 0;
@@ -1192,10 +1109,11 @@ mod tests {
             let mut span_work = Vec::new();
             let total =
                 forest.predict_batch_spans_into(m.view(), &spans, &mut spanned, &mut span_work);
-            assert_eq!(spanned, plain, "{spans:?}");
-            assert_eq!(total, plain_work, "{spans:?}");
-            assert_eq!(span_work.iter().sum::<u64>(), total, "{spans:?}");
-            assert_eq!(span_work.len(), spans.len());
+            let expected: Vec<u64> =
+                spans.iter().map(|span| span.range().map(|i| per_row[i].1).sum()).collect();
+            assert_eq!(spanned, classes, "{spans:?}");
+            assert_eq!(span_work, expected, "{spans:?}");
+            assert_eq!(total, expected.iter().sum::<u64>(), "{spans:?}");
         }
     }
 
@@ -1272,8 +1190,9 @@ mod tests {
     /// class words, and each tree's dims word, in a trained forest's
     /// blob are overwritten with 0, the node's own index (a self-loop
     /// for a child), the tree's node count and `u32::MAX`. Every mutant
-    /// must fail to decode or decode to a forest whose prediction entry
-    /// points all finish without panicking.
+    /// must fail to decode or decode to a forest whose span kernel,
+    /// whole-view and per-row predictions agree and finish without
+    /// panicking.
     #[test]
     fn decode_mutants_error_or_predict_cleanly() {
         let mut rng = SimRng::seed_from(13);
@@ -1316,10 +1235,12 @@ mod tests {
                     continue;
                 };
                 decoded += 1;
-                let (batch, work) = back.predict_batch_with_work(rows.view());
-                let mut into = Vec::new();
-                assert_eq!(back.predict_batch_into(rows.view(), &mut into), work);
-                assert_eq!(into, batch);
+                let (batch, work) = predict_view(&back, rows.view());
+                let spans = [RowSpan { start: 0, len: 15 }, RowSpan { start: 15, len: 25 }];
+                let (mut spanned, mut span_work) = (Vec::new(), Vec::new());
+                let spanned_work =
+                    back.predict_batch_spans_into(rows.view(), &spans, &mut spanned, &mut span_work);
+                assert_eq!((&spanned, spanned_work), (&batch, work));
                 for (row, &class) in x[..40].iter().zip(&batch) {
                     assert_eq!(back.predict(row), class);
                 }

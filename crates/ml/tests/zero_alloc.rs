@@ -5,21 +5,23 @@
 //! `#![forbid(unsafe_code)]` covers `src/`, the shim lives in this
 //! integration test only). After one warm-up pass grows every reusable
 //! buffer — the caller's prediction and span-work `Vec`s, the CNN's
-//! thread-local lane scratch — repeated `predict_batch_into` sweeps over
-//! a random forest and a CNN, CNN `predict_batch_spans_into` passes and
-//! single-row CNN predictions must perform **zero** heap allocations.
+//! thread-local lane scratch — repeated `predict_batch_spans_into`
+//! passes (the one batch kernel, which the live IDS tick calls) over a
+//! random forest, a CNN and a K-Means detector, and single-row CNN
+//! predictions, must perform **zero** heap allocations.
 //!
 //! This is the teeth behind the inference memory model: the SoA node
 //! pool walks flat slices, the CNN's lane kernel reuses one scratch per
-//! thread, and any regression that reintroduces a per-row, per-block or
-//! per-layer `Vec` fails here rather than showing up only as a bench
-//! slowdown.
+//! thread, K-Means sweeps its centroids in place, and any regression
+//! that reintroduces a per-call, per-row, per-block or per-layer `Vec`
+//! fails here rather than showing up only as a bench slowdown.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ml::classifier::{Classifier, RowSpan};
 use ml::cnn::{Cnn, CnnConfig};
+use ml::kmeans::{KMeansConfig, KMeansDetector};
 use ml::matrix::FeatureMatrix;
 use ml::rf::{ForestConfig, RandomForest};
 use netsim::rng::SimRng;
@@ -95,17 +97,16 @@ fn steady_state_prediction_allocates_nothing() {
     .unwrap();
     let cnn_config = CnnConfig { input_len: DIMS, epochs: 1, ..CnnConfig::default() };
     let cnn = Cnn::fit_view(matrix.view(), &labels, &cnn_config, &mut rng).unwrap();
+    let kmeans =
+        KMeansDetector::fit_view(matrix.view(), &labels, &KMeansConfig::default(), &mut rng)
+            .unwrap();
+    let models: [&dyn Classifier; 3] = [&forest, &cnn, &kmeans];
 
-    // Warm-up: grow the caller's output buffers and the CNN's
-    // thread-local lane scratch to their working set.
-    let mut predictions = Vec::new();
-    let warm_work = forest.predict_batch_into(matrix.view(), &mut predictions);
-    assert!(warm_work > 0);
-    assert_eq!(predictions.len(), matrix.n_rows());
     let n = matrix.n_rows();
-    // Uneven spans, so lane blocks straddle span boundaries and the
-    // pass ends on a partial block.
-    let spans = [
+    // One span over every row, and uneven spans, so lane blocks straddle
+    // span boundaries and passes end on partial blocks.
+    let whole = [RowSpan { start: 0, len: n }];
+    let uneven = [
         RowSpan { start: 0, len: 13 },
         RowSpan { start: 13, len: 0 },
         RowSpan {
@@ -117,45 +118,63 @@ fn steady_state_prediction_allocates_nothing() {
             len: 6,
         },
     ];
-    let mut cnn_predictions = Vec::new();
+
+    // Warm-up: grow the caller's output buffers and the CNN's
+    // thread-local lane scratch to their working set.
+    let mut predictions = Vec::new();
     let mut span_work = Vec::new();
-    let cnn_work = cnn.predict_batch_into(matrix.view(), &mut cnn_predictions);
-    let span_total =
-        cnn.predict_batch_spans_into(matrix.view(), &spans, &mut cnn_predictions, &mut span_work);
+    let mut warm = Vec::new();
+    for model in models {
+        for spans in [&whole[..], &uneven[..]] {
+            let work =
+                model.predict_batch_spans_into(matrix.view(), spans, &mut predictions, &mut span_work);
+            assert!(work > 0, "{}", model.name());
+            warm.push((work, predictions.clone()));
+        }
+    }
     let warm_class = cnn.predict(matrix.row(0));
 
-    // Steady state: full-dataset forest and CNN sweeps, span passes and
-    // per-row CNN calls, with the allocator watching.
+    // Steady state: every model's span passes and per-row CNN calls,
+    // with the allocator watching, for each model on its own so a
+    // failure names the model that allocated.
+    let mut checksum = 0usize;
+    for (m, model) in models.iter().enumerate() {
+        COUNTING.with(|c| c.set(true));
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        for _ in 0..5 {
+            for (s, spans) in [&whole[..], &uneven[..]].into_iter().enumerate() {
+                let work = model.predict_batch_spans_into(
+                    matrix.view(),
+                    spans,
+                    &mut predictions,
+                    &mut span_work,
+                );
+                assert_eq!((work, &predictions), (warm[2 * m + s].0, &warm[2 * m + s].1));
+                checksum += predictions.iter().sum::<usize>();
+            }
+        }
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        COUNTING.with(|c| c.set(false));
+        assert_eq!(
+            after - before,
+            0,
+            "{}: steady-state span passes allocated {} times (checksum {checksum})",
+            model.name(),
+            after - before
+        );
+    }
+
     COUNTING.with(|c| c.set(true));
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let mut checksum = 0usize;
-    for _ in 0..5 {
-        forest.predict_batch_into(matrix.view(), &mut predictions);
-        checksum += predictions.iter().sum::<usize>();
-        assert_eq!(
-            cnn.predict_batch_into(matrix.view(), &mut cnn_predictions),
-            cnn_work
-        );
-        checksum += cnn_predictions.iter().sum::<usize>();
-        let total = cnn.predict_batch_spans_into(
-            matrix.view(),
-            &spans,
-            &mut cnn_predictions,
-            &mut span_work,
-        );
-        assert_eq!(total, span_total);
-        checksum += cnn_predictions.iter().sum::<usize>();
-    }
     for i in 0..matrix.n_rows() {
         checksum += cnn.predict(matrix.row(i));
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     COUNTING.with(|c| c.set(false));
-
     assert_eq!(
         after - before,
         0,
-        "steady-state prediction allocated {} times (checksum {checksum})",
+        "CNN single-row prediction allocated {} times (checksum {checksum})",
         after - before
     );
     assert_eq!(cnn.predict(matrix.row(0)), warm_class);

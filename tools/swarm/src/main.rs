@@ -112,7 +112,7 @@ fn main() {
                 let mut report =
                     run_swarm_case(case, args.scenario_seed, swarm_seed, scale, &models);
                 // Double-run a deterministic sample of seeds.
-                if args.determinism_every > 0 && swarm_seed % args.determinism_every == 0 {
+                if args.determinism_every > 0 && swarm_seed.is_multiple_of(args.determinism_every) {
                     if let Some(v) = check_determinism(
                         case,
                         args.scenario_seed,
@@ -127,7 +127,7 @@ fn main() {
                     failures.lock().unwrap().push(report);
                 }
                 let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if n % 32 == 0 || n == total {
+                if n.is_multiple_of(32) || n == total {
                     eprintln!("swarm: {n}/{total} runs complete");
                 }
             });
