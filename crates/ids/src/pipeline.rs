@@ -206,9 +206,9 @@ impl TrainedIds {
     ///
     /// # Panics
     ///
-    /// Panics if the fitted scaler's arity does not match the feature
-    /// layout; [`TrainedIds::try_classify_window`] reports that as a
-    /// [`ClassifyError`] instead.
+    /// Panics if the fitted scaler's or the model's arity does not match
+    /// the feature layout; [`TrainedIds::try_classify_window`] reports
+    /// that as a [`ClassifyError`] instead.
     pub fn classify_window(&self, window: &Window) -> WindowDetection {
         let mut scratch = FeatureMatrix::new(TOTAL_FEATURES);
         self.try_classify_window(window, &mut scratch, &mut Vec::new())
@@ -220,17 +220,19 @@ impl TrainedIds {
     /// caller-owned buffer through the model's span kernel, with the
     /// whole matrix as one span. Both buffers are reused window after
     /// window; the one-entry span-work vector is built per call. Arity
-    /// mismatches between the scratch matrix, the fitted scaler and the
-    /// feature layout come back as a [`ClassifyError`] instead of a
-    /// panic.
+    /// mismatches between the scratch matrix, the fitted scaler, the
+    /// model and the feature layout come back as a [`ClassifyError`]
+    /// instead of a panic.
     ///
     /// # Errors
     ///
     /// Returns [`ClassifyError::ScratchArity`] when `scratch` was not
-    /// created with [`TOTAL_FEATURES`] columns, and
+    /// created with [`TOTAL_FEATURES`] columns,
     /// [`ClassifyError::ScalerArity`] when the fitted scaler expects a
-    /// different feature count (e.g. a model assembled via
-    /// [`TrainedIds::from_parts`] from an incompatible pipeline).
+    /// different feature count, and [`ClassifyError::ModelArity`] when
+    /// the model was fitted on rows of another width (e.g. parts
+    /// assembled via [`TrainedIds::from_parts`] from an incompatible
+    /// pipeline).
     pub fn try_classify_window(
         &self,
         window: &Window,
@@ -249,8 +251,9 @@ impl TrainedIds {
     /// The arity preconditions of a classify pass, shared by the
     /// per-window path and the serving layer's coalesced batch (which
     /// checks once per batch instead of once per window — the checks
-    /// depend only on the scratch matrix and the fitted scaler, never on
-    /// the windows).
+    /// depend only on the scratch matrix, the fitted scaler and the
+    /// model, never on the windows). A model that reads any width
+    /// ([`Classifier::input_dims`] is `None`) passes the model check.
     ///
     /// # Errors
     ///
@@ -267,6 +270,16 @@ impl TrainedIds {
             return Err(ClassifyError::ScalerArity {
                 expected: TOTAL_FEATURES,
                 got: self.scaler.dims(),
+            });
+        }
+        if let Some(got) = self
+            .model
+            .input_dims()
+            .filter(|&dims| dims != TOTAL_FEATURES)
+        {
+            return Err(ClassifyError::ModelArity {
+                expected: TOTAL_FEATURES,
+                got,
             });
         }
         Ok(())
@@ -318,6 +331,14 @@ pub enum ClassifyError {
         /// The scaler's fitted dimensionality.
         got: usize,
     },
+    /// The model was fitted on rows of a different width than the
+    /// extraction layout produces.
+    ModelArity {
+        /// Expected feature count ([`TOTAL_FEATURES`]).
+        expected: usize,
+        /// The model's input width ([`Classifier::input_dims`]).
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for ClassifyError {
@@ -328,6 +349,12 @@ impl std::fmt::Display for ClassifyError {
             }
             ClassifyError::ScalerArity { expected, got } => {
                 write!(f, "scaler fitted for {got} features, feature layout needs {expected}")
+            }
+            ClassifyError::ModelArity { expected, got } => {
+                write!(
+                    f,
+                    "model fitted for {got} features, feature layout needs {expected}"
+                )
             }
         }
     }
@@ -595,6 +622,73 @@ mod tests {
             .try_classify_window(&windows[0], &mut bad_scratch, &mut predictions)
             .unwrap_err();
         assert_eq!(err, ClassifyError::ScratchArity { expected: TOTAL_FEATURES, got: 3 });
+    }
+
+    /// Two-class rows `dims` wide, far apart in every feature.
+    fn two_class_rows(dims: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
+        let rows = (0..40)
+            .map(|i| {
+                (0..dims)
+                    .map(|j| ((i % 2) * 5 + i * (j + 1) % 3) as f64)
+                    .collect()
+            })
+            .collect();
+        (rows, (0..40).map(|i| i % 2).collect())
+    }
+
+    /// A model fitted one feature narrower or wider than the layout is a
+    /// typed error before predict, for each of the paper's models: the
+    /// CNN would trip its arity assert, a wider K-Means would slice past
+    /// the row and a narrower one read a prefix of it, and the forest
+    /// reads features by index. A model of the layout's width passes.
+    #[test]
+    fn wrong_width_model_is_an_arity_error() {
+        let mut scaler_rows = vec![vec![0.0; TOTAL_FEATURES], vec![1.0; TOTAL_FEATURES]];
+        let scaler = Scaler::fit_transform(ScalingMethod::MinMax, &mut scaler_rows);
+        let live = synthetic_capture(2, 2);
+        let windows = features::extract::windows_of(&live, 1);
+        let kinds = [
+            ModelKind::RandomForest(ForestConfig {
+                n_trees: 3,
+                ..ForestConfig::default()
+            }),
+            ModelKind::KMeans(KMeansConfig {
+                k_max: 2,
+                ..KMeansConfig::default()
+            }),
+            ModelKind::Cnn(CnnConfig {
+                epochs: 1,
+                ..CnnConfig::default()
+            }),
+        ];
+        for kind in &kinds {
+            for dims in [TOTAL_FEATURES - 1, TOTAL_FEATURES, TOTAL_FEATURES + 1] {
+                let (rows, labels) = two_class_rows(dims);
+                let mut rng = SimRng::seed_from(dims as u64);
+                let model = train_model(kind, &rows, &labels, &mut rng).unwrap();
+                assert_eq!(model.input_dims(), Some(dims), "{}", kind.name());
+                let ids = TrainedIds::from_parts(model, scaler.clone(), IdsConfig::default());
+                let mut scratch = FeatureMatrix::new(TOTAL_FEATURES);
+                let result = ids.try_classify_window(&windows[0], &mut scratch, &mut Vec::new());
+                if dims == TOTAL_FEATURES {
+                    assert!(result.is_ok(), "{}: {result:?}", kind.name());
+                } else {
+                    let err = result.unwrap_err();
+                    assert_eq!(
+                        err,
+                        ClassifyError::ModelArity {
+                            expected: TOTAL_FEATURES,
+                            got: dims
+                        },
+                        "{}",
+                        kind.name()
+                    );
+                    assert!(err
+                        .to_string()
+                        .contains(&format!("model fitted for {dims} features")));
+                }
+            }
+        }
     }
 
     #[test]

@@ -1510,11 +1510,12 @@ mod tests {
     use capture::record::Label;
     use capture::sniffer::{sniffer_pair, Sniffer, SnifferFilter};
     use features::scaling::{Scaler, ScalingMethod};
+    use ml::cnn::CnnConfig;
     use netsim::packet::{Packet, Protocol, Provenance};
     use netsim::tap::{PacketTap, TapMeta};
     use netsim::{Addr, LinkId, NodeId};
 
-    use crate::pipeline::IdsConfig;
+    use crate::pipeline::{train_model, IdsConfig};
 
     fn record(secs: u64, offset_ms: u64) -> PacketRecord {
         PacketRecord {
@@ -1717,6 +1718,53 @@ mod tests {
         assert_eq!((late.window_index, late.packets), (3, bound - 60_000));
         assert!(late.degraded, "a late window is degraded, not shed");
         assert_eq!(handle.tenant_counters("paper").unwrap().windows_degraded, 1);
+    }
+
+    /// A champion fitted on rows one feature narrower than the layout is
+    /// a classify error, not a panic: every window it meets is logged
+    /// degraded, the errors are counted, and the service keeps ticking
+    /// and finalizes with every window and record accounted.
+    #[test]
+    fn wrong_width_champion_degrades_windows_and_keeps_serving() {
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![(i % 2) as f64 * 5.0 + (i % 3) as f64; TOTAL_FEATURES - 1])
+            .collect();
+        let labels: Vec<usize> = (0..40).map(|i| i % 2).collect();
+        let cnn = CnnConfig {
+            epochs: 1,
+            ..CnnConfig::default()
+        };
+        let model = train_model(
+            &ModelKind::Cnn(cnn),
+            &rows,
+            &labels,
+            &mut SimRng::seed_from(5),
+        )
+        .unwrap();
+        let mut scaler_rows = vec![vec![0.0; TOTAL_FEATURES], vec![1.0; TOTAL_FEATURES]];
+        let scaler = Scaler::fit_transform(ScalingMethod::MinMax, &mut scaler_rows);
+        let ids = TrainedIds::from_parts(model, scaler, IdsConfig::default());
+        let (mut tap, feed) = sniffer_pair(SnifferFilter::All);
+        let (service, handle) = serving_pair(
+            ServingConfig::new(ids),
+            vec![(TenantConfig::paper("paper"), feed)],
+            ResourceMeter::new(),
+        );
+        for secs in 0..5 {
+            capture(&mut tap, SimTime::from_millis(secs * 1000 + 500), 50);
+            service
+                .core
+                .borrow_mut()
+                .tick(SimTime::from_secs(secs + 1), 1.0);
+        }
+        handle.finalize();
+        let c = handle.tenant_counters("paper").expect("the tenant");
+        let log = handle.tenant_log("paper").expect("the tenant");
+        assert_eq!(log.len(), 5);
+        assert_eq!(log.degraded_count(), log.len());
+        assert_eq!((c.windows_classified, c.windows_degraded), (0, 5));
+        assert_eq!(c.classify_errors, 5);
+        assert_eq!(handle.conservation_violation(), None);
     }
 
     #[test]

@@ -237,6 +237,10 @@ impl Classifier for Autoencoder {
         usize::from(self.reconstruction_error(features) > self.threshold)
     }
 
+    fn input_dims(&self) -> Option<usize> {
+        Some(self.enc1.input)
+    }
+
     fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         e.put_u32(AE_MAGIC);

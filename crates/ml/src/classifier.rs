@@ -94,6 +94,15 @@ pub trait Classifier: Send + Sync {
         total
     }
 
+    /// The row width the model was fitted on, for a model that reads a
+    /// fixed number of features; `None` (the default) for one that takes
+    /// rows of any width. The IDS compares it with its feature layout
+    /// before it predicts, so a model of the wrong width is a typed
+    /// error there rather than a panic or a silent prefix read here.
+    fn input_dims(&self) -> Option<usize> {
+        None
+    }
+
     /// Serialises the model (the PKL-file analogue). The blob length is
     /// the paper's "Model Size" metric.
     fn encode(&self) -> Vec<u8>;

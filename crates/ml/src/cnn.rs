@@ -19,9 +19,9 @@
 //! folded in chunk order before the Adam step — so the fitted network is
 //! identical at any thread count.
 //!
-//! Inference runs one serial kernel over eight rows at a time
-//! (`Cnn::forward_lanes`, DESIGN.md §11.2), bit-identical to the
-//! training forward pass row by row.
+//! Inference runs one serial kernel over sixteen rows at a time
+//! (`Cnn::forward_lanes`, DESIGN.md §11.2), as AVX2 code on a CPU that
+//! has it, bit-identical to the training forward pass row by row.
 
 use std::cell::RefCell;
 
@@ -83,12 +83,12 @@ impl Default for CnnConfig {
 const CLASSES: usize = 2;
 
 /// Rows per block of the inference kernel ([`Cnn::forward_lanes`]).
-/// Eight `f64` lanes fill four SSE2 registers, so the two accumulator
+/// Sixteen `f64` lanes fill four AVX2 registers, so the two accumulator
 /// sets a fused conv output needs (even and odd pool positions) take
-/// eight of the sixteen. Narrower blocks run fewer independent add
-/// chains than the adder can overlap; wider ones are no faster
-/// (DESIGN.md §11.2).
-const LANES: usize = 8;
+/// eight of the sixteen. Both copies of the block loop use this one
+/// width, so [`Cnn::memory_bytes`] does not depend on the host; sixteen
+/// ran faster per row than eight in both copies (DESIGN.md §11.2).
+const LANES: usize = 16;
 
 /// A 1-D convolution layer with same-padding.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,6 +156,7 @@ impl Conv1d {
     /// `(i, k)` in [`Conv1d::forward`]'s order. A tap that falls in the
     /// padding adds `w · 0.0`, which the reference skips; with finite
     /// weights that leaves every nonzero sum unchanged (DESIGN.md §11.2).
+    #[inline(always)]
     fn forward_lanes<const L: usize>(
         &self,
         input: &[[f64; L]],
@@ -574,6 +575,7 @@ impl Cnn {
     /// the reference's order, so its probabilities are bit-identical to
     /// the nested-`Vec` [`Cnn::forward`], which stays as the oracle and
     /// the training path.
+    #[inline(always)]
     fn forward_lanes<const L: usize>(
         &self,
         rows: &[&[f64]; L],
@@ -612,6 +614,11 @@ impl Cnn {
     /// Blocks ignore span boundaries; a partial tail block fills its
     /// spare lanes with its first row and drops their outputs.
     ///
+    /// On an x86-64 CPU with AVX2 the block loop runs as
+    /// [`Cnn::lane_blocks_avx2`], the same source compiled for AVX2;
+    /// everywhere else it runs as [`Cnn::lane_blocks`]. Both give the
+    /// same bits (DESIGN.md §11.2).
+    ///
     /// # Panics
     ///
     /// Panics if a non-empty view's row arity differs from the network's
@@ -619,8 +626,8 @@ impl Cnn {
     fn forward_rows(
         &self,
         view: MatrixView<'_>,
-        mut rows: impl Iterator<Item = usize>,
-        mut sink: impl FnMut(&[[f64; CLASSES]]),
+        rows: impl Iterator<Item = usize>,
+        sink: impl FnMut(&[[f64; CLASSES]]),
     ) {
         assert!(
             view.is_empty() || view.n_cols() == self.config.input_len,
@@ -631,21 +638,65 @@ impl Cnn {
         PREDICT_SCRATCH.with(|s| {
             let mut s = s.borrow_mut();
             s.prepare(self, LANES);
-            loop {
-                let mut block = [0usize; LANES];
-                let mut n = 0;
-                for (slot, row) in block.iter_mut().zip(&mut rows) {
-                    *slot = row;
-                    n += 1;
-                }
-                if n == 0 {
-                    break;
-                }
-                let lanes: [&[f64]; LANES] =
-                    std::array::from_fn(|l| view.row(block[if l < n { l } else { 0 }]));
-                sink(&self.forward_lanes(&lanes, &mut s)[..n]);
+            // The dispatch sits inside this closure: a closure keeps the
+            // target features of the function that defines it, so an
+            // AVX2 function around `with` would leave the loop SSE2.
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: `lane_blocks_avx2` enables only `avx2`, and the
+                // CPU running this thread was just found to support it.
+                return unsafe { self.lane_blocks_avx2(view, rows, sink, &mut s) };
             }
+            self.lane_blocks(view, rows, sink, &mut s);
         });
+    }
+
+    /// The block loop of [`Cnn::forward_rows`] over a scratch prepared
+    /// for [`LANES`] lanes. Always inlined, as are the layer kernels it
+    /// calls, so each caller compiles the whole kernel with its own
+    /// target features: this body is the baseline copy, and
+    /// [`Cnn::lane_blocks_avx2`] is the AVX2 copy.
+    #[inline(always)]
+    fn lane_blocks(
+        &self,
+        view: MatrixView<'_>,
+        mut rows: impl Iterator<Item = usize>,
+        mut sink: impl FnMut(&[[f64; CLASSES]]),
+        s: &mut LaneScratch,
+    ) {
+        loop {
+            let mut block = [0usize; LANES];
+            let mut n = 0;
+            for (slot, row) in block.iter_mut().zip(&mut rows) {
+                *slot = row;
+                n += 1;
+            }
+            if n == 0 {
+                break;
+            }
+            let lanes: [&[f64]; LANES] =
+                std::array::from_fn(|l| view.row(block[if l < n { l } else { 0 }]));
+            sink(&self.forward_lanes(&lanes, s)[..n]);
+        }
+    }
+
+    /// [`Cnn::lane_blocks`] compiled for AVX2, whose 256-bit registers
+    /// hold four `f64` lanes where SSE2's hold two. The lanes' adds and
+    /// multiplies, and their order, are unchanged: `avx2` does not
+    /// enable `fma`, and Rust never contracts `a * b + c` into one.
+    /// Code not compiled for AVX2 must find AVX2 on the CPU before it
+    /// calls this, as [`Cnn::forward_rows`] does.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn lane_blocks_avx2(
+        &self,
+        view: MatrixView<'_>,
+        rows: impl Iterator<Item = usize>,
+        sink: impl FnMut(&[[f64; CLASSES]]),
+        s: &mut LaneScratch,
+    ) {
+        self.lane_blocks(view, rows, sink, s);
     }
 
     /// Class probabilities of one row, through the one-lane kernel.
@@ -869,6 +920,10 @@ impl Classifier for Cnn {
         (self.predict(features), self.macs_per_row())
     }
 
+    fn input_dims(&self) -> Option<usize> {
+        Some(self.config.input_len)
+    }
+
     fn predict_batch_spans_into(
         &self,
         view: MatrixView<'_>,
@@ -1068,17 +1123,48 @@ mod tests {
         probs.iter().map(|p| p.to_bits()).collect()
     }
 
+    /// The two copies of the block loop a test can reach: the one
+    /// `forward_rows` dispatches to (the AVX2 copy on a CPU with AVX2),
+    /// and the baseline body, called directly.
+    #[derive(Debug, Clone, Copy)]
+    enum BlockLoop {
+        Dispatched,
+        Baseline,
+    }
+
+    const BLOCK_LOOPS: [BlockLoop; 2] = [BlockLoop::Dispatched, BlockLoop::Baseline];
+
+    /// Says so when `forward_rows` cannot take its AVX2 arm on this CPU:
+    /// the dispatched path is then the baseline copy again, and the
+    /// AVX2 copy goes untested.
+    fn report_missing_avx2_arm() {
+        #[cfg(target_arch = "x86_64")]
+        let runs = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let runs = false;
+        if !runs {
+            println!("no AVX2 on this CPU: the AVX2 arm of the CNN block loop did not run");
+        }
+    }
+
     /// The lane kernel's probabilities for the `view` rows named by
-    /// `rows`, as bit patterns.
+    /// `rows`, through `block_loop`, as bit patterns.
     fn lane_bits(
         net: &Cnn,
         view: MatrixView<'_>,
         rows: impl Iterator<Item = usize>,
+        block_loop: BlockLoop,
     ) -> Vec<Vec<u64>> {
         let mut out = Vec::new();
-        net.forward_rows(view, rows, |probs| {
-            out.extend(probs.iter().map(|p| bits(p)))
-        });
+        let sink = |probs: &[[f64; CLASSES]]| out.extend(probs.iter().map(|p| bits(p)));
+        match block_loop {
+            BlockLoop::Dispatched => net.forward_rows(view, rows, sink),
+            BlockLoop::Baseline => {
+                let mut s = LaneScratch::default();
+                s.prepare(net, LANES);
+                net.lane_blocks(view, rows, sink, &mut s);
+            }
+        }
         out
     }
 
@@ -1113,10 +1199,12 @@ mod tests {
     /// across seeds, for single rows (one lane) and for every row count
     /// through two full blocks and a partial tail, on subset views with
     /// repeats and on span tilings with empty spans and spans straddling
-    /// a lane block. The span kernel and `predict_view` must agree with
-    /// per-row prediction on classes and work.
+    /// a lane block, through both copies of the block loop. The span
+    /// kernel and `predict_view` must agree with per-row prediction on
+    /// classes and work.
     #[test]
     fn lane_kernel_matches_reference_bits() {
+        report_missing_avx2_arm();
         for seed in 31..36u64 {
             let mut rng = SimRng::seed_from(seed);
             let config = tiny_config();
@@ -1135,20 +1223,24 @@ mod tests {
                         "seed {seed}: one-lane kernel diverged"
                     );
                 }
-                assert_eq!(
-                    lane_bits(net, m.view(), 0..x.len()),
-                    reference,
-                    "seed {seed}: full view"
-                );
+                for block_loop in BLOCK_LOOPS {
+                    assert_eq!(
+                        lane_bits(net, m.view(), 0..x.len(), block_loop),
+                        reference,
+                        "seed {seed}, {block_loop:?}: full view"
+                    );
+                }
                 for n in 0..=2 * LANES + 1 {
                     let ix: Vec<usize> = (0..n).map(|i| (i * 7 + seed as usize) % 11).collect();
                     let view = m.subset(&ix);
                     let want: Vec<Vec<u64>> = ix.iter().map(|&i| reference[i].clone()).collect();
-                    assert_eq!(
-                        lane_bits(net, view, 0..n),
-                        want,
-                        "seed {seed}: {n} subset rows"
-                    );
+                    for block_loop in BLOCK_LOOPS {
+                        assert_eq!(
+                            lane_bits(net, view, 0..n, block_loop),
+                            want,
+                            "seed {seed}, {block_loop:?}: {n} subset rows"
+                        );
+                    }
                     let all = [RowSpan { start: 0, len: n }];
                     assert_batch_matches_per_row(net, view, &all);
                 }
@@ -1161,25 +1253,45 @@ mod tests {
                         RowSpan { start: 0, len: 0 },
                         RowSpan { start: 0, len: 3 },
                         RowSpan { start: 3, len: 0 },
-                        RowSpan { start: 3, len: 9 },
-                        RowSpan { start: 12, len: 5 },
-                        RowSpan { start: 17, len: 0 },
+                        RowSpan {
+                            start: 3,
+                            len: LANES + 1,
+                        },
+                        RowSpan {
+                            start: LANES + 4,
+                            len: LANES - 3,
+                        },
+                        RowSpan {
+                            start: 2 * LANES + 1,
+                            len: 0,
+                        },
                     ],
                     &[
-                        RowSpan { start: 1, len: 7 },
-                        RowSpan { start: 8, len: 0 },
-                        RowSpan { start: 10, len: 7 },
+                        RowSpan {
+                            start: 1,
+                            len: LANES - 1,
+                        },
+                        RowSpan {
+                            start: LANES,
+                            len: 0,
+                        },
+                        RowSpan {
+                            start: LANES + 2,
+                            len: LANES - 1,
+                        },
                     ],
                     &[],
                 ];
                 for spans in tilings {
                     let rows: Vec<usize> = spans.iter().flat_map(RowSpan::range).collect();
                     let want: Vec<Vec<u64>> = rows.iter().map(|&i| reference[i].clone()).collect();
-                    assert_eq!(
-                        lane_bits(net, view, rows.iter().copied()),
-                        want,
-                        "seed {seed}: spans {spans:?}"
-                    );
+                    for block_loop in BLOCK_LOOPS {
+                        assert_eq!(
+                            lane_bits(net, view, rows.iter().copied(), block_loop),
+                            want,
+                            "seed {seed}, {block_loop:?}: spans {spans:?}"
+                        );
+                    }
                     assert_batch_matches_per_row(net, view, spans);
                 }
             }
@@ -1198,17 +1310,36 @@ mod tests {
         m
     }
 
-    /// Runs every prediction path of `net` once.
+    /// Runs every prediction path of `net` once, and checks both copies
+    /// of the block loop against the reference forward pass bit for bit.
     fn exercise(net: &Cnn) {
         let m = probe_rows(net.config().input_len);
         let (classes, _) = predict_view(net, m.view());
         assert_eq!(classes.len(), m.n_rows());
         assert_eq!(net.predict(m.row(0)), classes[0]);
         assert_eq!(net.predict_proba(m.row(1)).len(), CLASSES);
-        let spans = [RowSpan { start: 0, len: 9 }, RowSpan { start: 9, len: 8 }];
+        let spans = [
+            RowSpan {
+                start: 0,
+                len: LANES + 1,
+            },
+            RowSpan {
+                start: LANES + 1,
+                len: LANES,
+            },
+        ];
         let mut out = Vec::new();
         let _ = net.predict_batch_spans_into(m.view(), &spans, &mut out, &mut Vec::new());
         assert_eq!(out, classes);
+        let reference: Vec<Vec<u64>> = (0..m.n_rows())
+            .map(|i| bits(&net.forward(m.row(i)).probs))
+            .collect();
+        for block_loop in BLOCK_LOOPS {
+            assert_eq!(
+                lane_bits(net, m.view(), 0..m.n_rows(), block_loop),
+                reference
+            );
+        }
     }
 
     /// The unchecked decoder's two shown defects — a conv1 weight vector
@@ -1259,9 +1390,11 @@ mod tests {
     /// parameter-vector length prefix of a valid blob is overwritten with
     /// a spread of values. Every mutant must either fail to decode or
     /// decode to a network whose prediction paths all run to completion
-    /// without panicking.
+    /// without panicking, with both copies of the block loop matching
+    /// the reference forward pass.
     #[test]
     fn decode_mutants_error_or_predict_cleanly() {
+        report_missing_avx2_arm();
         let mut rng = SimRng::seed_from(10);
         let (x, y) = separable_data(64, 8, &mut rng);
         let net = Cnn::fit(

@@ -245,6 +245,8 @@ impl IsolationForest {
     }
 }
 
+// `input_dims` keeps its `None` default: the forest records no width,
+// only the feature indices its splits read.
 impl Classifier for IsolationForest {
     fn name(&self) -> &'static str {
         "IF"

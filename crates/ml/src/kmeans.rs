@@ -495,6 +495,12 @@ impl Classifier for KMeansDetector {
         (self.predict(features), self.work_per_row())
     }
 
+    fn input_dims(&self) -> Option<usize> {
+        // Fitting and decoding both leave at least one centroid, all of
+        // one width.
+        self.model.centroids().first().map(Vec::len)
+    }
+
     fn predict_batch_spans_into(
         &self,
         view: MatrixView<'_>,

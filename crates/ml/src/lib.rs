@@ -25,7 +25,10 @@
 //! helpers the trainers fan work out with).
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// One `unsafe` block: the CNN's AVX2 dispatch (`cnn.rs`), allowed there
+// alone. Any other needs its own allow and a `SAFETY` comment.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod autoencoder;
 pub mod classifier;

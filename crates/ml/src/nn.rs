@@ -45,6 +45,7 @@ impl Dense {
     /// from `Iterator::sum`'s starting value, then added to the bias — so
     /// every lane is bit-identical to a one-row pass. The `L`
     /// accumulators stay in registers across the whole input.
+    #[inline(always)]
     pub(crate) fn forward_lanes<const L: usize>(&self, x: &[[f64; L]], out: &mut [[f64; L]]) {
         let start: f64 = std::iter::empty::<f64>().sum();
         for (o, y) in out.iter_mut().enumerate() {
@@ -76,7 +77,9 @@ impl Dense {
     }
 }
 
-/// In-place ReLU.
+/// In-place ReLU. Always inlined, so the CNN's AVX2 kernel copy
+/// (`Cnn::lane_blocks_avx2`) compiles it with its own features.
+#[inline(always)]
 pub fn relu(x: &mut [f64]) {
     for v in x {
         if *v < 0.0 {

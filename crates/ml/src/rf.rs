@@ -810,6 +810,10 @@ impl Classifier for RandomForest {
         self.pool.predict_with_work(features)
     }
 
+    fn input_dims(&self) -> Option<usize> {
+        Some(self.dims)
+    }
+
     fn predict_batch_spans_into(
         &self,
         view: MatrixView<'_>,

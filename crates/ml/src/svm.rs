@@ -130,6 +130,10 @@ impl Classifier for LinearSvm {
         usize::from(self.decision(features) >= 0.0)
     }
 
+    fn input_dims(&self) -> Option<usize> {
+        Some(self.weights.len())
+    }
+
     fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         e.put_u32(SVM_MAGIC);

@@ -2,7 +2,7 @@
 //!
 //! A counting global allocator wraps the system allocator (the same
 //! harness as `netsim`'s flood test; the crate-level
-//! `#![forbid(unsafe_code)]` covers `src/`, the shim lives in this
+//! `#![deny(unsafe_code)]` covers `src/`, the shim lives in this
 //! integration test only). After one warm-up pass grows every reusable
 //! buffer — the caller's prediction and span-work `Vec`s, the CNN's
 //! thread-local lane scratch — repeated `predict_batch_spans_into`

@@ -11,20 +11,25 @@
 //! - the live run's full telemetry text export,
 //! - the per-window alert stream (`DetectionLog::serialize_compact`).
 //!
+//! A second live run on the same capture pins the CNN's alert stream
+//! (`alerts_cnn.txt`), the one fixture its inference kernel reaches.
+//!
 //! It also asserts plain same-seed reproducibility (two in-process runs
 //! are byte-identical), independent of the fixtures.
 //!
 //! To regenerate the fixtures after an *intentional* behaviour change:
 //! `UPDATE_IDENTITY_FIXTURES=1 cargo test --test identity`.
 
+use capture::dataset::Dataset;
 use capture::record::PacketRecord;
 use ddoshield::experiments::{
     chaos_scenario, detection_scenario, training_scenario, ExperimentScale,
 };
-use ddoshield::Testbed;
+use ddoshield::{LiveReport, Testbed};
 use features::extract::{Window, WindowAggregator, DEFAULT_ACK_GRACE_SECS};
 use features::window::{AckGrace, WindowStats};
 use ids::pipeline::{IdsConfig, ModelKind, TrainedIds};
+use ml::cnn::CnnConfig;
 use ml::kmeans::KMeansConfig;
 use netsim::time::SimDuration;
 use netsim::SimRng;
@@ -36,34 +41,45 @@ fn scale() -> ExperimentScale {
     ExperimentScale { capture_secs: 40, live_secs: 30, max_train_samples: 2_000, cnn_epochs: 2 }
 }
 
-/// One full capture → train → live pass at a fixed seed, returning
-/// (dataset CSV, telemetry text, alert stream).
-fn produce_artifacts() -> (String, String, String) {
+/// The fixed-seed training capture every pinned artifact starts from.
+fn training_capture() -> Dataset {
     let scale = scale();
-
     let mut testbed = Testbed::deploy(training_scenario(SEED, scale.capture_secs));
     testbed.run_infection_lead();
-    let capture = testbed.run_capture(SimDuration::from_secs(scale.capture_secs));
-    let mut csv = Vec::new();
-    capture.write_csv(&mut csv).expect("write to Vec cannot fail");
-    let dataset_csv = String::from_utf8(csv).expect("csv is ascii");
+    testbed.run_capture(SimDuration::from_secs(scale.capture_secs))
+}
 
+/// Trains `kind` on `capture`, drawing from an RNG seeded with
+/// `train_seed`, and runs it live on the fixed-seed detection scenario.
+fn train_and_run_live(capture: &Dataset, kind: &ModelKind, train_seed: u64) -> LiveReport {
+    let scale = scale();
     let ids_config = IdsConfig { max_train_samples: scale.max_train_samples, ..IdsConfig::default() };
-    let mut rng = SimRng::seed_from(SEED ^ 0x7ea1);
-    let outcome = TrainedIds::train(
-        &capture,
-        &ModelKind::KMeans(KMeansConfig { k_max: 24, ..KMeansConfig::default() }),
-        ids_config,
-        &mut rng,
-    )
-    .expect("training capture contains both classes");
+    let mut rng = SimRng::seed_from(train_seed);
+    let outcome = TrainedIds::train(capture, kind, ids_config, &mut rng)
+        .expect("training capture contains both classes");
 
     let epoch_offset = scale.capture_secs + 5;
     let mut live = Testbed::deploy(detection_scenario(SEED, scale.live_secs, epoch_offset));
     live.run_infection_lead();
     let _ = live.run_capture(SimDuration::from_secs(epoch_offset));
-    let report = live.run_live(SimDuration::from_secs(scale.live_secs), outcome.ids);
+    live.run_live(SimDuration::from_secs(scale.live_secs), outcome.ids)
+}
 
+/// One full capture → train → live pass at a fixed seed, returning
+/// (dataset CSV, telemetry text, alert stream).
+fn produce_artifacts() -> (String, String, String) {
+    let capture = training_capture();
+    let mut csv = Vec::new();
+    capture
+        .write_csv(&mut csv)
+        .expect("write to Vec cannot fail");
+    let dataset_csv = String::from_utf8(csv).expect("csv is ascii");
+
+    let kmeans = ModelKind::KMeans(KMeansConfig {
+        k_max: 24,
+        ..KMeansConfig::default()
+    });
+    let report = train_and_run_live(&capture, &kmeans, SEED ^ 0x7ea1);
     let telemetry = report.telemetry.render_text();
     let alerts = report.log.serialize_compact();
     (dataset_csv, telemetry, alerts)
@@ -117,6 +133,36 @@ fn pipeline_outputs_are_byte_identical_to_golden_and_across_runs() {
     );
     check_fixture("telemetry.txt", &telemetry_legacy);
     check_fixture("alerts.txt", &alerts_a);
+}
+
+/// The CNN's training seed. The K-Means run's seed leaves this CNN
+/// calling every live packet benign (the live collapse EXPERIMENTS.md
+/// E1 reports for some seeds), which would pin nothing of its kernel;
+/// from this one it flags attack and benign packets alike.
+const CNN_TRAIN_SEED: u64 = 2;
+
+/// The CNN's alert stream on the same capture and live scenario. The
+/// other fixtures all come from K-Means runs, so this is the one that
+/// pins the CNN kernel's classes: any change to its arithmetic that
+/// flips a packet's class moves a window's counts here.
+#[test]
+fn cnn_alerts_are_byte_identical_to_golden() {
+    let cnn = ModelKind::Cnn(CnnConfig {
+        epochs: scale().cnn_epochs,
+        ..CnnConfig::default()
+    });
+    let report = train_and_run_live(&training_capture(), &cnn, CNN_TRAIN_SEED);
+    let flagged = report
+        .log
+        .results()
+        .iter()
+        .filter(|w| w.predicted_malicious > 0)
+        .count();
+    assert!(
+        flagged > 0,
+        "the CNN flagged no packet, so its alert stream pins nothing"
+    );
+    check_fixture("alerts_cnn.txt", &report.log.serialize_compact());
 }
 
 /// Streams `records` through the incremental (`FlowDelta`-backed)
