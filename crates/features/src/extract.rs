@@ -72,27 +72,6 @@ pub fn basic_features(r: &PacketRecord) -> [f64; BASIC_FEATURES] {
     ]
 }
 
-/// Writes one packet's full feature vector into a caller-provided
-/// buffer — the allocation-free primitive behind [`feature_vector`] and
-/// the matrix extractors.
-///
-/// # Panics
-///
-/// Panics if `out.len() != TOTAL_FEATURES`.
-pub fn fill_feature_row(r: &PacketRecord, stats: &WindowStats, out: &mut [f64]) {
-    assert_eq!(out.len(), TOTAL_FEATURES, "feature arity mismatch");
-    out[..BASIC_FEATURES].copy_from_slice(&basic_features(r));
-    out[BASIC_FEATURES..].copy_from_slice(&stats.as_features());
-}
-
-/// Builds one packet's full feature vector from its basic features and
-/// its window's statistics.
-pub fn feature_vector(r: &PacketRecord, stats: &WindowStats) -> Vec<f64> {
-    let mut v = vec![0.0; TOTAL_FEATURES];
-    fill_feature_row(r, stats, &mut v);
-    v
-}
-
 /// A completed time window: its packets and their shared statistics.
 #[derive(Debug, Clone)]
 pub struct Window {
@@ -357,17 +336,8 @@ pub fn windows_of(dataset: &Dataset, window_secs: u64) -> Vec<Window> {
 }
 
 /// Extracts the full per-packet feature matrix and labels of a dataset —
-/// the model-training input, as nested rows for callers that need owned
-/// `Vec<f64>` vectors. Routed through [`extract_matrix`]'s flat row-fill;
-/// prefer that directly in hot paths.
-pub fn extract_dataset(dataset: &Dataset, window_secs: u64) -> (Vec<Vec<f64>>, Vec<usize>) {
-    let (matrix, labels) = extract_matrix(dataset, window_secs);
-    (matrix.rows().map(<[f64]>::to_vec).collect(), labels)
-}
-
-/// Extracts the dataset's features straight into one flat row-major
-/// matrix (row values identical to [`extract_dataset`], without the
-/// per-packet `Vec` allocations).
+/// the model-training input — into one flat row-major matrix, one row
+/// per packet in time order (see [`Window::append_features`]).
 pub fn extract_matrix(dataset: &Dataset, window_secs: u64) -> (FeatureMatrix, Vec<usize>) {
     let mut features = FeatureMatrix::with_capacity(dataset.len(), TOTAL_FEATURES);
     let mut labels = Vec::with_capacity(dataset.len());
@@ -402,10 +372,15 @@ mod tests {
 
     #[test]
     fn vectors_have_declared_arity() {
-        let r = record(0, Label::Benign);
-        let stats = WindowStats::default();
-        let v = feature_vector(&r, &stats);
-        assert_eq!(v.len(), TOTAL_FEATURES);
+        let window = Window {
+            index: 0,
+            stats: WindowStats::default(),
+            records: vec![record(0, Label::Benign)],
+        };
+        let mut m = FeatureMatrix::new(TOTAL_FEATURES);
+        window.append_features(&mut m);
+        assert_eq!(m.n_rows(), 1);
+        assert_eq!(m.row(0).len(), TOTAL_FEATURES);
         assert_eq!(feature_names().len(), TOTAL_FEATURES);
     }
 
@@ -452,12 +427,12 @@ mod tests {
     fn stats_are_shared_within_a_window() {
         let records = vec![record(0, Label::Benign), record(10, Label::Malicious)];
         let ds = Dataset::from_records(records);
-        let (features, labels) = extract_dataset(&ds, 1);
-        assert_eq!(features.len(), 2);
+        let (features, labels) = extract_matrix(&ds, 1);
+        assert_eq!(features.n_rows(), 2);
         assert_eq!(labels, vec![0, 1]);
         // The statistical tail of both vectors is identical — the paper's
         // central design decision (and source of boundary noise).
-        assert_eq!(features[0][BASIC_FEATURES..], features[1][BASIC_FEATURES..]);
+        assert_eq!(features.row(0)[BASIC_FEATURES..], features.row(1)[BASIC_FEATURES..]);
     }
 
     #[test]
@@ -466,19 +441,22 @@ mod tests {
             .map(|i| record(i * 23, if i % 4 == 0 { Label::Malicious } else { Label::Benign }))
             .collect();
         let ds = Dataset::from_records(records);
-        // Independent reference: per-window feature vectors built one
-        // packet at a time, bypassing the flat-matrix row fill.
+        // Independent reference: each packet's basic features followed
+        // by its window's statistics, built one packet at a time,
+        // bypassing the flat-matrix row fill.
         let mut expected_rows: Vec<Vec<f64>> = Vec::new();
         let mut expected_labels: Vec<usize> = Vec::new();
         for window in windows_of(&ds, 1) {
-            expected_rows.extend(window.records.iter().map(|r| feature_vector(r, &window.stats)));
+            let stats = window.stats.as_features();
+            expected_rows.extend(window.records.iter().map(|r| {
+                let mut row = basic_features(r).to_vec();
+                row.extend_from_slice(&stats);
+                row
+            }));
             expected_labels.extend(window.labels());
         }
-        let (rows, row_labels) = extract_dataset(&ds, 1);
         let (flat, flat_labels) = extract_matrix(&ds, 1);
-        assert_eq!(row_labels, expected_labels);
         assert_eq!(flat_labels, expected_labels);
-        assert_eq!(rows, expected_rows);
         assert_eq!(flat.n_rows(), expected_rows.len());
         assert_eq!(flat.n_cols(), TOTAL_FEATURES);
         for (a, b) in expected_rows.iter().zip(flat.rows()) {

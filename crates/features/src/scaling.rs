@@ -25,42 +25,6 @@ pub struct Scaler {
 }
 
 impl Scaler {
-    /// Fits a scaler on a training matrix (rows = samples).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is empty or rows are ragged.
-    pub fn fit(method: ScalingMethod, data: &[Vec<f64>]) -> Self {
-        assert!(!data.is_empty(), "cannot fit a scaler on no data");
-        let dims = data[0].len();
-        assert!(data.iter().all(|row| row.len() == dims), "ragged feature matrix");
-        let params = (0..dims)
-            .map(|j| {
-                let column = data.iter().map(|row| row[j]);
-                match method {
-                    ScalingMethod::MinMax => {
-                        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                        for v in column {
-                            lo = lo.min(v);
-                            hi = hi.max(v);
-                        }
-                        let span = hi - lo;
-                        (lo, if span.abs() < 1e-12 { 1.0 } else { span })
-                    }
-                    ScalingMethod::ZScore => {
-                        let values: Vec<f64> = column.collect();
-                        let n = values.len() as f64;
-                        let mean = values.iter().sum::<f64>() / n;
-                        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
-                        let std = var.sqrt();
-                        (mean, if std < 1e-12 { 1.0 } else { std })
-                    }
-                }
-            })
-            .collect();
-        Scaler { method, params }
-    }
-
     /// The method this scaler was fitted with.
     pub fn method(&self) -> ScalingMethod {
         self.method
@@ -71,35 +35,9 @@ impl Scaler {
         self.params.len()
     }
 
-    /// Transforms one sample in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sample arity differs from the fitted arity.
-    pub fn transform_row(&self, row: &mut [f64]) {
-        assert_eq!(row.len(), self.params.len(), "feature arity mismatch");
-        for (value, &(offset, scale)) in row.iter_mut().zip(&self.params) {
-            *value = (*value - offset) / scale;
-        }
-    }
-
-    /// Transforms a whole matrix in place.
-    pub fn transform(&self, data: &mut [Vec<f64>]) {
-        for row in data {
-            self.transform_row(row);
-        }
-    }
-
-    /// Fits on `data` and transforms it in place, returning the scaler.
-    pub fn fit_transform(method: ScalingMethod, data: &mut [Vec<f64>]) -> Self {
-        let scaler = Scaler::fit(method, data);
-        scaler.transform(data);
-        scaler
-    }
-
-    /// Fits a scaler on a flat feature matrix. Accumulation runs per
-    /// column in row order, so the fitted parameters are bit-identical
-    /// to [`Scaler::fit`] on the same rows.
+    /// Fits a scaler on a training matrix (rows = samples): per-column
+    /// min and span, or mean and population standard deviation, each
+    /// accumulated in row order. A constant column gets scale 1.
     ///
     /// # Panics
     ///
@@ -215,27 +153,35 @@ impl Scaler {
 mod tests {
     use super::*;
 
-    fn matrix() -> Vec<Vec<f64>> {
-        vec![vec![0.0, 10.0], vec![5.0, 20.0], vec![10.0, 30.0]]
+    fn matrix() -> FeatureMatrix {
+        FeatureMatrix::from_rows(&[vec![0.0, 10.0], vec![5.0, 20.0], vec![10.0, 30.0]]).unwrap()
+    }
+
+    /// Transforms one sample with a fitted scaler.
+    fn transformed(scaler: &Scaler, row: &[f64]) -> Vec<f64> {
+        let mut m = FeatureMatrix::new(row.len());
+        m.push_row(row);
+        scaler.transform_matrix(&mut m);
+        m.row(0).to_vec()
     }
 
     #[test]
     fn minmax_maps_to_unit_interval() {
         let mut data = matrix();
-        let scaler = Scaler::fit_transform(ScalingMethod::MinMax, &mut data);
+        let scaler = Scaler::fit_transform_matrix(ScalingMethod::MinMax, &mut data);
         assert_eq!(scaler.dims(), 2);
-        assert_eq!(data[0], vec![0.0, 0.0]);
-        assert_eq!(data[2], vec![1.0, 1.0]);
-        assert_eq!(data[1], vec![0.5, 0.5]);
+        assert_eq!(data.row(0), &[0.0, 0.0]);
+        assert_eq!(data.row(2), &[1.0, 1.0]);
+        assert_eq!(data.row(1), &[0.5, 0.5]);
     }
 
     #[test]
     fn zscore_standardises() {
         let mut data = matrix();
-        Scaler::fit_transform(ScalingMethod::ZScore, &mut data);
+        Scaler::fit_transform_matrix(ScalingMethod::ZScore, &mut data);
         for j in 0..2 {
-            let mean: f64 = data.iter().map(|r| r[j]).sum::<f64>() / 3.0;
-            let var: f64 = data.iter().map(|r| (r[j] - mean).powi(2)).sum::<f64>() / 3.0;
+            let mean: f64 = data.rows().map(|r| r[j]).sum::<f64>() / 3.0;
+            let var: f64 = data.rows().map(|r| (r[j] - mean).powi(2)).sum::<f64>() / 3.0;
             assert!(mean.abs() < 1e-12);
             assert!((var - 1.0).abs() < 1e-9);
         }
@@ -243,42 +189,24 @@ mod tests {
 
     #[test]
     fn constant_features_do_not_divide_by_zero() {
-        let mut data = vec![vec![7.0], vec![7.0]];
-        let scaler = Scaler::fit_transform(ScalingMethod::MinMax, &mut data);
-        assert!(data.iter().all(|r| r[0].is_finite()));
-        let mut row = vec![7.0];
-        scaler.transform_row(&mut row);
-        assert!(row[0].is_finite());
+        let mut data = FeatureMatrix::from_rows(&[vec![7.0], vec![7.0]]).unwrap();
+        let scaler = Scaler::fit_transform_matrix(ScalingMethod::MinMax, &mut data);
+        assert!(data.rows().all(|r| r[0].is_finite()));
+        assert!(transformed(&scaler, &[7.0])[0].is_finite());
     }
 
     #[test]
     fn unseen_data_uses_training_parameters() {
         let mut train = matrix();
-        let scaler = Scaler::fit_transform(ScalingMethod::MinMax, &mut train);
-        let mut row = vec![20.0, 40.0]; // beyond the training max
-        scaler.transform_row(&mut row);
+        let scaler = Scaler::fit_transform_matrix(ScalingMethod::MinMax, &mut train);
+        let row = transformed(&scaler, &[20.0, 40.0]); // beyond the training max
         assert_eq!(row, vec![2.0, 1.5], "extrapolates rather than re-fitting");
     }
 
     #[test]
     #[should_panic(expected = "arity mismatch")]
     fn arity_mismatch_panics() {
-        let scaler = Scaler::fit(ScalingMethod::MinMax, &matrix());
-        let mut row = vec![1.0];
-        scaler.transform_row(&mut row);
-    }
-
-    #[test]
-    fn matrix_fit_matches_row_fit_exactly() {
-        for method in [ScalingMethod::MinMax, ScalingMethod::ZScore] {
-            let mut rows = matrix();
-            let mut flat = FeatureMatrix::from_rows(&rows).unwrap();
-            let by_rows = Scaler::fit_transform(method, &mut rows);
-            let by_matrix = Scaler::fit_transform_matrix(method, &mut flat);
-            assert_eq!(by_rows, by_matrix);
-            for (a, b) in rows.iter().zip(flat.rows()) {
-                assert_eq!(a.as_slice(), b, "transformed values must be bit-identical");
-            }
-        }
+        let scaler = Scaler::fit_matrix(ScalingMethod::MinMax, &matrix());
+        transformed(&scaler, &[1.0]);
     }
 }

@@ -2,9 +2,10 @@
 
 use capture::dataset::Dataset;
 use capture::record::{Label, PacketRecord};
-use features::extract::{feature_vector, windows_of, WindowAggregator, TOTAL_FEATURES};
+use features::extract::{extract_matrix, windows_of, WindowAggregator, TOTAL_FEATURES};
 use features::scaling::{Scaler, ScalingMethod};
-use features::window::{entropy, mean_std, WindowStats};
+use features::window::{entropy, mean_std};
+use ml::matrix::FeatureMatrix;
 use netsim::packet::{Protocol, TcpFlags};
 use netsim::time::SimTime;
 use netsim::Addr;
@@ -89,11 +90,11 @@ proptest! {
     ) {
         let dataset = Dataset::from_records(records);
         for window in windows_of(&dataset, 1) {
-            let matrix: Vec<Vec<f64>> =
-                window.records.iter().map(|r| feature_vector(r, &window.stats)).collect();
-            prop_assert_eq!(matrix.len(), window.records.len());
-            let first_tail = &matrix[0][features::extract::BASIC_FEATURES..];
-            for row in &matrix {
+            let mut matrix = FeatureMatrix::new(TOTAL_FEATURES);
+            window.append_features(&mut matrix);
+            prop_assert_eq!(matrix.n_rows(), window.records.len());
+            let first_tail = &matrix.row(0)[features::extract::BASIC_FEATURES..];
+            for row in matrix.rows() {
                 prop_assert_eq!(row.len(), TOTAL_FEATURES);
                 prop_assert!(row.iter().all(|v| v.is_finite()));
                 prop_assert_eq!(&row[features::extract::BASIC_FEATURES..], first_tail);
@@ -108,13 +109,10 @@ proptest! {
         records in proptest::collection::vec(record_strategy(), 2..200),
     ) {
         let dataset = Dataset::from_records(records);
-        let mut matrix: Vec<Vec<f64>> = windows_of(&dataset, 1)
-            .iter()
-            .flat_map(|w| w.records.iter().map(|r| feature_vector(r, &w.stats)).collect::<Vec<_>>())
-            .collect();
-        let scaler = Scaler::fit_transform(ScalingMethod::MinMax, &mut matrix);
+        let (mut matrix, _) = extract_matrix(&dataset, 1);
+        let scaler = Scaler::fit_transform_matrix(ScalingMethod::MinMax, &mut matrix);
         prop_assert_eq!(scaler.dims(), TOTAL_FEATURES);
-        for row in &matrix {
+        for row in matrix.rows() {
             for &v in row {
                 prop_assert!((-1e-9..=1.0 + 1e-9).contains(&v), "{v}");
             }
@@ -173,12 +171,5 @@ proptest! {
                 prop_assert_eq!(w.stats, e.stats);
             }
         }
-    }
-
-    /// feature_vector is deterministic in its inputs.
-    #[test]
-    fn feature_vector_is_pure(r in record_strategy()) {
-        let stats = WindowStats::default();
-        prop_assert_eq!(feature_vector(&r, &stats), feature_vector(&r, &stats));
     }
 }

@@ -362,26 +362,8 @@ impl std::fmt::Display for ClassifyError {
 
 impl std::error::Error for ClassifyError {}
 
-/// Trains the concrete model behind the [`Classifier`] interface.
-pub fn train_model(
-    kind: &ModelKind,
-    x: &[Vec<f64>],
-    y: &[usize],
-    rng: &mut SimRng,
-) -> Result<Box<dyn Classifier>, TrainError> {
-    Ok(match kind {
-        ModelKind::RandomForest(config) => Box::new(RandomForest::fit(x, y, config, rng)?),
-        ModelKind::KMeans(config) => Box::new(KMeansDetector::fit(x, y, config, rng)?),
-        ModelKind::Cnn(config) => Box::new(Cnn::fit(x, y, config, rng)?),
-        ModelKind::Svm(config) => Box::new(LinearSvm::fit(x, y, config, rng)?),
-        ModelKind::IsolationForest(config) => Box::new(IsolationForest::fit(x, y, config, rng)?),
-        ModelKind::Autoencoder(config) => Box::new(Autoencoder::fit(x, y, config, rng)?),
-    })
-}
-
-/// Trains the concrete model on the rows of a matrix view — the
-/// zero-copy companion of [`train_model`], used with
-/// [`FeatureMatrix::subset`] splits.
+/// Trains the concrete model behind the [`Classifier`] interface on the
+/// rows of a matrix view (whole, or a [`FeatureMatrix::subset`] split).
 pub fn train_model_view(
     kind: &ModelKind,
     view: MatrixView<'_>,
@@ -583,13 +565,19 @@ mod tests {
         // scaler vs. the TOTAL_FEATURES layout) must come back as a
         // recoverable ClassifyError so a bad hot-swap degrades windows
         // instead of killing the serving loop.
-        let mut rows = vec![vec![0.0, 0.0], vec![0.1, 0.0], vec![5.0, 5.0], vec![5.1, 5.0]];
+        let mut rows = FeatureMatrix::from_rows(&[
+            vec![0.0, 0.0],
+            vec![0.1, 0.0],
+            vec![5.0, 5.0],
+            vec![5.1, 5.0],
+        ])
+        .unwrap();
         let labels = vec![0usize, 0, 1, 1];
         let mut rng = SimRng::seed_from(9);
-        let bad_scaler = Scaler::fit_transform(ScalingMethod::MinMax, &mut rows);
-        let model = train_model(
+        let bad_scaler = Scaler::fit_transform_matrix(ScalingMethod::MinMax, &mut rows);
+        let model = train_model_view(
             &ModelKind::KMeans(KMeansConfig { k_max: 2, ..KMeansConfig::default() }),
-            &rows,
+            rows.view(),
             &labels,
             &mut rng,
         )
@@ -625,26 +613,27 @@ mod tests {
     }
 
     /// Two-class rows `dims` wide, far apart in every feature.
-    fn two_class_rows(dims: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
-        let rows = (0..40)
-            .map(|i| {
-                (0..dims)
-                    .map(|j| ((i % 2) * 5 + i * (j + 1) % 3) as f64)
-                    .collect()
-            })
-            .collect();
+    fn two_class_rows(dims: usize) -> (FeatureMatrix, Vec<usize>) {
+        let mut rows = FeatureMatrix::new(dims);
+        for i in 0..40 {
+            let row: Vec<f64> = (0..dims).map(|j| ((i % 2) * 5 + i * (j + 1) % 3) as f64).collect();
+            rows.push_row(&row);
+        }
         (rows, (0..40).map(|i| i % 2).collect())
     }
 
     /// A model fitted one feature narrower or wider than the layout is a
-    /// typed error before predict, for each of the paper's models: the
-    /// CNN would trip its arity assert, a wider K-Means would slice past
-    /// the row and a narrower one read a prefix of it, and the forest
-    /// reads features by index. A model of the layout's width passes.
+    /// typed error before predict, for each of the paper's models and the
+    /// Isolation Forest: the CNN would trip its arity assert, a wider
+    /// K-Means would slice past the row and a narrower one read a prefix
+    /// of it, and both forests read features by index. A model of the
+    /// layout's width passes.
     #[test]
     fn wrong_width_model_is_an_arity_error() {
-        let mut scaler_rows = vec![vec![0.0; TOTAL_FEATURES], vec![1.0; TOTAL_FEATURES]];
-        let scaler = Scaler::fit_transform(ScalingMethod::MinMax, &mut scaler_rows);
+        let mut scaler_rows =
+            FeatureMatrix::from_rows(&[vec![0.0; TOTAL_FEATURES], vec![1.0; TOTAL_FEATURES]])
+                .unwrap();
+        let scaler = Scaler::fit_transform_matrix(ScalingMethod::MinMax, &mut scaler_rows);
         let live = synthetic_capture(2, 2);
         let windows = features::extract::windows_of(&live, 1);
         let kinds = [
@@ -660,12 +649,13 @@ mod tests {
                 epochs: 1,
                 ..CnnConfig::default()
             }),
+            ModelKind::IsolationForest(IsolationForestConfig::default()),
         ];
         for kind in &kinds {
             for dims in [TOTAL_FEATURES - 1, TOTAL_FEATURES, TOTAL_FEATURES + 1] {
                 let (rows, labels) = two_class_rows(dims);
                 let mut rng = SimRng::seed_from(dims as u64);
-                let model = train_model(kind, &rows, &labels, &mut rng).unwrap();
+                let model = train_model_view(kind, rows.view(), &labels, &mut rng).unwrap();
                 assert_eq!(model.input_dims(), Some(dims), "{}", kind.name());
                 let ids = TrainedIds::from_parts(model, scaler.clone(), IdsConfig::default());
                 let mut scratch = FeatureMatrix::new(TOTAL_FEATURES);

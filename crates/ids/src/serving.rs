@@ -1515,7 +1515,7 @@ mod tests {
     use netsim::tap::{PacketTap, TapMeta};
     use netsim::{Addr, LinkId, NodeId};
 
-    use crate::pipeline::{train_model, IdsConfig};
+    use crate::pipeline::{train_model_view, IdsConfig};
 
     fn record(secs: u64, offset_ms: u64) -> PacketRecord {
         PacketRecord {
@@ -1668,8 +1668,10 @@ mod tests {
     /// it, where a default tenant's 8× shed factor would have.
     #[test]
     fn paper_tenant_never_sheds_at_the_feed_bound_or_under_pressure() {
-        let mut rows = vec![vec![0.0; TOTAL_FEATURES], vec![1.0; TOTAL_FEATURES]];
-        let scaler = Scaler::fit_transform(ScalingMethod::MinMax, &mut rows);
+        let mut rows =
+            FeatureMatrix::from_rows(&[vec![0.0; TOTAL_FEATURES], vec![1.0; TOTAL_FEATURES]])
+                .unwrap();
+        let scaler = Scaler::fit_transform_matrix(ScalingMethod::MinMax, &mut rows);
         let ids = TrainedIds::from_parts(Box::new(AllBenign), scaler, IdsConfig::default());
         let (mut tap, feed) = sniffer_pair(SnifferFilter::All);
         let bound = OverloadPolicy::default().feed_capacity.expect("the feed is bounded");
@@ -1726,23 +1728,26 @@ mod tests {
     /// and finalizes with every window and record accounted.
     #[test]
     fn wrong_width_champion_degrades_windows_and_keeps_serving() {
-        let rows: Vec<Vec<f64>> = (0..40)
-            .map(|i| vec![(i % 2) as f64 * 5.0 + (i % 3) as f64; TOTAL_FEATURES - 1])
-            .collect();
+        let mut rows = FeatureMatrix::new(TOTAL_FEATURES - 1);
+        for i in 0..40 {
+            rows.push_row(&[(i % 2) as f64 * 5.0 + (i % 3) as f64; TOTAL_FEATURES - 1]);
+        }
         let labels: Vec<usize> = (0..40).map(|i| i % 2).collect();
         let cnn = CnnConfig {
             epochs: 1,
             ..CnnConfig::default()
         };
-        let model = train_model(
+        let model = train_model_view(
             &ModelKind::Cnn(cnn),
-            &rows,
+            rows.view(),
             &labels,
             &mut SimRng::seed_from(5),
         )
         .unwrap();
-        let mut scaler_rows = vec![vec![0.0; TOTAL_FEATURES], vec![1.0; TOTAL_FEATURES]];
-        let scaler = Scaler::fit_transform(ScalingMethod::MinMax, &mut scaler_rows);
+        let mut scaler_rows =
+            FeatureMatrix::from_rows(&[vec![0.0; TOTAL_FEATURES], vec![1.0; TOTAL_FEATURES]])
+                .unwrap();
+        let scaler = Scaler::fit_transform_matrix(ScalingMethod::MinMax, &mut scaler_rows);
         let ids = TrainedIds::from_parts(model, scaler, IdsConfig::default());
         let (mut tap, feed) = sniffer_pair(SnifferFilter::All);
         let (service, handle) = serving_pair(

@@ -12,8 +12,9 @@
 use netsim::rng::SimRng;
 use serde::{Deserialize, Serialize};
 
-use crate::classifier::{Classifier, TrainError};
+use crate::classifier::{validate_matrix, Classifier, TrainError};
 use crate::codec::{DecodeError, Decoder, Encoder};
+use crate::matrix::MatrixView;
 use crate::nn::{relu, relu_grad, Adam, Dense};
 
 const AE_MAGIC: u32 = 0x61653131; // "ae11"
@@ -50,35 +51,21 @@ pub struct Autoencoder {
 }
 
 impl Autoencoder {
-    /// Trains on the rows of a matrix view (materialises the rows; SGD
-    /// over the benign subset is inherently sequential).
+    /// Trains on the benign rows of a matrix view and calibrates the
+    /// error threshold on both classes. SGD over the benign subset is
+    /// inherently sequential.
     ///
     /// # Errors
     ///
     /// Returns a [`TrainError`] for unusable training data.
     pub fn fit_view(
-        view: crate::matrix::MatrixView<'_>,
+        view: MatrixView<'_>,
         y: &[usize],
         config: &AutoencoderConfig,
         rng: &mut SimRng,
     ) -> Result<Self, TrainError> {
-        Autoencoder::fit(&view.to_rows(), y, config, rng)
-    }
-
-    /// Trains on the benign subset of `(x, y)` and calibrates the error
-    /// threshold on both classes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TrainError`] for unusable training data.
-    pub fn fit(
-        x: &[Vec<f64>],
-        y: &[usize],
-        config: &AutoencoderConfig,
-        rng: &mut SimRng,
-    ) -> Result<Self, TrainError> {
-        let dims = crate::classifier::validate_training_set(x, y)?;
-        let benign: Vec<usize> = (0..x.len()).filter(|&i| y[i] == 0).collect();
+        let dims = validate_matrix(view, y)?;
+        let benign: Vec<usize> = (0..view.n_rows()).filter(|&i| y[i] == 0).collect();
 
         let mut net = Autoencoder {
             enc1: Dense::new(dims, config.hidden, rng),
@@ -114,7 +101,7 @@ impl Autoencoder {
                     vec![0.0; net.dec2.b.len()],
                 ];
                 for &i in batch {
-                    net.accumulate_gradients(&x[i], &mut g);
+                    net.accumulate_gradients(view.row(i), &mut g);
                 }
                 let scale = 1.0 / batch.len() as f64;
                 for grads in &mut g {
@@ -137,7 +124,7 @@ impl Autoencoder {
 
         // Calibrate: choose the error threshold with the best training
         // accuracy across candidate quantiles.
-        let errors: Vec<f64> = x.iter().map(|xi| net.reconstruction_error(xi)).collect();
+        let errors: Vec<f64> = view.rows().map(|xi| net.reconstruction_error(xi)).collect();
         // total_cmp: NaN reconstruction errors (degenerate inputs can
         // overflow the forward pass) sort last instead of panicking, and
         // the quantile candidates below come from the finite prefix.
@@ -270,15 +257,16 @@ impl Classifier for Autoencoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::FeatureMatrix;
 
     /// Benign points on a low-dimensional structure; anomalies off it.
-    fn structured_data(n: usize, rng: &mut SimRng) -> (Vec<Vec<f64>>, Vec<usize>) {
-        let mut x = Vec::new();
+    fn structured_data(n: usize, rng: &mut SimRng) -> (FeatureMatrix, Vec<usize>) {
+        let mut x = FeatureMatrix::new(4);
         let mut y = Vec::new();
         for i in 0..n {
             if i % 8 == 0 {
                 // Anomaly: breaks the correlation structure.
-                x.push(vec![
+                x.push_row(&[
                     rng.uniform_range(-3.0, 3.0),
                     rng.uniform_range(-3.0, 3.0),
                     rng.uniform_range(-3.0, 3.0),
@@ -288,7 +276,7 @@ mod tests {
             } else {
                 // Benign: 1-dimensional manifold x -> (x, 2x, -x, 0.5x).
                 let t = rng.standard_normal();
-                x.push(vec![t, 2.0 * t, -t, 0.5 * t]);
+                x.push_row(&[t, 2.0 * t, -t, 0.5 * t]);
                 y.push(0);
             }
         }
@@ -299,10 +287,10 @@ mod tests {
     fn reconstruction_error_separates_classes() {
         let mut rng = SimRng::seed_from(1);
         let (x, y) = structured_data(800, &mut rng);
-        let net = Autoencoder::fit(&x, &y, &AutoencoderConfig::default(), &mut rng).unwrap();
+        let net = Autoencoder::fit_view(x.view(), &y, &AutoencoderConfig::default(), &mut rng).unwrap();
         let mean = |label: usize| {
             let items: Vec<f64> = x
-                .iter()
+                .rows()
                 .zip(&y)
                 .filter(|(_, &l)| l == label)
                 .map(|(xi, _)| net.reconstruction_error(xi))
@@ -316,9 +304,9 @@ mod tests {
     fn calibrated_detector_classifies_well() {
         let mut rng = SimRng::seed_from(2);
         let (x, y) = structured_data(800, &mut rng);
-        let net = Autoencoder::fit(&x, &y, &AutoencoderConfig::default(), &mut rng).unwrap();
-        let correct = x.iter().zip(&y).filter(|(xi, &yi)| net.predict(xi) == yi).count();
-        assert!(correct as f64 / x.len() as f64 > 0.9, "acc {correct}/800");
+        let net = Autoencoder::fit_view(x.view(), &y, &AutoencoderConfig::default(), &mut rng).unwrap();
+        let correct = x.rows().zip(&y).filter(|(xi, &yi)| net.predict(xi) == yi).count();
+        assert!(correct as f64 / x.n_rows() as f64 > 0.9, "acc {correct}/800");
     }
 
     #[test]
@@ -329,13 +317,13 @@ mod tests {
         // panicking in partial_cmp.
         let mut rng = SimRng::seed_from(4);
         let (mut x, mut y) = structured_data(200, &mut rng);
-        x.push(vec![f64::NAN, 1.0, 2.0, 3.0]);
+        x.push_row(&[f64::NAN, 1.0, 2.0, 3.0]);
         y.push(1);
         let config = AutoencoderConfig { epochs: 2, ..AutoencoderConfig::default() };
-        let net = Autoencoder::fit(&x, &y, &config, &mut rng).expect("NaN row must not abort fit");
+        let net = Autoencoder::fit_view(x.view(), &y, &config, &mut rng).expect("NaN row must not abort fit");
         // The calibrated threshold comes from the finite error prefix.
         assert!(net.threshold.is_finite());
-        assert_eq!(net.predict(&x[1]), net.predict(&x[1]), "model is usable");
+        assert_eq!(net.predict(x.row(1)), net.predict(x.row(1)), "model is usable");
     }
 
     #[test]
@@ -343,10 +331,10 @@ mod tests {
         let mut rng = SimRng::seed_from(3);
         let (x, y) = structured_data(300, &mut rng);
         let config = AutoencoderConfig { epochs: 4, ..AutoencoderConfig::default() };
-        let net = Autoencoder::fit(&x, &y, &config, &mut rng).unwrap();
+        let net = Autoencoder::fit_view(x.view(), &y, &config, &mut rng).unwrap();
         let back = Autoencoder::decode(&net.encode()).unwrap();
         assert_eq!(back, net);
-        for xi in x.iter().take(50) {
+        for xi in x.rows().take(50) {
             assert_eq!(net.predict(xi), back.predict(xi));
         }
     }
@@ -357,7 +345,7 @@ mod tests {
             let mut rng = SimRng::seed_from(4);
             let (x, y) = structured_data(200, &mut rng);
             let config = AutoencoderConfig { epochs: 2, ..AutoencoderConfig::default() };
-            Autoencoder::fit(&x, &y, &config, &mut rng).unwrap().encode()
+            Autoencoder::fit_view(x.view(), &y, &config, &mut rng).unwrap().encode()
         };
         assert_eq!(run(), run());
     }

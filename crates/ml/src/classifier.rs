@@ -186,24 +186,6 @@ impl std::fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-/// Validates a supervised training set, returning its feature arity.
-pub fn validate_training_set(x: &[Vec<f64>], y: &[usize]) -> Result<usize, TrainError> {
-    if x.is_empty() {
-        return Err(TrainError::EmptyDataset);
-    }
-    if x.len() != y.len() {
-        return Err(TrainError::LabelMismatch);
-    }
-    let dims = x[0].len();
-    if x.iter().any(|row| row.len() != dims) {
-        return Err(TrainError::RaggedFeatures);
-    }
-    if y.iter().all(|&l| l == y[0]) {
-        return Err(TrainError::SingleClass);
-    }
-    Ok(dims)
-}
-
 /// Validates a supervised training view, returning its feature arity
 /// (views are rectangular by construction, so ragged rows cannot occur).
 pub fn validate_matrix(view: MatrixView<'_>, y: &[usize]) -> Result<usize, TrainError> {
@@ -365,24 +347,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn training_set_validation() {
-        assert_eq!(validate_training_set(&[], &[]), Err(TrainError::EmptyDataset));
-        assert_eq!(
-            validate_training_set(&[vec![1.0]], &[0, 1]),
-            Err(TrainError::LabelMismatch)
-        );
-        assert_eq!(
-            validate_training_set(&[vec![1.0], vec![1.0, 2.0]], &[0, 1]),
-            Err(TrainError::RaggedFeatures)
-        );
-        assert_eq!(
-            validate_training_set(&[vec![1.0], vec![2.0]], &[1, 1]),
-            Err(TrainError::SingleClass)
-        );
-        assert_eq!(validate_training_set(&[vec![1.0], vec![2.0]], &[0, 1]), Ok(1));
     }
 
     #[test]

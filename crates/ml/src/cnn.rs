@@ -15,7 +15,7 @@
 //! connections and weight sharing, as the paper describes.
 //!
 //! Mini-batch gradients are computed in parallel: each batch is cut into
-//! fixed [`MICRO_BATCH`]-example chunks, one partial [`Grads`] per chunk,
+//! fixed `MICRO_BATCH`-example chunks, one partial `Grads` per chunk,
 //! folded in chunk order before the Adam step — so the fitted network is
 //! identical at any thread count.
 //!
@@ -28,8 +28,8 @@ use std::cell::RefCell;
 use netsim::rng::SimRng;
 use serde::{Deserialize, Serialize};
 
-use crate::classifier::{validate_matrix, validate_training_set, Classifier, RowSpan, TrainError};
-use crate::matrix::{FeatureMatrix, MatrixView};
+use crate::classifier::{validate_matrix, Classifier, RowSpan, TrainError};
+use crate::matrix::MatrixView;
 use crate::nn::{relu, relu_grad, softmax, softmax_into, Adam, Dense};
 use crate::codec::{DecodeError, Decoder, Encoder};
 use crate::par;
@@ -421,35 +421,6 @@ impl Cnn {
         let mut net = Cnn::init(config, rng);
         net.train_view(view, y, rng);
         Ok(net)
-    }
-
-    /// Trains a CNN on labelled feature vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TrainError`] for unusable training data.
-    pub fn fit(
-        x: &[Vec<f64>],
-        y: &[usize],
-        config: &CnnConfig,
-        rng: &mut SimRng,
-    ) -> Result<Self, TrainError> {
-        validate_training_set(x, y)?;
-        let m = FeatureMatrix::from_rows(x)?;
-        Cnn::fit_view(m.view(), y, config, rng)
-    }
-
-    /// Runs additional training epochs on the given data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows are ragged.
-    pub fn train(&mut self, x: &[Vec<f64>], y: &[usize], rng: &mut SimRng) {
-        if x.is_empty() {
-            return;
-        }
-        let m = FeatureMatrix::from_rows(x).expect("rectangular training data");
-        self.train_view(m.view(), y, rng);
     }
 
     /// Runs additional training epochs on the rows of a matrix view.
@@ -982,6 +953,7 @@ impl Classifier for Cnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::FeatureMatrix;
     use crate::classifier::predict_view;
 
     fn tiny_config() -> CnnConfig {
@@ -1098,13 +1070,14 @@ mod tests {
         }
     }
 
-    fn separable_data(n: usize, dims: usize, rng: &mut SimRng) -> (Vec<Vec<f64>>, Vec<usize>) {
-        let mut x = Vec::new();
+    fn separable_data(n: usize, dims: usize, rng: &mut SimRng) -> (FeatureMatrix, Vec<usize>) {
+        let mut x = FeatureMatrix::new(dims);
         let mut y = Vec::new();
         for i in 0..n {
             let class = i % 2;
             let base = if class == 0 { -1.0 } else { 1.0 };
-            x.push((0..dims).map(|_| base + 0.5 * rng.standard_normal()).collect());
+            let row: Vec<f64> = (0..dims).map(|_| base + 0.5 * rng.standard_normal()).collect();
+            x.push_row(&row);
             y.push(class);
         }
         (x, y)
@@ -1114,9 +1087,9 @@ mod tests {
     fn cnn_learns_a_separable_problem() {
         let mut rng = SimRng::seed_from(2);
         let (x, y) = separable_data(300, 8, &mut rng);
-        let net = Cnn::fit(&x, &y, &tiny_config(), &mut rng).unwrap();
-        let correct = x.iter().zip(&y).filter(|(xi, &yi)| net.predict(xi) == yi).count();
-        assert!(correct as f64 / x.len() as f64 > 0.95, "train acc {correct}/300");
+        let net = Cnn::fit_view(x.view(), &y, &tiny_config(), &mut rng).unwrap();
+        let correct = x.rows().zip(&y).filter(|(xi, &yi)| net.predict(xi) == yi).count();
+        assert!(correct as f64 / x.n_rows() as f64 > 0.95, "train acc {correct}/300");
     }
 
     fn bits(probs: &[f64]) -> Vec<u64> {
@@ -1209,14 +1182,13 @@ mod tests {
             let mut rng = SimRng::seed_from(seed);
             let config = tiny_config();
             let init = Cnn::init(config, &mut rng);
-            let (x, y) = separable_data(80, config.input_len, &mut rng);
+            let (m, y) = separable_data(80, config.input_len, &mut rng);
             let trained =
-                Cnn::fit(&x, &y, &CnnConfig { epochs: 3, ..config }, &mut rng).unwrap();
-            let m = FeatureMatrix::from_rows(&x).unwrap();
+                Cnn::fit_view(m.view(), &y, &CnnConfig { epochs: 3, ..config }, &mut rng).unwrap();
             for net in [&init, &trained] {
                 let reference: Vec<Vec<u64>> =
-                    x.iter().map(|xi| bits(&net.forward(xi).probs)).collect();
-                for (xi, want) in x.iter().zip(&reference) {
+                    m.rows().map(|xi| bits(&net.forward(xi).probs)).collect();
+                for (xi, want) in m.rows().zip(&reference) {
                     assert_eq!(
                         &bits(&net.predict_proba(xi)),
                         want,
@@ -1225,7 +1197,7 @@ mod tests {
                 }
                 for block_loop in BLOCK_LOOPS {
                     assert_eq!(
-                        lane_bits(net, m.view(), 0..x.len(), block_loop),
+                        lane_bits(net, m.view(), 0..m.n_rows(), block_loop),
                         reference,
                         "seed {seed}, {block_loop:?}: full view"
                     );
@@ -1397,8 +1369,8 @@ mod tests {
         report_missing_avx2_arm();
         let mut rng = SimRng::seed_from(10);
         let (x, y) = separable_data(64, 8, &mut rng);
-        let net = Cnn::fit(
-            &x,
+        let net = Cnn::fit_view(
+            x.view(),
             &y,
             &CnnConfig {
                 epochs: 1,
@@ -1471,9 +1443,9 @@ mod tests {
         let mut rng = SimRng::seed_from(4);
         let (x, y) = separable_data(100, 8, &mut rng);
         let config = CnnConfig { epochs: 3, ..tiny_config() };
-        let net = Cnn::fit(&x, &y, &config, &mut rng).unwrap();
+        let net = Cnn::fit_view(x.view(), &y, &config, &mut rng).unwrap();
         let back = Cnn::decode(&net.encode()).unwrap();
-        for xi in &x {
+        for xi in x.rows() {
             assert_eq!(net.predict(xi), back.predict(xi));
             let a = net.predict_proba(xi);
             let b = back.predict_proba(xi);
@@ -1493,7 +1465,7 @@ mod tests {
     fn training_rejects_bad_input() {
         let mut rng = SimRng::seed_from(6);
         assert_eq!(
-            Cnn::fit(&[], &[], &tiny_config(), &mut rng),
+            Cnn::fit_view(FeatureMatrix::new(8).view(), &[], &tiny_config(), &mut rng),
             Err(TrainError::EmptyDataset)
         );
     }
@@ -1504,7 +1476,7 @@ mod tests {
             let mut rng = SimRng::seed_from(7);
             let (x, y) = separable_data(60, 8, &mut rng);
             let config = CnnConfig { epochs: 2, ..tiny_config() };
-            Cnn::fit(&x, &y, &config, &mut rng).unwrap().encode()
+            Cnn::fit_view(x.view(), &y, &config, &mut rng).unwrap().encode()
         };
         assert_eq!(run(), run());
     }
@@ -1518,7 +1490,7 @@ mod tests {
                 let mut rng = SimRng::seed_from(8);
                 let (x, y) = separable_data(200, 8, &mut rng);
                 let config = CnnConfig { epochs: 2, batch_size: 64, ..tiny_config() };
-                Cnn::fit(&x, &y, &config, &mut rng).unwrap().encode()
+                Cnn::fit_view(x.view(), &y, &config, &mut rng).unwrap().encode()
             })
         };
         assert_eq!(run(1), run(4));

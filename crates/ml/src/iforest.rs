@@ -10,8 +10,9 @@
 use netsim::rng::SimRng;
 use serde::{Deserialize, Serialize};
 
-use crate::classifier::{Classifier, TrainError};
+use crate::classifier::{validate_matrix, Classifier, TrainError};
 use crate::codec::{DecodeError, Decoder, Encoder};
+use crate::matrix::MatrixView;
 
 const IFOREST_MAGIC: u32 = 0x69666f31; // "ifo1"
 
@@ -43,15 +44,18 @@ struct IsolationTree {
 }
 
 impl IsolationTree {
-    fn fit(x: &[Vec<f64>], sample: &[usize], max_depth: usize, rng: &mut SimRng) -> Self {
+    fn fit(view: MatrixView<'_>, sample: &[usize], max_depth: usize, rng: &mut SimRng) -> Self {
         let mut tree = IsolationTree { nodes: Vec::new() };
-        tree.grow(x, sample.to_vec(), 0, max_depth, rng);
+        tree.grow(view, sample.to_vec(), 0, max_depth, rng);
         tree
     }
 
+    /// Grows the subtree over `indices` in pre-order: a split's slot is
+    /// reserved before its children grow, so every child index lies
+    /// after its parent's (what [`IsolationForest::decode`] checks).
     fn grow(
         &mut self,
-        x: &[Vec<f64>],
+        view: MatrixView<'_>,
         indices: Vec<usize>,
         depth: usize,
         max_depth: usize,
@@ -62,15 +66,15 @@ impl IsolationTree {
             self.nodes.push(Node::Leaf { size: indices.len() as u32 });
             return id;
         }
-        let dims = x[0].len();
+        let dims = view.n_cols();
         // Pick a random feature with spread; give up after a few tries.
         let mut chosen = None;
         for _ in 0..8 {
             let feature = rng.below(dims as u64) as usize;
             let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
             for &i in &indices {
-                lo = lo.min(x[i][feature]);
-                hi = hi.max(x[i][feature]);
+                lo = lo.min(view.row(i)[feature]);
+                hi = hi.max(view.row(i)[feature]);
             }
             if hi - lo > 1e-12 {
                 chosen = Some((feature, rng.uniform_range(lo, hi)));
@@ -82,14 +86,14 @@ impl IsolationTree {
             return id;
         };
         let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
-            indices.iter().partition(|&&i| x[i][feature] < threshold);
+            indices.iter().partition(|&&i| view.row(i)[feature] < threshold);
         if left_idx.is_empty() || right_idx.is_empty() {
             self.nodes.push(Node::Leaf { size: indices.len() as u32 });
             return id;
         }
         self.nodes.push(Node::Leaf { size: 0 }); // placeholder
-        let left = self.grow(x, left_idx, depth + 1, max_depth, rng);
-        let right = self.grow(x, right_idx, depth + 1, max_depth, rng);
+        let left = self.grow(view, left_idx, depth + 1, max_depth, rng);
+        let right = self.grow(view, right_idx, depth + 1, max_depth, rng);
         self.nodes[id as usize] =
             Node::Split { feature: feature as u32, threshold, left, right };
         id
@@ -125,55 +129,43 @@ fn c_factor(n: usize) -> f64 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct IsolationForest {
     trees: Vec<IsolationTree>,
+    /// The row width the forest was fitted on.
+    dims: usize,
     sample_size: usize,
     /// Scores above this are classified malicious.
     threshold: f64,
 }
 
 impl IsolationForest {
-    /// Fits on the rows of a matrix view (materialises the rows; tree
-    /// sampling draws from one shared rng stream, so the build stays
-    /// sequential).
+    /// Fits the forest on the rows of a matrix view and calibrates the
+    /// score threshold on the labels. Tree sampling draws from one
+    /// shared rng stream, so the build is sequential.
     ///
     /// # Errors
     ///
     /// Returns a [`TrainError`] for unusable training data.
     pub fn fit_view(
-        view: crate::matrix::MatrixView<'_>,
+        view: MatrixView<'_>,
         y: &[usize],
         config: &IsolationForestConfig,
         rng: &mut SimRng,
     ) -> Result<Self, TrainError> {
-        IsolationForest::fit(&view.to_rows(), y, config, rng)
-    }
-
-    /// Fits the forest on all samples and calibrates the score threshold
-    /// on the labels.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TrainError`] for unusable training data.
-    pub fn fit(
-        x: &[Vec<f64>],
-        y: &[usize],
-        config: &IsolationForestConfig,
-        rng: &mut SimRng,
-    ) -> Result<Self, TrainError> {
-        crate::classifier::validate_training_set(x, y)?;
-        let sample_size = config.sample_size.clamp(2, x.len());
+        let dims = validate_matrix(view, y)?;
+        let n = view.n_rows();
+        let sample_size = config.sample_size.clamp(2, n);
         let max_depth = (sample_size as f64).log2().ceil() as usize;
         let trees: Vec<IsolationTree> = (0..config.n_trees.max(1))
             .map(|_| {
                 let sample: Vec<usize> =
-                    (0..sample_size).map(|_| rng.below(x.len() as u64) as usize).collect();
-                IsolationTree::fit(x, &sample, max_depth, rng)
+                    (0..sample_size).map(|_| rng.below(n as u64) as usize).collect();
+                IsolationTree::fit(view, &sample, max_depth, rng)
             })
             .collect();
-        let mut forest = IsolationForest { trees, sample_size, threshold: 0.5 };
+        let mut forest = IsolationForest { trees, dims, sample_size, threshold: 0.5 };
 
         // Calibrate the threshold: scan candidate quantiles of the
         // training scores for the best accuracy.
-        let scores: Vec<f64> = x.iter().map(|xi| forest.score(xi)).collect();
+        let scores: Vec<f64> = view.rows().map(|xi| forest.score(xi)).collect();
         let mut sorted = scores.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite scores"));
         let mut best = (0usize, forest.threshold);
@@ -205,7 +197,11 @@ impl IsolationForest {
         self.threshold
     }
 
-    /// Decodes a model from its binary blob.
+    /// Decodes a model from its binary blob, rejecting any blob whose
+    /// walk could panic or fail to end: an empty tree, a child outside
+    /// `(parent, count)` (the grower writes each child after its parent,
+    /// so this also rules out cycles) or a split feature at or past the
+    /// forest's width.
     ///
     /// # Errors
     ///
@@ -213,6 +209,7 @@ impl IsolationForest {
     pub fn decode(blob: &[u8]) -> Result<Self, DecodeError> {
         let mut d = Decoder::new(blob);
         d.expect_magic(IFOREST_MAGIC)?;
+        let dims = d.get_usize()?;
         let sample_size = d.get_usize()?;
         let threshold = d.get_f64()?;
         let n_trees = d.get_usize()?;
@@ -222,31 +219,38 @@ impl IsolationForest {
         let mut trees = Vec::with_capacity(n_trees);
         for _ in 0..n_trees {
             let count = d.get_usize()?;
+            if count == 0 {
+                return Err(DecodeError::Corrupt("empty tree"));
+            }
             if count > 1 << 24 {
                 return Err(DecodeError::Corrupt("node count"));
             }
-            let mut nodes = Vec::with_capacity(count);
-            for _ in 0..count {
+            let mut nodes = Vec::with_capacity(count.min(1 << 20));
+            for id in 0..count {
                 let node = match d.get_u8()? {
                     0 => Node::Leaf { size: d.get_u32()? },
-                    1 => Node::Split {
-                        feature: d.get_u32()?,
-                        threshold: d.get_f64()?,
-                        left: d.get_u32()?,
-                        right: d.get_u32()?,
-                    },
+                    1 => {
+                        let feature = d.get_u32()?;
+                        let threshold = d.get_f64()?;
+                        let (left, right) = (d.get_u32()?, d.get_u32()?);
+                        if feature as usize >= dims {
+                            return Err(DecodeError::Corrupt("split feature"));
+                        }
+                        if [left, right].iter().any(|&c| c as usize <= id || c as usize >= count) {
+                            return Err(DecodeError::Corrupt("split child"));
+                        }
+                        Node::Split { feature, threshold, left, right }
+                    }
                     _ => return Err(DecodeError::Corrupt("node tag")),
                 };
                 nodes.push(node);
             }
             trees.push(IsolationTree { nodes });
         }
-        Ok(IsolationForest { trees, sample_size, threshold })
+        Ok(IsolationForest { trees, dims, sample_size, threshold })
     }
 }
 
-// `input_dims` keeps its `None` default: the forest records no width,
-// only the feature indices its splits read.
 impl Classifier for IsolationForest {
     fn name(&self) -> &'static str {
         "IF"
@@ -256,9 +260,14 @@ impl Classifier for IsolationForest {
         usize::from(self.score(features) > self.threshold)
     }
 
+    fn input_dims(&self) -> Option<usize> {
+        Some(self.dims)
+    }
+
     fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         e.put_u32(IFOREST_MAGIC);
+        e.put_usize(self.dims);
         e.put_usize(self.sample_size);
         e.put_f64(self.threshold);
         e.put_usize(self.trees.len());
@@ -296,20 +305,22 @@ impl Classifier for IsolationForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::FeatureMatrix;
 
-    /// A dense benign cluster plus scattered anomalies.
-    fn anomaly_data(n: usize, rng: &mut SimRng) -> (Vec<Vec<f64>>, Vec<usize>) {
-        let mut x = Vec::new();
+    /// A dense benign cluster plus scattered anomalies, `dims` wide.
+    fn anomaly_data(n: usize, dims: usize, rng: &mut SimRng) -> (FeatureMatrix, Vec<usize>) {
+        let mut x = FeatureMatrix::new(dims);
         let mut y = Vec::new();
         for i in 0..n {
-            if i % 10 == 0 {
+            let row: Vec<f64> = if i % 10 == 0 {
                 // Anomaly: far from the cluster.
-                x.push(vec![rng.uniform_range(5.0, 15.0), rng.uniform_range(5.0, 15.0)]);
                 y.push(1);
+                (0..dims).map(|_| rng.uniform_range(5.0, 15.0)).collect()
             } else {
-                x.push(vec![rng.standard_normal() * 0.5, rng.standard_normal() * 0.5]);
                 y.push(0);
-            }
+                (0..dims).map(|_| rng.standard_normal() * 0.5).collect()
+            };
+            x.push_row(&row);
         }
         (x, y)
     }
@@ -317,43 +328,38 @@ mod tests {
     #[test]
     fn anomalies_score_higher() {
         let mut rng = SimRng::seed_from(1);
-        let (x, y) = anomaly_data(500, &mut rng);
+        let (x, y) = anomaly_data(500, 2, &mut rng);
         let forest =
-            IsolationForest::fit(&x, &y, &IsolationForestConfig::default(), &mut rng).unwrap();
-        let benign_mean: f64 = x
-            .iter()
-            .zip(&y)
-            .filter(|(_, &l)| l == 0)
-            .map(|(xi, _)| forest.score(xi))
-            .sum::<f64>()
-            / y.iter().filter(|&&l| l == 0).count() as f64;
-        let anomaly_mean: f64 = x
-            .iter()
-            .zip(&y)
-            .filter(|(_, &l)| l == 1)
-            .map(|(xi, _)| forest.score(xi))
-            .sum::<f64>()
-            / y.iter().filter(|&&l| l == 1).count() as f64;
+            IsolationForest::fit_view(x.view(), &y, &IsolationForestConfig::default(), &mut rng)
+                .unwrap();
+        let mean_score = |class: usize| {
+            let scores: Vec<f64> =
+                x.rows().zip(&y).filter(|(_, &l)| l == class).map(|(xi, _)| forest.score(xi)).collect();
+            scores.iter().sum::<f64>() / scores.len() as f64
+        };
+        let (benign_mean, anomaly_mean) = (mean_score(0), mean_score(1));
         assert!(anomaly_mean > benign_mean + 0.1, "{anomaly_mean} vs {benign_mean}");
     }
 
     #[test]
     fn calibrated_forest_classifies_well() {
         let mut rng = SimRng::seed_from(2);
-        let (x, y) = anomaly_data(600, &mut rng);
+        let (x, y) = anomaly_data(600, 2, &mut rng);
         let forest =
-            IsolationForest::fit(&x, &y, &IsolationForestConfig::default(), &mut rng).unwrap();
-        let correct = x.iter().zip(&y).filter(|(xi, &yi)| forest.predict(xi) == yi).count();
-        assert!(correct as f64 / x.len() as f64 > 0.93, "acc {correct}/600");
+            IsolationForest::fit_view(x.view(), &y, &IsolationForestConfig::default(), &mut rng)
+                .unwrap();
+        let correct = x.rows().zip(&y).filter(|(xi, &yi)| forest.predict(xi) == yi).count();
+        assert!(correct as f64 / x.n_rows() as f64 > 0.93, "acc {correct}/600");
     }
 
     #[test]
     fn scores_are_in_unit_interval() {
         let mut rng = SimRng::seed_from(3);
-        let (x, y) = anomaly_data(200, &mut rng);
+        let (x, y) = anomaly_data(200, 2, &mut rng);
         let forest =
-            IsolationForest::fit(&x, &y, &IsolationForestConfig::default(), &mut rng).unwrap();
-        for xi in &x {
+            IsolationForest::fit_view(x.view(), &y, &IsolationForestConfig::default(), &mut rng)
+                .unwrap();
+        for xi in x.rows() {
             let s = forest.score(xi);
             assert!((0.0..=1.0).contains(&s), "{s}");
         }
@@ -362,13 +368,71 @@ mod tests {
     #[test]
     fn codec_roundtrip_preserves_predictions() {
         let mut rng = SimRng::seed_from(4);
-        let (x, y) = anomaly_data(200, &mut rng);
+        let (x, y) = anomaly_data(200, 2, &mut rng);
         let config = IsolationForestConfig { n_trees: 10, sample_size: 64 };
-        let forest = IsolationForest::fit(&x, &y, &config, &mut rng).unwrap();
+        let forest = IsolationForest::fit_view(x.view(), &y, &config, &mut rng).unwrap();
         let back = IsolationForest::decode(&forest.encode()).unwrap();
-        assert_eq!(back.threshold(), forest.threshold());
-        for xi in &x {
+        assert_eq!(back, forest);
+        assert_eq!(back.input_dims(), Some(2));
+        for xi in x.rows() {
             assert_eq!(forest.predict(xi), back.predict(xi));
+        }
+    }
+
+    /// Structure-aware decoder fuzzing: the forest's dims word, each
+    /// tree's node count and each split's feature and child words in a
+    /// trained forest's blob are overwritten with 0, the node's own
+    /// index (a self-loop for a child), the tree's node count and
+    /// `u32::MAX`. Every mutant must fail to decode or decode to a
+    /// forest that predicts every row of a 26-wide probe, and every
+    /// truncation must fail to decode.
+    #[test]
+    fn decode_mutants_error_or_predict_cleanly() {
+        let mut rng = SimRng::seed_from(5);
+        let (x, y) = anomaly_data(200, 26, &mut rng);
+        let config = IsolationForestConfig { n_trees: 4, sample_size: 32 };
+        let forest = IsolationForest::fit_view(x.view(), &y, &config, &mut rng).unwrap();
+        let blob = forest.encode();
+        let word = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+        // (offset, width in bytes, own node index, tree node count)
+        let mut fields: Vec<(usize, usize, u64, u64)> = Vec::new();
+        let mut at = 4 + 8 + 8 + 8 + 8;
+        fields.push((4, 8, 0, word(at)));
+        for _ in 0..forest.trees.len() {
+            let count = word(at);
+            fields.push((at, 8, 0, count));
+            at += 8;
+            for id in 0..count {
+                if blob[at] == 0 {
+                    at += 1 + 4;
+                } else {
+                    // After the tag: feature, threshold, left, right.
+                    fields.push((at + 1, 4, id, count));
+                    fields.push((at + 13, 4, id, count));
+                    fields.push((at + 17, 4, id, count));
+                    at += 1 + 4 + 8 + 4 + 4;
+                }
+            }
+        }
+        assert_eq!(at, blob.len());
+        let mut decoded = 0;
+        for &(field, width, id, count) in &fields {
+            for value in [0, id, count, u64::from(u32::MAX)] {
+                let mut mutant = blob.clone();
+                mutant[field..field + width].copy_from_slice(&value.to_le_bytes()[..width]);
+                let Ok(back) = IsolationForest::decode(&mutant) else {
+                    continue;
+                };
+                decoded += 1;
+                for row in x.rows() {
+                    let _ = back.predict(row);
+                }
+            }
+        }
+        // Feature and child words that stay in range still decode.
+        assert!(decoded > 0);
+        for cut in 0..blob.len() {
+            assert!(IsolationForest::decode(&blob[..cut]).is_err(), "truncated at {cut}");
         }
     }
 

@@ -14,7 +14,7 @@
 //! for unsupervised intrusion detection.
 //!
 //! The Lloyd iterations are chunk-parallel: assignment and centroid
-//! accumulation run over fixed-size row chunks ([`CHUNK`] rows) whose
+//! accumulation run over fixed-size row chunks (`CHUNK` rows) whose
 //! partial results fold in chunk order — same input, same seed, same
 //! model at any thread count.
 
@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::classifier::{Classifier, RowSpan, TrainError};
 use crate::codec::{DecodeError, Decoder, Encoder};
-use crate::matrix::{FeatureMatrix, MatrixView};
+use crate::matrix::MatrixView;
 use crate::par;
 
 const KMEANS_MAGIC: u32 = 0x6b6d_6e73; // "kmns"
@@ -193,18 +193,6 @@ impl KMeans {
         Ok(KMeans { centroids, proportions, inertia, iterations })
     }
 
-    /// Fits on row-of-`Vec`s data (copies once into a flat matrix, then
-    /// delegates to [`KMeans::fit_view`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrainError::EmptyDataset`] / [`TrainError::RaggedFeatures`]
-    /// on unusable input.
-    pub fn fit(x: &[Vec<f64>], config: &KMeansConfig, rng: &mut SimRng) -> Result<Self, TrainError> {
-        let m = FeatureMatrix::from_rows(x)?;
-        KMeans::fit_view(m.view(), config, rng)
-    }
-
     /// The surviving cluster count.
     pub fn k(&self) -> usize {
         self.centroids.len()
@@ -356,25 +344,6 @@ impl KMeansDetector {
         let cluster_labels =
             (0..k).map(|j| usize::from(positives[j] * 2 > totals[j].max(1))).collect();
         Ok(KMeansDetector { model, cluster_labels })
-    }
-
-    /// Clusters `x` unsupervised, then labels each cluster with the
-    /// majority class of its members (row-of-`Vec`s adapter).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TrainError`] for unusable training data.
-    pub fn fit(
-        x: &[Vec<f64>],
-        y: &[usize],
-        config: &KMeansConfig,
-        rng: &mut SimRng,
-    ) -> Result<Self, TrainError> {
-        if x.len() != y.len() {
-            return Err(TrainError::LabelMismatch);
-        }
-        let m = FeatureMatrix::from_rows(x)?;
-        KMeansDetector::fit_view(m.view(), y, config, rng)
     }
 
     /// The underlying clustering.
@@ -549,15 +518,16 @@ impl Classifier for KMeansDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::FeatureMatrix;
     use crate::classifier::predict_view;
 
-    fn blobs(n: usize, centers: &[(f64, f64)], rng: &mut SimRng) -> (Vec<Vec<f64>>, Vec<usize>) {
-        let mut x = Vec::new();
+    fn blobs(n: usize, centers: &[(f64, f64)], rng: &mut SimRng) -> (FeatureMatrix, Vec<usize>) {
+        let mut x = FeatureMatrix::new(2);
         let mut y = Vec::new();
         for i in 0..n {
             let class = i % centers.len();
             let (cx, cy) = centers[class];
-            x.push(vec![cx + 0.3 * rng.standard_normal(), cy + 0.3 * rng.standard_normal()]);
+            x.push_row(&[cx + 0.3 * rng.standard_normal(), cy + 0.3 * rng.standard_normal()]);
             y.push(usize::from(class >= centers.len() / 2));
         }
         (x, y)
@@ -569,12 +539,11 @@ mod tests {
     fn flat_batch_predict_is_bit_identical_to_per_row() {
         let mut rng = SimRng::seed_from(7);
         let (x, y) = blobs(240, &[(-5.0, 0.0), (0.0, 5.0), (5.0, 0.0), (0.0, -5.0)], &mut rng);
-        let detector = KMeansDetector::fit(&x, &y, &KMeansConfig::default(), &mut rng).unwrap();
-        let m = FeatureMatrix::from_rows(&x).unwrap();
-        let per_row: Vec<(usize, u64)> = x.iter().map(|row| detector.predict_with_work(row)).collect();
+        let detector = KMeansDetector::fit_view(x.view(), &y, &KMeansConfig::default(), &mut rng).unwrap();
+        let per_row: Vec<(usize, u64)> = x.rows().map(|row| detector.predict_with_work(row)).collect();
         let classes: Vec<usize> = per_row.iter().map(|&(c, _)| c).collect();
         let work: u64 = per_row.iter().map(|&(_, w)| w).sum();
-        assert_eq!(predict_view(&detector, m.view()), (classes.clone(), work));
+        assert_eq!(predict_view(&detector, x.view()), (classes.clone(), work));
         let tilings: [&[RowSpan]; 2] = [
             &[RowSpan { start: 0, len: 240 }],
             &[
@@ -587,7 +556,7 @@ mod tests {
             let mut spanned = Vec::new();
             let mut span_work = Vec::new();
             let total =
-                detector.predict_batch_spans_into(m.view(), spans, &mut spanned, &mut span_work);
+                detector.predict_batch_spans_into(x.view(), spans, &mut spanned, &mut span_work);
             let expected: Vec<u64> =
                 spans.iter().map(|span| span.range().map(|i| per_row[i].1).sum()).collect();
             assert_eq!(spanned, classes, "{spans:?}");
@@ -622,7 +591,7 @@ mod tests {
     fn ukmeans_discovers_the_true_cluster_count() {
         let mut rng = SimRng::seed_from(1);
         let (x, _) = blobs(600, &[(-5.0, 0.0), (0.0, 5.0), (5.0, 0.0)], &mut rng);
-        let model = KMeans::fit(&x, &KMeansConfig::default(), &mut rng).unwrap();
+        let model = KMeans::fit_view(x.view(), &KMeansConfig::default(), &mut rng).unwrap();
         assert_eq!(model.k(), 3, "entropy pruning collapses 16 -> 3 clusters");
     }
 
@@ -631,7 +600,7 @@ mod tests {
         let mut rng = SimRng::seed_from(2);
         let (x, _) = blobs(300, &[(-5.0, 0.0), (5.0, 0.0)], &mut rng);
         let config = KMeansConfig { k_max: 4, beta: 0.0, ..KMeansConfig::default() };
-        let model = KMeans::fit(&x, &config, &mut rng).unwrap();
+        let model = KMeans::fit_view(x.view(), &config, &mut rng).unwrap();
         assert_eq!(model.k(), 4, "beta=0 disables pruning");
     }
 
@@ -641,7 +610,7 @@ mod tests {
         let (x, _) = blobs(400, &[(-5.0, 0.0), (0.0, 5.0), (5.0, 0.0), (0.0, -5.0)], &mut rng);
         let fit_k = |k: usize, rng: &mut SimRng| {
             let config = KMeansConfig { k_max: k, beta: 0.0, ..KMeansConfig::default() };
-            KMeans::fit(&x, &config, rng).unwrap().inertia()
+            KMeans::fit_view(x.view(), &config, rng).unwrap().inertia()
         };
         let i1 = fit_k(1, &mut rng);
         let i2 = fit_k(2, &mut rng);
@@ -654,18 +623,18 @@ mod tests {
     fn detector_classifies_separated_classes() {
         let mut rng = SimRng::seed_from(4);
         let (x, y) = blobs(500, &[(-4.0, -4.0), (4.0, 4.0)], &mut rng);
-        let detector = KMeansDetector::fit(&x, &y, &KMeansConfig::default(), &mut rng).unwrap();
-        let correct = x.iter().zip(&y).filter(|(xi, &yi)| detector.predict(xi) == yi).count();
-        assert!(correct as f64 / x.len() as f64 > 0.95, "acc {correct}/500");
+        let detector = KMeansDetector::fit_view(x.view(), &y, &KMeansConfig::default(), &mut rng).unwrap();
+        let correct = x.rows().zip(&y).filter(|(xi, &yi)| detector.predict(xi) == yi).count();
+        assert!(correct as f64 / x.n_rows() as f64 > 0.95, "acc {correct}/500");
     }
 
     #[test]
     fn predict_with_work_counts_distance_multiply_adds() {
         let mut rng = SimRng::seed_from(14);
         let (x, y) = blobs(200, &[(-4.0, 0.0), (4.0, 0.0)], &mut rng);
-        let detector = KMeansDetector::fit(&x, &y, &KMeansConfig::default(), &mut rng).unwrap();
-        let (class, work) = detector.predict_with_work(&x[0]);
-        assert_eq!(class, detector.predict(&x[0]));
+        let detector = KMeansDetector::fit_view(x.view(), &y, &KMeansConfig::default(), &mut rng).unwrap();
+        let (class, work) = detector.predict_with_work(x.row(0));
+        assert_eq!(class, detector.predict(x.row(0)));
         // k centroids × 2 feature dims.
         assert_eq!(work, detector.model().k() as u64 * 2);
     }
@@ -674,10 +643,10 @@ mod tests {
     fn detector_codec_roundtrip() {
         let mut rng = SimRng::seed_from(5);
         let (x, y) = blobs(200, &[(-4.0, 0.0), (4.0, 0.0)], &mut rng);
-        let detector = KMeansDetector::fit(&x, &y, &KMeansConfig::default(), &mut rng).unwrap();
+        let detector = KMeansDetector::fit_view(x.view(), &y, &KMeansConfig::default(), &mut rng).unwrap();
         let blob = detector.encode();
         let back = KMeansDetector::decode(&blob).unwrap();
-        for xi in &x {
+        for xi in x.rows() {
             assert_eq!(detector.predict(xi), back.predict(xi));
         }
     }
@@ -692,7 +661,7 @@ mod tests {
     fn decode_mutants_error_or_predict_cleanly() {
         let mut rng = SimRng::seed_from(15);
         let (x, y) = blobs(240, &[(-5.0, 0.0), (0.0, 5.0), (5.0, 0.0), (0.0, -5.0)], &mut rng);
-        let detector = KMeansDetector::fit(&x, &y, &KMeansConfig::default(), &mut rng).unwrap();
+        let detector = KMeansDetector::fit_view(x.view(), &y, &KMeansConfig::default(), &mut rng).unwrap();
         let k = detector.model().k();
         assert!(k >= 2);
         let blob = detector.encode();
@@ -711,7 +680,8 @@ mod tests {
         at += 8 + 8 * k;
         assert_eq!(at, blob.len());
 
-        let rows = FeatureMatrix::from_rows(&x[..40]).unwrap();
+        let first: Vec<usize> = (0..40).collect();
+        let rows = x.subset(&first);
         let spans = [RowSpan { start: 0, len: 15 }, RowSpan { start: 15, len: 25 }];
         let mut decoded = 0;
         for &field in &fields {
@@ -723,16 +693,16 @@ mod tests {
                     continue;
                 };
                 decoded += 1;
-                let (batch, work) = predict_view(&back, rows.view());
+                let (batch, work) = predict_view(&back, rows);
                 let (mut spanned, mut span_work) = (Vec::new(), Vec::new());
                 let spanned_work = back.predict_batch_spans_into(
-                    rows.view(),
+                    rows,
                     &spans,
                     &mut spanned,
                     &mut span_work,
                 );
                 assert_eq!((spanned_work, &spanned), (work, &batch));
-                for (row, &class) in x[..40].iter().zip(&batch) {
+                for (row, &class) in rows.rows().zip(&batch) {
                     assert!(class <= 1, "word at {field} set to {value}: class {class}");
                     assert_eq!(back.predict_with_work(row).0, class);
                 }
@@ -775,7 +745,7 @@ mod tests {
         // Table II: the paper's K-Means model is ~11 Kb vs ~712 Kb for RF.
         let mut rng = SimRng::seed_from(6);
         let (x, y) = blobs(300, &[(-4.0, 0.0), (4.0, 0.0)], &mut rng);
-        let detector = KMeansDetector::fit(&x, &y, &KMeansConfig::default(), &mut rng).unwrap();
+        let detector = KMeansDetector::fit_view(x.view(), &y, &KMeansConfig::default(), &mut rng).unwrap();
         assert!(detector.encode().len() < 4_096, "encoded {} bytes", detector.encode().len());
     }
 
@@ -783,14 +753,11 @@ mod tests {
     fn empty_and_ragged_inputs_error() {
         let mut rng = SimRng::seed_from(7);
         assert_eq!(
-            KMeans::fit(&[], &KMeansConfig::default(), &mut rng),
+            KMeans::fit_view(FeatureMatrix::new(2).view(), &KMeansConfig::default(), &mut rng),
             Err(TrainError::EmptyDataset)
         );
         let ragged = vec![vec![1.0], vec![1.0, 2.0]];
-        assert_eq!(
-            KMeans::fit(&ragged, &KMeansConfig::default(), &mut rng),
-            Err(TrainError::RaggedFeatures)
-        );
+        assert_eq!(FeatureMatrix::from_rows(&ragged), Err(TrainError::RaggedFeatures));
     }
 
     #[test]
@@ -798,7 +765,7 @@ mod tests {
         let run = || {
             let mut rng = SimRng::seed_from(8);
             let (x, y) = blobs(200, &[(-4.0, 0.0), (4.0, 0.0)], &mut rng);
-            KMeansDetector::fit(&x, &y, &KMeansConfig::default(), &mut rng).unwrap().encode()
+            KMeansDetector::fit_view(x.view(), &y, &KMeansConfig::default(), &mut rng).unwrap().encode()
         };
         assert_eq!(run(), run());
     }
@@ -812,7 +779,7 @@ mod tests {
                 let mut rng = SimRng::seed_from(9);
                 let (x, y) =
                     blobs(CHUNK + 600, &[(-5.0, 0.0), (0.0, 5.0), (5.0, 0.0)], &mut rng);
-                KMeansDetector::fit(&x, &y, &KMeansConfig::default(), &mut rng).unwrap().encode()
+                KMeansDetector::fit_view(x.view(), &y, &KMeansConfig::default(), &mut rng).unwrap().encode()
             })
         };
         assert_eq!(run(1), run(4));

@@ -1,12 +1,11 @@
-//! Flat, cache-friendly feature storage.
+//! Flat, cache-friendly feature storage — the one format in which
+//! feature rows enter extraction, scaling, training and prediction.
 //!
-//! The training and inference hot paths used to shuttle `Vec<Vec<f64>>`
-//! around: one heap allocation per sample, pointer-chasing on every row
-//! access, and full-row clones whenever a subset (train/holdout split,
-//! bootstrap bag) was needed. [`FeatureMatrix`] stores all samples in one
-//! contiguous row-major `Vec<f64>`, and [`MatrixView`] lets callers hand
-//! out the whole matrix *or an index-based subset of its rows* without
-//! copying a single feature value.
+//! [`FeatureMatrix`] stores all samples in one contiguous row-major
+//! `Vec<f64>`: no heap allocation per sample and no pointer-chasing on
+//! row access. [`MatrixView`] lets callers hand out the whole matrix *or
+//! an index-based subset of its rows* (a train/holdout split, a
+//! bootstrap bag) without copying a single feature value.
 
 use crate::classifier::TrainError;
 
@@ -177,12 +176,6 @@ impl<'a> MatrixView<'a> {
     pub fn rows(&self) -> impl Iterator<Item = &'a [f64]> + '_ {
         (0..self.n_rows()).map(|i| self.row(i))
     }
-
-    /// Materialises the view as owned rows (interop with the legacy
-    /// `&[Vec<f64>]` APIs; copies).
-    pub fn to_rows(&self) -> Vec<Vec<f64>> {
-        self.rows().map(<[f64]>::to_vec).collect()
-    }
 }
 
 /// Gathers `values[i]` for each subset index — the label-side companion
@@ -211,7 +204,7 @@ mod tests {
         assert_eq!(m.n_cols(), 2);
         assert_eq!(m.row(1), &[2.0, 3.0]);
         assert_eq!(m.as_slice(), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(m.view().to_rows(), sample().rows().map(<[f64]>::to_vec).collect::<Vec<_>>());
+        assert!(m.view().rows().eq(m.rows()));
     }
 
     #[test]
@@ -250,7 +243,6 @@ mod tests {
         assert_eq!(v.row(0), &[4.0, 5.0]);
         assert_eq!(v.row(1), &[0.0, 1.0]);
         assert_eq!(v.row(2), &[0.0, 1.0]);
-        assert_eq!(v.to_rows(), vec![vec![4.0, 5.0], vec![0.0, 1.0], vec![0.0, 1.0]]);
     }
 
     #[test]

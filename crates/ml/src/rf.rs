@@ -3,11 +3,11 @@
 //! describes for its RF model (§III-B).
 //!
 //! The training hot path is built for speed: samples live in a flat
-//! [`FeatureMatrix`] accessed through zero-copy [`MatrixView`]s, each
-//! tree presorts every feature **once** (so split search walks sorted
-//! order with prefix counts in O(features · n) per node instead of
-//! re-sorting in O(features · n log n)), and the forest fits its trees
-//! in parallel. Each tree derives a private RNG stream from the master
+//! [`FeatureMatrix`](crate::matrix::FeatureMatrix) accessed through
+//! zero-copy [`MatrixView`]s, each tree presorts every feature **once**
+//! (so split search walks sorted order with prefix counts in
+//! O(features · n) per node instead of re-sorting in
+//! O(features · n log n)), and the forest fits its trees in parallel. Each tree derives a private RNG stream from the master
 //! seed *before* the parallel region and results are collected in tree
 //! order, so the same seed yields a bit-identical forest at any thread
 //! count.
@@ -15,9 +15,9 @@
 use netsim::rng::SimRng;
 use serde::{Deserialize, Serialize};
 
-use crate::classifier::{validate_matrix, validate_training_set, Classifier, RowSpan, TrainError};
+use crate::classifier::{validate_matrix, Classifier, RowSpan, TrainError};
 use crate::codec::{DecodeError, Decoder, Encoder};
-use crate::matrix::{FeatureMatrix, MatrixView};
+use crate::matrix::MatrixView;
 use crate::par;
 
 const TREE_MAGIC: u32 = 0x7472_6565; // "tree"
@@ -134,43 +134,6 @@ impl DecisionTree {
         };
         builder.grow(sorted, 0, rng);
         DecisionTree { nodes: builder.nodes, dims }
-    }
-
-    /// Fits a tree on `(x, y)` restricted to `indices`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` is empty, if `x` is empty, or if `x`'s rows
-    /// are ragged (unequal lengths). Callers that cannot guarantee a
-    /// rectangular training set should go through [`DecisionTree::fit`],
-    /// which surfaces those conditions as a [`TrainError`] instead.
-    pub fn fit_on(
-        x: &[Vec<f64>],
-        y: &[usize],
-        indices: &[usize],
-        config: &TreeConfig,
-        rng: &mut SimRng,
-    ) -> Self {
-        assert!(!indices.is_empty(), "cannot fit a tree on no samples");
-        let m = FeatureMatrix::from_rows(x)
-            .expect("fit_on requires a non-empty, rectangular training set (see `# Panics`)");
-        DecisionTree::fit_view(m.view(), y, indices, config, rng)
-    }
-
-    /// Fits a tree on the full training set.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TrainError`] for unusable training data.
-    pub fn fit(
-        x: &[Vec<f64>],
-        y: &[usize],
-        config: &TreeConfig,
-        rng: &mut SimRng,
-    ) -> Result<Self, TrainError> {
-        validate_training_set(x, y)?;
-        let indices: Vec<usize> = (0..x.len()).collect();
-        Ok(DecisionTree::fit_on(x, y, &indices, config, rng))
     }
 
     /// Predicts the class of one sample. A NaN feature value fails every
@@ -701,27 +664,6 @@ impl RandomForest {
         RandomForest { trees, dims, pool }
     }
 
-    /// Trains a forest on row-of-`Vec`s data (copies once into a flat
-    /// matrix, then delegates to [`RandomForest::fit_view`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TrainError`] for unusable training data.
-    pub fn fit(
-        x: &[Vec<f64>],
-        y: &[usize],
-        config: &ForestConfig,
-        rng: &mut SimRng,
-    ) -> Result<Self, TrainError> {
-        validate_training_set(x, y)?;
-        // Invariant: `validate_training_set` already rejected the two
-        // conditions `from_rows` can fail on (empty and ragged input),
-        // so this cannot panic on any path that reaches it.
-        let m = FeatureMatrix::from_rows(x)
-            .expect("validate_training_set rejects empty and ragged rows");
-        RandomForest::fit_view(m.view(), y, config, rng)
-    }
-
     /// Number of trees.
     pub fn n_trees(&self) -> usize {
         self.trees.len()
@@ -870,32 +812,33 @@ impl Classifier for RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::FeatureMatrix;
     use crate::classifier::predict_view;
     use crate::matrix::gather;
 
     /// Two Gaussian-ish blobs separable on feature 0.
-    fn blobs(n: usize, rng: &mut SimRng) -> (Vec<Vec<f64>>, Vec<usize>) {
-        let mut x = Vec::new();
+    fn blobs(n: usize, rng: &mut SimRng) -> (FeatureMatrix, Vec<usize>) {
+        let mut x = FeatureMatrix::new(2);
         let mut y = Vec::new();
         for i in 0..n {
             let class = i % 2;
             let center = if class == 0 { -2.0 } else { 2.0 };
-            x.push(vec![center + rng.standard_normal(), rng.standard_normal()]);
+            x.push_row(&[center + rng.standard_normal(), rng.standard_normal()]);
             y.push(class);
         }
         (x, y)
     }
 
     /// XOR-ish data: not linearly separable, needs depth >= 2.
-    fn xor(n: usize, rng: &mut SimRng) -> (Vec<Vec<f64>>, Vec<usize>) {
-        let mut x = Vec::new();
+    fn xor(n: usize, rng: &mut SimRng) -> (FeatureMatrix, Vec<usize>) {
+        let mut x = FeatureMatrix::new(2);
         let mut y = Vec::new();
         for _ in 0..n {
             let a = rng.uniform() > 0.5;
             let b = rng.uniform() > 0.5;
             let ja = rng.uniform_range(-0.3, 0.3);
             let jb = rng.uniform_range(-0.3, 0.3);
-            x.push(vec![f64::from(a) + ja, f64::from(b) + jb]);
+            x.push_row(&[f64::from(a) + ja, f64::from(b) + jb]);
             y.push(usize::from(a ^ b));
         }
         (x, y)
@@ -905,9 +848,10 @@ mod tests {
     fn tree_separates_blobs() {
         let mut rng = SimRng::seed_from(1);
         let (x, y) = blobs(400, &mut rng);
-        let tree = DecisionTree::fit(&x, &y, &TreeConfig::default(), &mut rng).unwrap();
-        let correct = x.iter().zip(&y).filter(|(xi, &yi)| tree.predict(xi) == yi).count();
-        assert!(correct as f64 / x.len() as f64 > 0.95, "train acc {correct}/400");
+        let all: Vec<usize> = (0..x.n_rows()).collect();
+        let tree = DecisionTree::fit_view(x.view(), &y, &all, &TreeConfig::default(), &mut rng);
+        let correct = x.rows().zip(&y).filter(|(xi, &yi)| tree.predict(xi) == yi).count();
+        assert!(correct as f64 / x.n_rows() as f64 > 0.95, "train acc {correct}/400");
     }
 
     #[test]
@@ -915,18 +859,18 @@ mod tests {
         let mut rng = SimRng::seed_from(2);
         let (x, y) = xor(600, &mut rng);
         let (xt, yt) = xor(200, &mut rng);
-        let forest = RandomForest::fit(&x, &y, &ForestConfig::default(), &mut rng).unwrap();
-        let correct = xt.iter().zip(&yt).filter(|(xi, &yi)| forest.predict(xi) == yi).count();
-        assert!(correct as f64 / xt.len() as f64 > 0.9, "test acc {correct}/200");
+        let forest = RandomForest::fit_view(x.view(), &y, &ForestConfig::default(), &mut rng).unwrap();
+        let correct = xt.rows().zip(&yt).filter(|(xi, &yi)| forest.predict(xi) == yi).count();
+        assert!(correct as f64 / xt.n_rows() as f64 > 0.9, "test acc {correct}/200");
     }
 
     #[test]
     fn forest_beats_single_majority_baseline() {
         let mut rng = SimRng::seed_from(3);
         let (x, y) = blobs(300, &mut rng);
-        let forest = RandomForest::fit(&x, &y, &ForestConfig::default(), &mut rng).unwrap();
-        let acc = x.iter().zip(&y).filter(|(xi, &yi)| forest.predict(xi) == yi).count() as f64
-            / x.len() as f64;
+        let forest = RandomForest::fit_view(x.view(), &y, &ForestConfig::default(), &mut rng).unwrap();
+        let acc = x.rows().zip(&y).filter(|(xi, &yi)| forest.predict(xi) == yi).count() as f64
+            / x.n_rows() as f64;
         assert!(acc > 0.5 + 0.2, "forest accuracy {acc}");
     }
 
@@ -935,7 +879,8 @@ mod tests {
         let mut rng = SimRng::seed_from(4);
         let (x, y) = xor(300, &mut rng);
         let config = TreeConfig { max_depth: 3, ..TreeConfig::default() };
-        let tree = DecisionTree::fit(&x, &y, &config, &mut rng).unwrap();
+        let all: Vec<usize> = (0..x.n_rows()).collect();
+        let tree = DecisionTree::fit_view(x.view(), &y, &all, &config, &mut rng);
         assert!(tree.depth() <= 4, "depth {} (root at depth 1)", tree.depth());
     }
 
@@ -943,12 +888,13 @@ mod tests {
     fn codec_roundtrip_preserves_predictions() {
         let mut rng = SimRng::seed_from(5);
         let (x, y) = blobs(200, &mut rng);
-        let forest = RandomForest::fit(&x, &y, &ForestConfig { n_trees: 7, ..Default::default() }, &mut rng)
-            .unwrap();
+        let forest =
+            RandomForest::fit_view(x.view(), &y, &ForestConfig { n_trees: 7, ..Default::default() }, &mut rng)
+                .unwrap();
         let blob = forest.encode();
         let back = RandomForest::decode(&blob).unwrap();
         assert_eq!(back.n_trees(), 7);
-        for xi in &x {
+        for xi in x.rows() {
             assert_eq!(forest.predict(xi), back.predict(xi));
         }
     }
@@ -956,10 +902,10 @@ mod tests {
     #[test]
     fn training_rejects_single_class() {
         let mut rng = SimRng::seed_from(6);
-        let x = vec![vec![1.0], vec![2.0]];
+        let x = FeatureMatrix::from_rows(&[vec![1.0], vec![2.0]]).unwrap();
         let y = vec![0, 0];
         assert_eq!(
-            RandomForest::fit(&x, &y, &ForestConfig::default(), &mut rng),
+            RandomForest::fit_view(x.view(), &y, &ForestConfig::default(), &mut rng),
             Err(TrainError::SingleClass)
         );
     }
@@ -969,10 +915,10 @@ mod tests {
         let mut rng = SimRng::seed_from(7);
         let (x, y) = blobs(200, &mut rng);
         let small =
-            RandomForest::fit(&x, &y, &ForestConfig { n_trees: 3, ..Default::default() }, &mut rng)
+            RandomForest::fit_view(x.view(), &y, &ForestConfig { n_trees: 3, ..Default::default() }, &mut rng)
                 .unwrap();
         let large =
-            RandomForest::fit(&x, &y, &ForestConfig { n_trees: 30, ..Default::default() }, &mut rng)
+            RandomForest::fit_view(x.view(), &y, &ForestConfig { n_trees: 30, ..Default::default() }, &mut rng)
                 .unwrap();
         assert!(large.encode().len() > small.encode().len());
         assert!(large.memory_bytes() > small.memory_bytes());
@@ -983,7 +929,7 @@ mod tests {
         let build = || {
             let mut rng = SimRng::seed_from(8);
             let (x, y) = blobs(150, &mut rng);
-            RandomForest::fit(&x, &y, &ForestConfig::default(), &mut rng).unwrap().encode()
+            RandomForest::fit_view(x.view(), &y, &ForestConfig::default(), &mut rng).unwrap().encode()
         };
         assert_eq!(build(), build());
     }
@@ -996,15 +942,16 @@ mod tests {
     fn nan_features_train_without_panicking() {
         let mut rng = SimRng::seed_from(9);
         let (mut x, y) = blobs(120, &mut rng);
-        for i in (0..x.len()).step_by(7) {
-            x[i][1] = f64::NAN;
+        for i in (0..x.n_rows()).step_by(7) {
+            x.row_mut(i)[1] = f64::NAN;
         }
-        let forest = RandomForest::fit(&x, &y, &ForestConfig { n_trees: 5, ..Default::default() }, &mut rng)
-            .unwrap();
+        let forest =
+            RandomForest::fit_view(x.view(), &y, &ForestConfig { n_trees: 5, ..Default::default() }, &mut rng)
+                .unwrap();
         // Clean rows still classify well — blobs separate on feature 0.
-        let clean: Vec<usize> = (0..x.len()).filter(|i| i % 7 != 0).collect();
+        let clean: Vec<usize> = (0..x.n_rows()).filter(|i| i % 7 != 0).collect();
         let correct =
-            clean.iter().filter(|&&i| forest.predict(&x[i]) == y[i]).count();
+            clean.iter().filter(|&&i| forest.predict(x.row(i)) == y[i]).count();
         assert!(correct as f64 / clean.len() as f64 > 0.9);
         // A NaN probe routes to *some* leaf rather than panicking.
         let _ = forest.predict(&[f64::NAN, f64::NAN]);
@@ -1016,17 +963,18 @@ mod tests {
     fn subset_view_training_matches_materialized_copy() {
         let mut rng = SimRng::seed_from(10);
         let (x, y) = blobs(200, &mut rng);
-        let subset: Vec<usize> = (0..x.len()).filter(|i| i % 3 != 0).collect();
-        let m = FeatureMatrix::from_rows(&x).unwrap();
+        let subset: Vec<usize> = (0..x.n_rows()).filter(|i| i % 3 != 0).collect();
         let ys = gather(&y, &subset);
 
         let mut rng_a = SimRng::seed_from(11);
         let via_view =
-            RandomForest::fit_view(m.subset(&subset), &ys, &ForestConfig::default(), &mut rng_a)
+            RandomForest::fit_view(x.subset(&subset), &ys, &ForestConfig::default(), &mut rng_a)
                 .unwrap();
-        let rows: Vec<Vec<f64>> = subset.iter().map(|&i| x[i].clone()).collect();
+        let rows: Vec<Vec<f64>> = subset.iter().map(|&i| x.row(i).to_vec()).collect();
+        let copy = FeatureMatrix::from_rows(&rows).unwrap();
         let mut rng_b = SimRng::seed_from(11);
-        let via_copy = RandomForest::fit(&rows, &ys, &ForestConfig::default(), &mut rng_b).unwrap();
+        let via_copy =
+            RandomForest::fit_view(copy.view(), &ys, &ForestConfig::default(), &mut rng_b).unwrap();
         assert_eq!(via_view.encode(), via_copy.encode());
     }
 
@@ -1037,9 +985,9 @@ mod tests {
         let mut rng = SimRng::seed_from(13);
         let (x, y) = blobs(200, &mut rng);
         let forest =
-            RandomForest::fit(&x, &y, &ForestConfig { n_trees: 5, ..Default::default() }, &mut rng)
+            RandomForest::fit_view(x.view(), &y, &ForestConfig { n_trees: 5, ..Default::default() }, &mut rng)
                 .unwrap();
-        for xi in x.iter().take(20) {
+        for xi in x.rows().take(20) {
             let (class, work) = forest.predict_with_work(xi);
             assert_eq!(class, forest.predict(xi));
             assert!(work >= forest.n_trees() as u64, "work {work}");
@@ -1056,21 +1004,24 @@ mod tests {
         for seed in [21u64, 22, 23, 24, 25] {
             let mut rng = SimRng::seed_from(seed);
             let (mut x, y) = xor(250, &mut rng);
-            for i in (0..x.len()).step_by(11) {
-                x[i][0] = f64::NAN;
+            for i in (0..x.n_rows()).step_by(11) {
+                x.row_mut(i)[0] = f64::NAN;
             }
-            let forest =
-                RandomForest::fit(&x, &y, &ForestConfig { n_trees: 9, ..Default::default() }, &mut rng)
-                    .unwrap();
-            let m = FeatureMatrix::from_rows(&x).unwrap();
-            let (batch, batch_work) = predict_view(&forest, m.view());
-            let whole = [RowSpan { start: 0, len: x.len() }];
+            let forest = RandomForest::fit_view(
+                x.view(),
+                &y,
+                &ForestConfig { n_trees: 9, ..Default::default() },
+                &mut rng,
+            )
+            .unwrap();
+            let (batch, batch_work) = predict_view(&forest, x.view());
+            let whole = [RowSpan { start: 0, len: x.n_rows() }];
             let (mut spanned, mut span_work) = (Vec::new(), Vec::new());
             let spanned_work =
-                forest.predict_batch_spans_into(m.view(), &whole, &mut spanned, &mut span_work);
+                forest.predict_batch_spans_into(x.view(), &whole, &mut spanned, &mut span_work);
             assert_eq!((&spanned, spanned_work), (&batch, batch_work), "seed {seed}");
             let mut reference_work = 0u64;
-            for (i, xi) in x.iter().enumerate() {
+            for (i, xi) in x.rows().enumerate() {
                 let mut votes = 0usize;
                 let mut work = 0u64;
                 for tree in &forest.trees {
@@ -1097,10 +1048,9 @@ mod tests {
         let mut rng = SimRng::seed_from(31);
         let (x, y) = xor(150, &mut rng);
         let forest =
-            RandomForest::fit(&x, &y, &ForestConfig { n_trees: 7, ..Default::default() }, &mut rng)
+            RandomForest::fit_view(x.view(), &y, &ForestConfig { n_trees: 7, ..Default::default() }, &mut rng)
                 .unwrap();
-        let m = FeatureMatrix::from_rows(&x).unwrap();
-        let per_row: Vec<(usize, u64)> = x.iter().map(|xi| forest.predict_with_work(xi)).collect();
+        let per_row: Vec<(usize, u64)> = x.rows().map(|xi| forest.predict_with_work(xi)).collect();
         let classes: Vec<usize> = per_row.iter().map(|&(c, _)| c).collect();
         for lens in [vec![150], vec![64, 86], vec![1, 7, 64, 13, 65], vec![50, 0, 100]] {
             let mut spans = Vec::new();
@@ -1112,7 +1062,7 @@ mod tests {
             let mut spanned = Vec::new();
             let mut span_work = Vec::new();
             let total =
-                forest.predict_batch_spans_into(m.view(), &spans, &mut spanned, &mut span_work);
+                forest.predict_batch_spans_into(x.view(), &spans, &mut spanned, &mut span_work);
             let expected: Vec<u64> =
                 spans.iter().map(|span| span.range().map(|i| per_row[i].1).sum()).collect();
             assert_eq!(spanned, classes, "{spans:?}");
@@ -1205,7 +1155,7 @@ mod tests {
             n_trees: 4,
             ..Default::default()
         };
-        let forest = RandomForest::fit(&x, &y, &config, &mut rng).unwrap();
+        let forest = RandomForest::fit_view(x.view(), &y, &config, &mut rng).unwrap();
         let blob = forest.encode();
         let word = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
         // (offset, width in bytes, own node index, tree node count)
@@ -1229,7 +1179,8 @@ mod tests {
             }
         }
         assert_eq!(at, blob.len());
-        let rows = FeatureMatrix::from_rows(&x[..40]).unwrap();
+        let first: Vec<usize> = (0..40).collect();
+        let rows = x.subset(&first);
         let mut decoded = 0;
         for &(field, width, id, count) in &fields {
             for value in [0, id, count, u64::from(u32::MAX)] {
@@ -1239,18 +1190,18 @@ mod tests {
                     continue;
                 };
                 decoded += 1;
-                let (batch, work) = predict_view(&back, rows.view());
+                let (batch, work) = predict_view(&back, rows);
                 let spans = [RowSpan { start: 0, len: 15 }, RowSpan { start: 15, len: 25 }];
                 let (mut spanned, mut span_work) = (Vec::new(), Vec::new());
                 let spanned_work =
-                    back.predict_batch_spans_into(rows.view(), &spans, &mut spanned, &mut span_work);
+                    back.predict_batch_spans_into(rows, &spans, &mut spanned, &mut span_work);
                 assert_eq!((&spanned, spanned_work), (&batch, work));
-                for (row, &class) in x[..40].iter().zip(&batch) {
+                for (row, &class) in rows.rows().zip(&batch) {
                     assert_eq!(back.predict(row), class);
                 }
                 for tree in &back.trees {
                     assert!(tree.depth() >= 1);
-                    let _ = tree.predict_counting(&x[0]);
+                    let _ = tree.predict_counting(x.row(0));
                 }
             }
         }
@@ -1271,7 +1222,7 @@ mod tests {
             par::with_threads(threads, || {
                 let mut rng = SimRng::seed_from(12);
                 let (x, y) = xor(200, &mut rng);
-                RandomForest::fit(&x, &y, &ForestConfig { n_trees: 8, ..Default::default() }, &mut rng)
+                RandomForest::fit_view(x.view(), &y, &ForestConfig { n_trees: 8, ..Default::default() }, &mut rng)
                     .unwrap()
                     .encode()
             })

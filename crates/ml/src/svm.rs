@@ -10,8 +10,9 @@
 use netsim::rng::SimRng;
 use serde::{Deserialize, Serialize};
 
-use crate::classifier::{validate_training_set, Classifier, TrainError};
+use crate::classifier::{validate_matrix, Classifier, TrainError};
 use crate::codec::{DecodeError, Decoder, Encoder};
+use crate::matrix::MatrixView;
 
 const SVM_MAGIC: u32 = 0x73766d31; // "svm1"
 
@@ -38,37 +39,23 @@ pub struct LinearSvm {
 }
 
 impl LinearSvm {
-    /// Trains on the rows of a matrix view (materialises the rows; the
-    /// Pegasos loop itself is inherently sequential).
+    /// Trains on the rows of a matrix view with Pegasos sub-gradient
+    /// descent (inherently sequential: each update reads the last).
     ///
     /// # Errors
     ///
     /// Returns a [`TrainError`] for unusable training data.
     pub fn fit_view(
-        view: crate::matrix::MatrixView<'_>,
+        view: MatrixView<'_>,
         y: &[usize],
         config: &SvmConfig,
         rng: &mut SimRng,
     ) -> Result<Self, TrainError> {
-        LinearSvm::fit(&view.to_rows(), y, config, rng)
-    }
-
-    /// Trains with Pegasos sub-gradient descent.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TrainError`] for unusable training data.
-    pub fn fit(
-        x: &[Vec<f64>],
-        y: &[usize],
-        config: &SvmConfig,
-        rng: &mut SimRng,
-    ) -> Result<Self, TrainError> {
-        let dims = validate_training_set(x, y)?;
+        let dims = validate_matrix(view, y)?;
         let mut weights = vec![0.0; dims];
         let mut bias = 0.0;
         let lambda = config.lambda.max(1e-12);
-        let mut order: Vec<usize> = (0..x.len()).collect();
+        let mut order: Vec<usize> = (0..view.n_rows()).collect();
         let mut t = 0usize;
         for _ in 0..config.epochs.max(1) {
             rng.shuffle(&mut order);
@@ -76,14 +63,15 @@ impl LinearSvm {
                 t += 1;
                 let eta = 1.0 / (lambda * t as f64);
                 let label = if y[i] == 1 { 1.0 } else { -1.0 };
-                let margin = label * (dot(&weights, &x[i]) + bias);
+                let row = view.row(i);
+                let margin = label * (dot(&weights, row) + bias);
                 // w <- (1 - eta*lambda) w  [+ eta*y*x on margin violation]
                 let shrink = 1.0 - eta * lambda;
                 for w in &mut weights {
                     *w *= shrink;
                 }
                 if margin < 1.0 {
-                    for (w, &v) in weights.iter_mut().zip(&x[i]) {
+                    for (w, &v) in weights.iter_mut().zip(row) {
                         *w += eta * label * v;
                     }
                     bias += eta * label;
@@ -154,14 +142,15 @@ impl Classifier for LinearSvm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::FeatureMatrix;
 
-    fn blobs(n: usize, rng: &mut SimRng) -> (Vec<Vec<f64>>, Vec<usize>) {
-        let mut x = Vec::new();
+    fn blobs(n: usize, rng: &mut SimRng) -> (FeatureMatrix, Vec<usize>) {
+        let mut x = FeatureMatrix::new(2);
         let mut y = Vec::new();
         for i in 0..n {
             let class = i % 2;
             let center = if class == 0 { -2.0 } else { 2.0 };
-            x.push(vec![center + rng.standard_normal(), rng.standard_normal()]);
+            x.push_row(&[center + rng.standard_normal(), rng.standard_normal()]);
             y.push(class);
         }
         (x, y)
@@ -171,9 +160,9 @@ mod tests {
     fn svm_separates_blobs() {
         let mut rng = SimRng::seed_from(1);
         let (x, y) = blobs(400, &mut rng);
-        let svm = LinearSvm::fit(&x, &y, &SvmConfig::default(), &mut rng).unwrap();
-        let correct = x.iter().zip(&y).filter(|(xi, &yi)| svm.predict(xi) == yi).count();
-        assert!(correct as f64 / x.len() as f64 > 0.95, "acc {correct}/400");
+        let svm = LinearSvm::fit_view(x.view(), &y, &SvmConfig::default(), &mut rng).unwrap();
+        let correct = x.rows().zip(&y).filter(|(xi, &yi)| svm.predict(xi) == yi).count();
+        assert!(correct as f64 / x.n_rows() as f64 > 0.95, "acc {correct}/400");
         // The separating direction is along feature 0.
         assert!(svm.weights()[0].abs() > svm.weights()[1].abs());
     }
@@ -182,7 +171,7 @@ mod tests {
     fn codec_roundtrip() {
         let mut rng = SimRng::seed_from(2);
         let (x, y) = blobs(100, &mut rng);
-        let svm = LinearSvm::fit(&x, &y, &SvmConfig::default(), &mut rng).unwrap();
+        let svm = LinearSvm::fit_view(x.view(), &y, &SvmConfig::default(), &mut rng).unwrap();
         let back = LinearSvm::decode(&svm.encode()).unwrap();
         assert_eq!(back, svm);
     }
@@ -191,7 +180,7 @@ mod tests {
     fn svm_model_is_tiny() {
         let mut rng = SimRng::seed_from(3);
         let (x, y) = blobs(100, &mut rng);
-        let svm = LinearSvm::fit(&x, &y, &SvmConfig::default(), &mut rng).unwrap();
+        let svm = LinearSvm::fit_view(x.view(), &y, &SvmConfig::default(), &mut rng).unwrap();
         assert!(svm.encode().len() < 256);
         assert_eq!(svm.memory_bytes(), 3 * 8);
     }
@@ -199,9 +188,9 @@ mod tests {
     #[test]
     fn rejects_single_class() {
         let mut rng = SimRng::seed_from(4);
-        let x = vec![vec![1.0], vec![2.0]];
+        let x = FeatureMatrix::from_rows(&[vec![1.0], vec![2.0]]).unwrap();
         assert_eq!(
-            LinearSvm::fit(&x, &[0, 0], &SvmConfig::default(), &mut rng),
+            LinearSvm::fit_view(x.view(), &[0, 0], &SvmConfig::default(), &mut rng),
             Err(TrainError::SingleClass)
         );
     }
@@ -211,7 +200,7 @@ mod tests {
         let run = || {
             let mut rng = SimRng::seed_from(5);
             let (x, y) = blobs(100, &mut rng);
-            LinearSvm::fit(&x, &y, &SvmConfig::default(), &mut rng).unwrap().encode()
+            LinearSvm::fit_view(x.view(), &y, &SvmConfig::default(), &mut rng).unwrap().encode()
         };
         assert_eq!(run(), run());
     }

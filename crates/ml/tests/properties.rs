@@ -3,6 +3,7 @@
 use ml::classifier::Classifier;
 use ml::codec::{Decoder, Encoder};
 use ml::kmeans::{KMeans, KMeansConfig, KMeansDetector};
+use ml::matrix::FeatureMatrix;
 use ml::metrics::ConfusionMatrix;
 use ml::rf::{DecisionTree, ForestConfig, RandomForest, TreeConfig};
 use netsim::rng::SimRng;
@@ -69,14 +70,14 @@ proptest! {
     }
 }
 
-fn two_blobs(n: usize, gap: f64, seed: u64) -> (Vec<Vec<f64>>, Vec<usize>) {
+fn two_blobs(n: usize, gap: f64, seed: u64) -> (FeatureMatrix, Vec<usize>) {
     let mut rng = SimRng::seed_from(seed);
-    let mut x = Vec::new();
+    let mut x = FeatureMatrix::new(2);
     let mut y = Vec::new();
     for i in 0..n {
         let class = i % 2;
         let center = if class == 0 { -gap } else { gap };
-        x.push(vec![center + rng.standard_normal(), rng.standard_normal()]);
+        x.push_row(&[center + rng.standard_normal(), rng.standard_normal()]);
         y.push(class);
     }
     (x, y)
@@ -94,7 +95,7 @@ proptest! {
         for k in [1usize, 2, 4, 8] {
             let mut rng = SimRng::seed_from(seed ^ 1);
             let config = KMeansConfig { k_max: k, beta: 0.0, ..KMeansConfig::default() };
-            inertias.push(KMeans::fit(&x, &config, &mut rng).unwrap().inertia());
+            inertias.push(KMeans::fit_view(x.view(), &config, &mut rng).unwrap().inertia());
         }
         for pair in inertias.windows(2) {
             // k-means++ with a fixed seed: larger budgets never fit worse
@@ -109,8 +110,9 @@ proptest! {
     fn tree_beats_majority_baseline(seed in any::<u64>(), gap in 0.5f64..4.0) {
         let (x, y) = two_blobs(150, gap, seed);
         let mut rng = SimRng::seed_from(seed ^ 2);
-        let tree = DecisionTree::fit(&x, &y, &TreeConfig::default(), &mut rng).unwrap();
-        let correct = x.iter().zip(&y).filter(|(xi, &yi)| tree.predict(xi) == yi).count();
+        let all: Vec<usize> = (0..x.n_rows()).collect();
+        let tree = DecisionTree::fit_view(x.view(), &y, &all, &TreeConfig::default(), &mut rng);
+        let correct = x.rows().zip(&y).filter(|(xi, &yi)| tree.predict(xi) == yi).count();
         let majority = y.iter().filter(|&&l| l == 1).count().max(y.len() / 2);
         prop_assert!(correct >= majority, "correct {correct} vs majority {majority}");
     }
@@ -122,10 +124,10 @@ proptest! {
         let (x, y) = two_blobs(80, 2.0, seed);
         let mut rng = SimRng::seed_from(seed ^ 3);
         let config = ForestConfig { n_trees, ..ForestConfig::default() };
-        let forest = RandomForest::fit(&x, &y, &config, &mut rng).unwrap();
+        let forest = RandomForest::fit_view(x.view(), &y, &config, &mut rng).unwrap();
         let blob = forest.encode();
         let back = RandomForest::decode(&blob).unwrap();
-        for xi in &x {
+        for xi in x.rows() {
             prop_assert_eq!(forest.predict(xi), back.predict(xi));
         }
         // Size metric equals blob length by definition.
@@ -139,7 +141,7 @@ proptest! {
         let (x, _) = two_blobs(150, 3.0, seed);
         let mut rng = SimRng::seed_from(seed ^ 4);
         let config = KMeansConfig { k_max, ..KMeansConfig::default() };
-        let model = KMeans::fit(&x, &config, &mut rng).unwrap();
+        let model = KMeans::fit_view(x.view(), &config, &mut rng).unwrap();
         prop_assert!(model.k() >= 1);
         prop_assert!(model.k() <= k_max);
         let total: f64 = model.proportions().iter().sum();
@@ -154,8 +156,7 @@ proptest! {
     /// the same model on a laptop and a 64-core runner.
     #[test]
     fn parallel_training_is_thread_count_invariant(seed in any::<u64>()) {
-        let (x, y) = two_blobs(90, 2.0, seed);
-        let m = ml::matrix::FeatureMatrix::from_rows(&x).unwrap();
+        let (m, y) = two_blobs(90, 2.0, seed);
 
         let forest_config = ForestConfig { n_trees: 6, ..ForestConfig::default() };
         let rf = |threads: usize| {
@@ -179,9 +180,11 @@ proptest! {
 
         // The CNN needs a few pooling stages of width, so tile the two
         // blob coordinates out to eight features.
-        let wide: Vec<Vec<f64>> =
-            x.iter().map(|row| row.iter().cycle().copied().take(8).collect()).collect();
-        let mw = ml::matrix::FeatureMatrix::from_rows(&wide).unwrap();
+        let mut mw = FeatureMatrix::new(8);
+        for row in m.rows() {
+            let wide: Vec<f64> = row.iter().cycle().copied().take(8).collect();
+            mw.push_row(&wide);
+        }
         let cnn_config = ml::cnn::CnnConfig {
             input_len: 8,
             conv1_filters: 2,

@@ -13,6 +13,8 @@
 //!
 //! A second live run on the same capture pins the CNN's alert stream
 //! (`alerts_cnn.txt`), the one fixture its inference kernel reaches.
+//! `models.digest` pins every trained model's blob and its classes on
+//! the training capture, for all six model kinds.
 //!
 //! It also asserts plain same-seed reproducibility (two in-process runs
 //! are byte-identical), independent of the fixtures.
@@ -23,12 +25,13 @@
 use capture::dataset::Dataset;
 use capture::record::PacketRecord;
 use ddoshield::experiments::{
-    chaos_scenario, detection_scenario, training_scenario, ExperimentScale,
+    chaos_scenario, detection_scenario, paper_models, training_scenario, ExperimentScale,
 };
 use ddoshield::{LiveReport, Testbed};
-use features::extract::{Window, WindowAggregator, DEFAULT_ACK_GRACE_SECS};
+use features::extract::{extract_matrix, Window, WindowAggregator, DEFAULT_ACK_GRACE_SECS};
 use features::window::{AckGrace, WindowStats};
 use ids::pipeline::{IdsConfig, ModelKind, TrainedIds};
+use ml::classifier::predict_view;
 use ml::cnn::CnnConfig;
 use ml::kmeans::KMeansConfig;
 use netsim::time::SimDuration;
@@ -163,6 +166,44 @@ fn cnn_alerts_are_byte_identical_to_golden() {
         "the CNN flagged no packet, so its alert stream pins nothing"
     );
     check_fixture("alerts_cnn.txt", &report.log.serialize_compact());
+}
+
+/// Every model kind of E8 (the paper's three, then the SVM, Isolation
+/// Forest and autoencoder defaults), trained on the fixed-seed capture
+/// from the K-Means run's seed. One line per model pins its blob (the
+/// model-size metric's bytes) and its class for every row of the
+/// scaled training capture, one byte per class.
+#[test]
+fn trained_models_are_byte_identical_to_golden() {
+    use std::fmt::Write as _;
+    let capture = training_capture();
+    let mut kinds = paper_models(&scale());
+    kinds.push(ModelKind::Svm(Default::default()));
+    kinds.push(ModelKind::IsolationForest(Default::default()));
+    kinds.push(ModelKind::Autoencoder(Default::default()));
+    let ids_config = IdsConfig { max_train_samples: scale().max_train_samples, ..IdsConfig::default() };
+    let mut digest = String::new();
+    for kind in &kinds {
+        let mut rng = SimRng::seed_from(SEED ^ 0x7ea1);
+        let ids = TrainedIds::train(&capture, kind, ids_config, &mut rng)
+            .expect("training capture contains both classes")
+            .ids;
+        let blob = ids.model().encode();
+        let (mut x, _) = extract_matrix(&capture, ids.window_secs());
+        ids.scaler().transform_matrix(&mut x);
+        let (classes, _) = predict_view(ids.model(), x.view());
+        let class_bytes: Vec<u8> = classes.iter().map(|&c| c as u8).collect();
+        writeln!(
+            digest,
+            "{} bytes={} blob={:016x} classes={:016x}",
+            kind.name(),
+            blob.len(),
+            fnv1a(&blob),
+            fnv1a(&class_bytes)
+        )
+        .expect("writing to String cannot fail");
+    }
+    check_fixture("models.digest", &digest);
 }
 
 /// Streams `records` through the incremental (`FlowDelta`-backed)

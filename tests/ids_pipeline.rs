@@ -3,14 +3,20 @@
 //! live Real-Time IDS Unit running inside the IDS container.
 
 use ddoshield::experiments::{
-    run_window_ablation, training_scenario, ExperimentScale,
+    paper_models, run_window_ablation, training_scenario, ExperimentScale,
 };
 use ddoshield::Testbed;
+use features::extract::extract_matrix;
 use ids::pipeline::{IdsConfig, ModelKind, TrainedIds};
+use ml::autoencoder::Autoencoder;
 use ml::classifier::Classifier;
 use ml::cnn::Cnn;
+use ml::codec::DecodeError;
+use ml::iforest::IsolationForest;
 use ml::kmeans::{KMeansConfig, KMeansDetector};
-use ml::rf::{ForestConfig, RandomForest};
+use ml::matrix::FeatureMatrix;
+use ml::rf::RandomForest;
+use ml::svm::LinearSvm;
 use netsim::rng::SimRng;
 use netsim::time::SimDuration;
 
@@ -20,64 +26,51 @@ fn small_capture(seed: u64) -> capture::Dataset {
     testbed.run_capture(SimDuration::from_secs(40))
 }
 
+/// Decodes a blob with the decoder of the model `kind` names.
+fn decode(kind: &ModelKind, blob: &[u8]) -> Result<Box<dyn Classifier>, DecodeError> {
+    Ok(match kind {
+        ModelKind::RandomForest(_) => Box::new(RandomForest::decode(blob)?),
+        ModelKind::KMeans(_) => Box::new(KMeansDetector::decode(blob)?),
+        ModelKind::Cnn(_) => Box::new(Cnn::decode(blob)?),
+        ModelKind::Svm(_) => Box::new(LinearSvm::decode(blob)?),
+        ModelKind::IsolationForest(_) => Box::new(IsolationForest::decode(blob)?),
+        ModelKind::Autoencoder(_) => Box::new(Autoencoder::decode(blob)?),
+    })
+}
+
 /// Models persisted to bytes (the paper's PKL files) reload and keep
-/// their predictions, end to end on real capture features.
+/// their predictions, end to end on real capture features, for all six
+/// model kinds of E8.
 #[test]
 fn model_persistence_roundtrips_on_real_features() {
     let capture = small_capture(21);
     let config = IdsConfig { max_train_samples: 2_000, ..IdsConfig::default() };
-    let (x, _) = features::extract::extract_dataset(&capture, 1);
-    let sample: Vec<Vec<f64>> = x.into_iter().take(500).collect();
-
-    // RF
-    let mut rng = SimRng::seed_from(1);
-    let outcome = TrainedIds::train(
-        &capture,
-        &ModelKind::RandomForest(ForestConfig { n_trees: 8, ..Default::default() }),
-        config,
-        &mut rng,
-    )
-    .expect("training works");
-    let blob = outcome.ids.model().encode();
-    let restored = RandomForest::decode(&blob).expect("decodes");
-    let mut scaled = sample.clone();
-    for row in &mut scaled {
-        outcome.ids.scaler().transform_row(row);
+    let scale = ExperimentScale {
+        capture_secs: 40,
+        live_secs: 40,
+        max_train_samples: 2_000,
+        cnn_epochs: 2,
+    };
+    let mut kinds = paper_models(&scale);
+    kinds.push(ModelKind::Svm(Default::default()));
+    kinds.push(ModelKind::IsolationForest(Default::default()));
+    kinds.push(ModelKind::Autoencoder(Default::default()));
+    let (x, _) = extract_matrix(&capture, 1);
+    let mut sample = FeatureMatrix::new(x.n_cols());
+    for row in x.rows().take(500) {
+        sample.push_row(row);
     }
-    for row in &scaled {
-        assert_eq!(outcome.ids.model().predict(row), restored.predict(row));
-    }
-
-    // K-Means
-    let mut rng = SimRng::seed_from(1);
-    let outcome =
-        TrainedIds::train(&capture, &ModelKind::KMeans(KMeansConfig::default()), config, &mut rng)
-            .expect("training works");
-    let restored = KMeansDetector::decode(&outcome.ids.model().encode()).expect("decodes");
-    let mut scaled = sample.clone();
-    for row in &mut scaled {
-        outcome.ids.scaler().transform_row(row);
-    }
-    for row in &scaled {
-        assert_eq!(outcome.ids.model().predict(row), restored.predict(row));
-    }
-
-    // CNN
-    let mut rng = SimRng::seed_from(1);
-    let outcome = TrainedIds::train(
-        &capture,
-        &ModelKind::Cnn(ml::cnn::CnnConfig { epochs: 2, ..Default::default() }),
-        config,
-        &mut rng,
-    )
-    .expect("training works");
-    let restored = Cnn::decode(&outcome.ids.model().encode()).expect("decodes");
-    let mut scaled = sample;
-    for row in &mut scaled {
-        outcome.ids.scaler().transform_row(row);
-    }
-    for row in &scaled {
-        assert_eq!(outcome.ids.model().predict(row), restored.predict(row));
+    assert_eq!(sample.n_rows(), 500);
+    for kind in &kinds {
+        let mut rng = SimRng::seed_from(1);
+        let ids = TrainedIds::train(&capture, kind, config, &mut rng).expect("training works").ids;
+        let restored = decode(kind, &ids.model().encode()).expect("decodes");
+        assert_eq!(restored.input_dims(), ids.model().input_dims(), "{}", kind.name());
+        let mut scaled = sample.clone();
+        ids.scaler().transform_matrix(&mut scaled);
+        for row in scaled.rows() {
+            assert_eq!(ids.model().predict(row), restored.predict(row), "{}", kind.name());
+        }
     }
 }
 
