@@ -186,7 +186,11 @@ impl Autoencoder {
         self.threshold
     }
 
-    /// Decodes a model from its binary blob.
+    /// Decodes a model from its binary blob. Each layer's weight count
+    /// must equal its `input · output` (computed without overflow), and
+    /// the layers must chain: each one's output width is the next one's
+    /// input width, and the decoder's output width is the encoder's
+    /// input width. So a decoded model never panics predicting a row.
     ///
     /// # Errors
     ///
@@ -200,16 +204,24 @@ impl Autoencoder {
             let output = d.get_usize()?;
             let w = d.get_f64_slice()?;
             let b = d.get_f64_slice()?;
-            if w.len() != input * output || b.len() != output {
+            if input.checked_mul(output) != Some(w.len()) || b.len() != output {
                 return Err(DecodeError::Corrupt("dense arity"));
             }
             Ok(Dense { input, output, w, b })
         };
+        let (enc1, enc2, dec1, dec2) = (layer()?, layer()?, layer()?, layer()?);
+        if enc1.output != enc2.input
+            || enc2.output != dec1.input
+            || dec1.output != dec2.input
+            || dec2.output != enc1.input
+        {
+            return Err(DecodeError::Corrupt("layers do not chain"));
+        }
         Ok(Autoencoder {
-            enc1: layer()?,
-            enc2: layer()?,
-            dec1: layer()?,
-            dec2: layer()?,
+            enc1,
+            enc2,
+            dec1,
+            dec2,
             threshold,
         })
     }
@@ -257,6 +269,7 @@ impl Classifier for Autoencoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::{usize_mutants_error_or_predict, wide_data};
     use crate::matrix::FeatureMatrix;
 
     /// Benign points on a low-dimensional structure; anomalies off it.
@@ -337,6 +350,82 @@ mod tests {
         for xi in x.rows().take(50) {
             assert_eq!(net.predict(xi), back.predict(xi));
         }
+    }
+
+    /// The two blobs the unchecked decoder accepted: a first layer whose
+    /// `input · output` (`2^63 · 2`) wrapped to its empty weight
+    /// vector's length, so `predict` panicked slicing the weights, and
+    /// layers that do not chain (26→8 feeding 5→4), which predicted on
+    /// silently truncated vectors.
+    #[test]
+    fn decode_rejects_overflowing_and_unchained_layers() {
+        let layer = |input: usize, output: usize| Dense {
+            input,
+            output,
+            w: vec![0.5; input * output],
+            b: vec![0.0; output],
+        };
+        let chained = |enc1: Dense, enc2: Dense| Autoencoder {
+            enc1,
+            enc2,
+            dec1: layer(4, 8),
+            dec2: layer(8, 26),
+            threshold: 1.0,
+        };
+        let overflow = Dense {
+            input: 1 << 63,
+            output: 2,
+            w: Vec::new(),
+            b: vec![0.0; 2],
+        };
+        for bad in [
+            chained(overflow, layer(2, 4)),
+            chained(layer(26, 8), layer(5, 4)),
+        ] {
+            assert!(
+                matches!(
+                    Autoencoder::decode(&bad.encode()),
+                    Err(DecodeError::Corrupt(_))
+                ),
+                "{bad:?}"
+            );
+        }
+        let good = chained(layer(26, 8), layer(8, 4));
+        assert_eq!(Autoencoder::decode(&good.encode()).as_ref(), Ok(&good));
+    }
+
+    /// Structure-aware decoder fuzzing over every `usize` word of a
+    /// trained model's blob (each layer's input and output widths and
+    /// its two length prefixes): each mutant must fail to decode or
+    /// predict every row of a 26-wide probe, and every truncation must
+    /// fail to decode.
+    #[test]
+    fn decode_mutants_error_or_predict_cleanly() {
+        let mut rng = SimRng::seed_from(5);
+        let (x, y) = wide_data(120, &mut rng);
+        let config = AutoencoderConfig {
+            epochs: 1,
+            ..AutoencoderConfig::default()
+        };
+        let net = Autoencoder::fit_view(x.view(), &y, &config, &mut rng).unwrap();
+        let blob = net.encode();
+        let word = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+        // After the magic and the threshold, four layers of: input,
+        // output, the weights' length prefix and values, the biases'.
+        let mut words = Vec::new();
+        let mut at = 4 + 8;
+        for _ in 0..4 {
+            words.extend([at, at + 8]);
+            at += 16;
+            for _ in 0..2 {
+                words.push(at);
+                at += 8 + 8 * word(at) as usize;
+            }
+        }
+        assert_eq!(at, blob.len());
+        let decoded = usize_mutants_error_or_predict(&blob, &words, Autoencoder::decode, x.view());
+        // A word set to a neighbour of equal value still decodes.
+        assert!(decoded > 0);
     }
 
     #[test]

@@ -187,8 +187,73 @@ impl<'a> Decoder<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::classifier::Classifier;
+    use crate::matrix::{FeatureMatrix, MatrixView};
+    use netsim::rng::SimRng;
+
+    /// 26-wide rows, the IDS's width: benign ones on a line, one in four
+    /// anomalous.
+    pub(crate) fn wide_data(n: usize, rng: &mut SimRng) -> (FeatureMatrix, Vec<usize>) {
+        let mut x = FeatureMatrix::new(26);
+        let mut y = Vec::new();
+        for i in 0..n {
+            let anomaly = i % 4 == 0;
+            let t = rng.standard_normal();
+            let row: Vec<f64> = (0..26)
+                .map(|j| {
+                    if anomaly {
+                        rng.uniform_range(-3.0, 3.0)
+                    } else {
+                        t * (j as f64 / 13.0 - 1.0)
+                    }
+                })
+                .collect();
+            x.push_row(&row);
+            y.push(usize::from(anomaly));
+        }
+        (x, y)
+    }
+
+    /// Structure-aware decoder fuzzing for blobs built of `usize` words
+    /// and length-prefixed slices: the `usize` word at each byte offset
+    /// in `words` is set in turn to 0, 1, the value of each neighbouring
+    /// word in `words`, `u32::MAX` and `2^63`. Each mutant must fail to
+    /// decode or decode to a model that predicts every row of `probe`,
+    /// and every truncation of `blob` must fail to decode. Returns how
+    /// many mutants decoded.
+    pub(crate) fn usize_mutants_error_or_predict<M: Classifier>(
+        blob: &[u8],
+        words: &[usize],
+        decode: impl Fn(&[u8]) -> Result<M, DecodeError>,
+        probe: MatrixView<'_>,
+    ) -> usize {
+        let word = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+        let mut decoded = 0;
+        for (j, &at) in words.iter().enumerate() {
+            let neighbours = [j.wrapping_sub(1), j + 1]
+                .into_iter()
+                .filter_map(|n| words.get(n).map(|&n| word(n)));
+            for value in [0, 1, u64::from(u32::MAX), 1 << 63]
+                .into_iter()
+                .chain(neighbours)
+            {
+                let mut mutant = blob.to_vec();
+                mutant[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                if let Ok(model) = decode(&mutant) {
+                    decoded += 1;
+                    for row in probe.rows() {
+                        let _ = model.predict(row);
+                    }
+                }
+            }
+        }
+        for cut in 0..blob.len() {
+            assert!(decode(&blob[..cut]).is_err(), "truncated at {cut}");
+        }
+        decoded
+    }
 
     #[test]
     fn scalar_roundtrip() {

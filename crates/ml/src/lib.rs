@@ -25,8 +25,9 @@
 //! helpers the trainers fan work out with).
 
 #![warn(missing_docs)]
-// One `unsafe` block: the CNN's AVX2 dispatch (`cnn.rs`), allowed there
-// alone. Any other needs its own allow and a `SAFETY` comment.
+// Two `unsafe` blocks: the CNN's AVX2 dispatches for prediction and
+// training (`cnn.rs`), each allowed where it stands. Any other needs its
+// own allow and a `SAFETY` comment.
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 

@@ -61,6 +61,55 @@ impl Dense {
         }
     }
 
+    /// Adds the parameter gradients of the first `n` of `L` rows to `gw`
+    /// and `gb`: `x_rows` is the layer's input lane-major (`[n][input]`),
+    /// `grad_out` its output gradient lane-minor (`[output][L]`). Each
+    /// parameter adds one product per row, in row order, as
+    /// [`Dense::backward`] called row by row does; the products of one
+    /// row run across the weights, never across rows.
+    #[inline(always)]
+    pub(crate) fn param_grads_lanes<const L: usize>(
+        &self,
+        x_rows: &[f64],
+        grad_out: &[[f64; L]],
+        n: usize,
+        gw: &mut [f64],
+        gb: &mut [f64],
+    ) {
+        for l in 0..n {
+            let x = &x_rows[l * self.input..(l + 1) * self.input];
+            for (o, g) in grad_out.iter().enumerate() {
+                let g = g[l];
+                gb[o] += g;
+                for (w, &v) in gw[o * self.input..(o + 1) * self.input].iter_mut().zip(x) {
+                    *w += g * v;
+                }
+            }
+        }
+    }
+
+    /// The input gradient of `L` rows, lane-minor (`grad_out` is
+    /// `[output][L]`, `grad_in` is `[input][L]`): each input folds
+    /// `grad_out[o] · w[o][i]` over the outputs in order from zero, as
+    /// [`Dense::backward`] does for one row.
+    #[inline(always)]
+    pub(crate) fn input_grad_lanes<const L: usize>(
+        &self,
+        grad_out: &[[f64; L]],
+        grad_in: &mut [[f64; L]],
+    ) {
+        for (i, dst) in grad_in.iter_mut().enumerate() {
+            let mut acc = [0.0; L];
+            for (o, g) in grad_out.iter().enumerate() {
+                let w = self.w[o * self.input + i];
+                for (a, &g) in acc.iter_mut().zip(g) {
+                    *a += g * w;
+                }
+            }
+            *dst = acc;
+        }
+    }
+
     /// Backpropagates `grad_out`, accumulating parameter gradients into
     /// `gw`/`gb` and returning the gradient w.r.t. the input.
     pub fn backward(&self, x: &[f64], grad_out: &[f64], gw: &mut [f64], gb: &mut [f64]) -> Vec<f64> {
@@ -89,11 +138,13 @@ pub fn relu(x: &mut [f64]) {
 }
 
 /// Zeroes gradient entries whose pre-activation was non-positive.
+/// [`relu`]'s output is non-positive at exactly the same entries
+/// (`-0.0` and NaN pass through unchanged), so it may stand in for
+/// `pre`. Always inlined, like [`relu`].
+#[inline(always)]
 pub fn relu_grad(pre: &[f64], grad: &mut [f64]) {
     for (g, &z) in grad.iter_mut().zip(pre) {
-        if z <= 0.0 {
-            *g = 0.0;
-        }
+        *g = if z <= 0.0 { 0.0 } else { *g };
     }
 }
 

@@ -142,6 +142,7 @@ impl Classifier for LinearSvm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::{usize_mutants_error_or_predict, wide_data};
     use crate::matrix::FeatureMatrix;
 
     fn blobs(n: usize, rng: &mut SimRng) -> (FeatureMatrix, Vec<usize>) {
@@ -193,6 +194,18 @@ mod tests {
             LinearSvm::fit_view(x.view(), &[0, 0], &SvmConfig::default(), &mut rng),
             Err(TrainError::SingleClass)
         );
+    }
+
+    /// Decoder fuzzing over the SVM blob's one `usize` word, the
+    /// weights' length prefix.
+    #[test]
+    fn decode_mutants_error_or_predict_cleanly() {
+        let mut rng = SimRng::seed_from(6);
+        let (x, y) = wide_data(120, &mut rng);
+        let svm = LinearSvm::fit_view(x.view(), &y, &SvmConfig::default(), &mut rng).unwrap();
+        let blob = svm.encode();
+        let decoded = usize_mutants_error_or_predict(&blob, &[4], LinearSvm::decode, x.view());
+        assert!(decoded > 0);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Proof that steady-state batch prediction is allocation-free.
+//! Proof that steady-state batch prediction is allocation-free, and
+//! that CNN training allocates per mini-batch, never per row.
 //!
 //! A counting global allocator wraps the system allocator (the same
 //! harness as `netsim`'s flood test; the crate-level
@@ -8,7 +9,8 @@
 //! thread-local lane scratch — repeated `predict_batch_spans_into`
 //! passes (the one batch kernel, which the live IDS tick calls) over a
 //! random forest, a CNN and a K-Means detector, and single-row CNN
-//! predictions, must perform **zero** heap allocations.
+//! predictions, must perform **zero** heap allocations. A one-thread
+//! CNN training epoch may allocate at most once per row.
 //!
 //! This is the teeth behind the inference memory model: the SoA node
 //! pool walks flat slices, the CNN's lane kernel reuses one scratch per
@@ -17,7 +19,7 @@
 //! fails here rather than showing up only as a bench slowdown.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use ml::classifier::{Classifier, RowSpan};
 use ml::cnn::{Cnn, CnnConfig};
@@ -28,20 +30,26 @@ use netsim::rng::SimRng;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// `true` only on the test thread (both measured paths are serial) —
+    /// `true` only on the test thread (every measured path is serial) —
     /// the libtest main thread lazily allocates channel-wait state at a
     /// wall-clock-dependent moment, which must not count against us.
     /// Const-initialised so the allocator's read never itself allocates.
-    static COUNTING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations counted on this thread, so tests running side by
+    /// side never count each other's.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count_here() {
-    if COUNTING.try_with(std::cell::Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
+}
+
+/// Allocations counted on this thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -70,14 +78,14 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 const DIMS: usize = 23;
 
-fn synth(n: usize, seed: u64) -> (FeatureMatrix, Vec<usize>) {
+fn synth(n: usize, dims: usize, seed: u64) -> (FeatureMatrix, Vec<usize>) {
     let mut rng = SimRng::seed_from(seed);
-    let mut matrix = FeatureMatrix::new(DIMS);
+    let mut matrix = FeatureMatrix::new(dims);
     let mut labels = Vec::with_capacity(n);
     for _ in 0..n {
         let class = rng.chance(0.5);
         let shift = if class { 0.8 } else { 0.0 };
-        let row: Vec<f64> = (0..DIMS).map(|_| rng.standard_normal() + shift).collect();
+        let row: Vec<f64> = (0..dims).map(|_| rng.standard_normal() + shift).collect();
         matrix.push_row(&row);
         labels.push(usize::from(class));
     }
@@ -86,7 +94,7 @@ fn synth(n: usize, seed: u64) -> (FeatureMatrix, Vec<usize>) {
 
 #[test]
 fn steady_state_prediction_allocates_nothing() {
-    let (matrix, labels) = synth(400, 99);
+    let (matrix, labels) = synth(400, DIMS, 99);
     let mut rng = SimRng::seed_from(7);
     let forest = RandomForest::fit_view(
         matrix.view(),
@@ -140,7 +148,7 @@ fn steady_state_prediction_allocates_nothing() {
     let mut checksum = 0usize;
     for (m, model) in models.iter().enumerate() {
         COUNTING.with(|c| c.set(true));
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let before = allocations();
         for _ in 0..5 {
             for (s, spans) in [&whole[..], &uneven[..]].into_iter().enumerate() {
                 let work = model.predict_batch_spans_into(
@@ -153,7 +161,7 @@ fn steady_state_prediction_allocates_nothing() {
                 checksum += predictions.iter().sum::<usize>();
             }
         }
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        let after = allocations();
         COUNTING.with(|c| c.set(false));
         assert_eq!(
             after - before,
@@ -165,11 +173,11 @@ fn steady_state_prediction_allocates_nothing() {
     }
 
     COUNTING.with(|c| c.set(true));
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 0..matrix.n_rows() {
         checksum += cnn.predict(matrix.row(i));
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     COUNTING.with(|c| c.set(false));
     assert_eq!(
         after - before,
@@ -178,4 +186,35 @@ fn steady_state_prediction_allocates_nothing() {
         after - before
     );
     assert_eq!(cnn.predict(matrix.row(0)), warm_class);
+}
+
+/// A one-thread epoch of the default CNN over 26-wide rows allocates a
+/// fixed set of buffers (the network, its Adam state, the shuffled
+/// index, the thread's training scratch) and a few per mini-batch (the
+/// partial gradients and their list), never one per row or per layer:
+/// at most one allocation per row, at two dataset sizes.
+#[test]
+fn cnn_training_allocates_at_most_once_per_row() {
+    let config = CnnConfig {
+        epochs: 1,
+        ..CnnConfig::default()
+    };
+    for n in [640, 6_400] {
+        let (matrix, labels) = synth(n, 26, 5);
+        let mut rng = SimRng::seed_from(3);
+        COUNTING.with(|c| c.set(true));
+        let before = allocations();
+        let net = ml::par::with_threads(1, || {
+            Cnn::fit_view(matrix.view(), &labels, &config, &mut rng)
+        });
+        let after = allocations();
+        COUNTING.with(|c| c.set(false));
+        let net = net.unwrap();
+        assert_eq!(net.config().input_len, 26);
+        assert!(
+            after - before <= n as u64,
+            "a one-thread epoch over {n} rows allocated {} times",
+            after - before
+        );
+    }
 }
