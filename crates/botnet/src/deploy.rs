@@ -83,7 +83,7 @@ mod tests {
             .collect();
         let tserver_addr = rt.addr(tserver);
 
-        let stats = BotnetStats::new();
+        let stats = BotnetStats::new(obs::Registry::new().scope("botnet"));
         let mut rng = SimRng::seed_from(1);
         install_device_agents(
             &mut rt,
@@ -152,7 +152,7 @@ mod tests {
         }
         rt.install(tserver, Box::new(BareListener), Provenance::Benign, SimTime::ZERO);
 
-        let stats = BotnetStats::new();
+        let stats = BotnetStats::new(obs::Registry::new().scope("botnet"));
         let mut rng = SimRng::seed_from(2);
         install_device_agents(
             &mut rt,

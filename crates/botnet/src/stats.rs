@@ -1,8 +1,5 @@
 //! Shared observability handles for the botnet life-cycle.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use netsim::packet::Addr;
 use netsim::time::{SimDuration, SimTime};
 use obs::{pow2_bounds, Counter, Gauge, Histogram, Scope};
@@ -31,7 +28,8 @@ pub struct BotnetCounters {
     /// Evicted devices the scanner re-compromised.
     pub reinfections: u64,
     /// Total eviction-to-reinfection latency across all reinfections,
-    /// in nanoseconds (divide by `reinfections` for the mean).
+    /// in nanoseconds (divide by `reinfections` for the mean): the sum
+    /// of the `reinfection_latency_ns` histogram.
     pub reinfection_latency_total_nanos: u64,
 }
 
@@ -46,11 +44,13 @@ impl BotnetCounters {
     }
 }
 
-/// Pre-resolved telemetry instruments mirroring [`BotnetCounters`], plus
-/// trace events for the life-cycle transitions (infection, attack start,
-/// eviction, reinfection) stamped with the simulation clock.
-#[derive(Debug)]
-struct BotnetObs {
+/// A shared handle onto the botnet counters. The counts live in the
+/// telemetry instruments of the scope the handle is built from, and
+/// life-cycle transitions (infection, attack start, eviction,
+/// reinfection) emit trace events there stamped with the simulation
+/// clock; clones share them.
+#[derive(Debug, Clone)]
+pub struct BotnetStats {
     scope: Scope,
     scan_probes: Counter,
     login_attempts: Counter,
@@ -65,11 +65,12 @@ struct BotnetObs {
     reinfection_latency_ns: Histogram,
 }
 
-impl BotnetObs {
-    fn new(scope: Scope) -> Self {
+impl BotnetStats {
+    /// Creates zeroed counters under `scope`.
+    pub fn new(scope: Scope) -> Self {
         // Eviction-to-reinfection latency: 1 ms up to ~1100 s.
         let latency_bounds = pow2_bounds(20, 40);
-        BotnetObs {
+        BotnetStats {
             scan_probes: scope.counter("scan_probes"),
             login_attempts: scope.counter("login_attempts"),
             logins_ok: scope.counter("logins_ok"),
@@ -84,130 +85,79 @@ impl BotnetObs {
             scope,
         }
     }
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    counters: BotnetCounters,
-    obs: Option<BotnetObs>,
-}
-
-/// A shared handle onto the botnet counters.
-#[derive(Debug, Clone, Default)]
-pub struct BotnetStats {
-    inner: Rc<RefCell<Inner>>,
-}
-
-impl BotnetStats {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attaches telemetry: every counter update is mirrored into `scope`
-    /// and life-cycle transitions emit sim-clock-stamped trace events.
-    pub fn set_obs(&self, scope: Scope) {
-        self.inner.borrow_mut().obs = Some(BotnetObs::new(scope));
-    }
 
     /// A snapshot of the counters.
     pub fn snapshot(&self) -> BotnetCounters {
-        self.inner.borrow().counters
+        BotnetCounters {
+            scan_probes: self.scan_probes.value(),
+            login_attempts: self.login_attempts.value(),
+            logins_ok: self.logins_ok.value(),
+            infections: self.infections.value(),
+            connected_bots: self.connected_bots.value() as u64,
+            attacks_started: self.attacks_started.value(),
+            flood_packets: self.flood_packets.value(),
+            bots_evicted: self.bots_evicted.value(),
+            reinfections: self.reinfections.value(),
+            reinfection_latency_total_nanos: self.reinfection_latency_ns.sum(),
+        }
     }
 
     /// Records a scan probe.
     pub fn add_scan_probe(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.scan_probes += 1;
-        if let Some(obs) = &inner.obs {
-            obs.scan_probes.inc();
-        }
+        self.scan_probes.inc();
     }
 
     /// Records a credential attempt.
     pub fn add_login_attempt(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.login_attempts += 1;
-        if let Some(obs) = &inner.obs {
-            obs.login_attempts.inc();
-        }
+        self.login_attempts.inc();
     }
 
     /// Records a successful login on device `dev` at sim time `at`.
     pub fn add_login_ok(&self, at: SimTime, dev: Addr) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.logins_ok += 1;
-        if let Some(obs) = &inner.obs {
-            obs.logins_ok.inc();
-            obs.scope.event(at.as_nanos(), "login_ok", format!("dev={dev}"));
-        }
+        self.logins_ok.inc();
+        self.scope.event(at.as_nanos(), "login_ok", format!("dev={dev}"));
     }
 
     /// Records an infection of device `dev` at sim time `at`.
     pub fn add_infection(&self, at: SimTime, dev: Addr) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.infections += 1;
-        if let Some(obs) = &inner.obs {
-            obs.infections.inc();
-            obs.scope.event(at.as_nanos(), "infection", format!("dev={dev}"));
-        }
+        self.infections.inc();
+        self.scope.event(at.as_nanos(), "infection", format!("dev={dev}"));
     }
 
     /// Updates the connected-bots gauge.
     pub fn set_connected_bots(&self, n: u64) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.connected_bots = n;
-        if let Some(obs) = &inner.obs {
-            obs.connected_bots.set(n as i64);
-            obs.connected_bots_peak.set_max(n as i64);
-        }
+        self.connected_bots.set(n as i64);
+        self.connected_bots_peak.set_max(n as i64);
     }
 
     /// Records an attack order broadcast at sim time `at` to `bots` bots.
     pub fn add_attack_started(&self, at: SimTime, bots: u64) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.attacks_started += 1;
-        if let Some(obs) = &inner.obs {
-            obs.attacks_started.inc();
-            obs.scope.event(at.as_nanos(), "attack_started", format!("bots={bots}"));
-        }
+        self.attacks_started.inc();
+        self.scope.event(at.as_nanos(), "attack_started", format!("bots={bots}"));
     }
 
     /// Records emitted flood packets.
     pub fn add_flood_packets(&self, n: u64) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.flood_packets += n;
-        if let Some(obs) = &inner.obs {
-            obs.flood_packets.add(n);
-        }
+        self.flood_packets.add(n);
     }
 
     /// Records device `dev` evicted by the C2 at sim time `at` (missed
     /// heartbeats or a dead connection with no other live session).
     pub fn add_bot_evicted(&self, at: SimTime, dev: Addr) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.bots_evicted += 1;
-        if let Some(obs) = &inner.obs {
-            obs.bots_evicted.inc();
-            obs.scope.event(at.as_nanos(), "bot_evicted", format!("dev={dev}"));
-        }
+        self.bots_evicted.inc();
+        self.scope.event(at.as_nanos(), "bot_evicted", format!("dev={dev}"));
     }
 
     /// Records a re-infection of previously evicted device `dev` at sim
     /// time `at`, with the eviction-to-reinfection latency.
     pub fn add_reinfection(&self, at: SimTime, dev: Addr, latency: SimDuration) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.reinfections += 1;
-        inner.counters.reinfection_latency_total_nanos += latency.as_nanos();
-        if let Some(obs) = &inner.obs {
-            obs.reinfections.inc();
-            obs.reinfection_latency_ns.observe(latency.as_nanos());
-            obs.scope.event(
-                at.as_nanos(),
-                "reinfection",
-                format!("dev={dev} latency_ns={}", latency.as_nanos()),
-            );
-        }
+        self.reinfections.inc();
+        self.reinfection_latency_ns.observe(latency.as_nanos());
+        self.scope.event(
+            at.as_nanos(),
+            "reinfection",
+            format!("dev={dev} latency_ns={}", latency.as_nanos()),
+        );
     }
 }
 
@@ -217,9 +167,13 @@ mod tests {
 
     const DEV: Addr = Addr::new(10, 0, 0, 9);
 
+    fn zeroed() -> BotnetStats {
+        BotnetStats::new(obs::Registry::new().scope("botnet"))
+    }
+
     #[test]
     fn handles_share_counters() {
-        let a = BotnetStats::new();
+        let a = zeroed();
         let b = a.clone();
         b.add_scan_probe();
         b.add_infection(SimTime::from_secs(1), DEV);
@@ -234,7 +188,7 @@ mod tests {
 
     #[test]
     fn reinfection_latency_averages() {
-        let stats = BotnetStats::new();
+        let stats = zeroed();
         assert_eq!(stats.snapshot().mean_reinfection_latency(), None);
         stats.add_bot_evicted(SimTime::from_secs(5), DEV);
         stats.add_reinfection(SimTime::from_secs(15), DEV, SimDuration::from_secs(10));
@@ -246,10 +200,9 @@ mod tests {
     }
 
     #[test]
-    fn obs_mirrors_counters_and_traces_transitions() {
+    fn counts_export_and_transitions_trace() {
         let registry = obs::Registry::new();
-        let stats = BotnetStats::new();
-        stats.set_obs(registry.scope("botnet"));
+        let stats = BotnetStats::new(registry.scope("botnet"));
         stats.add_scan_probe();
         stats.add_login_attempt();
         stats.add_login_ok(SimTime::from_secs(2), DEV);

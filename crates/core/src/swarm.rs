@@ -402,9 +402,9 @@ fn run_swarm_serving(
             if generation_violation.is_none() {
                 generation_violation = tenant.log.generation_violation();
             }
-            // The same conservation equation, read back from the obs
-            // export: every shed window must be accounted in telemetry,
-            // not only in the in-process counters.
+            // The same conservation equation, read back from the
+            // telemetry snapshot the report carries: every shed window
+            // must be accounted in the export, not only in a live read.
             if telemetry_conservation.is_none() {
                 let prefix = format!("ids.serving.{}.", tenant.name);
                 let get = |name: &str| {

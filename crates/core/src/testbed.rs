@@ -63,6 +63,11 @@ impl Testbed {
         }
         let mut rt = Runtime::with_medium(config.seed, config.link, config.medium);
         let mut rng = SimRng::seed_from(config.seed ^ 0xdd05_41e1d);
+        // Observability: every subsystem reports into one registry under
+        // its own scope, and the stats handles count in it. All
+        // instruments are sim-clock/counter driven, so the export is
+        // byte-identical across same-seed runs.
+        let registry = Registry::new();
 
         let tserver = rt.deploy(ContainerSpec::new("tserver", Role::TServer));
         let attacker = rt.deploy(ContainerSpec::new("attacker", Role::Attacker));
@@ -73,8 +78,14 @@ impl Testbed {
         let tserver_addr = rt.addr(tserver);
 
         // Benign side: the three servers and the device client mix.
-        let server_stats = install_tserver(&mut rt, tserver, &config.workload, &mut rng);
-        let client_stats = ClientStatsBundle::default();
+        let server_stats = install_tserver(
+            &mut rt,
+            tserver,
+            &config.workload,
+            &registry.scope("traffic.server"),
+            &mut rng,
+        );
+        let client_stats = ClientStatsBundle::new(&registry.scope("traffic.client"));
         for offset in 0..config.clients_per_device.max(1) {
             install_device_client_mix(
                 &mut rt,
@@ -89,7 +100,7 @@ impl Testbed {
         }
 
         // Malicious side: vulnerable agents and the Mirai attacker.
-        let botnet_stats = BotnetStats::new();
+        let botnet_stats = BotnetStats::new(registry.scope("botnet"));
         install_device_agents(
             &mut rt,
             &devices,
@@ -196,14 +207,7 @@ impl Testbed {
             rt.schedule_reboot(resolve(reboot.target), at, reboot.down_for);
         }
 
-        // Observability: every subsystem reports into one registry under
-        // its own scope. All instruments are sim-clock/counter driven,
-        // so the export is byte-identical across same-seed runs.
-        let registry = Registry::new();
         rt.world_mut().set_obs(registry.scope("netsim"));
-        botnet_stats.set_obs(registry.scope("botnet"));
-        server_stats.set_obs(&registry.scope("traffic.server"));
-        client_stats.set_obs(&registry.scope("traffic.client"));
 
         Testbed {
             rt,
@@ -413,8 +417,12 @@ impl Testbed {
             feeds.push(feed.clone());
             wired.push((tenant_config, feed));
         }
-        let (mut app, handle) = serving_pair(config, wired, meter.clone());
-        app.set_obs(self.registry.scope("ids.serving"));
+        let (mut app, handle) = serving_pair(
+            config,
+            wired,
+            meter.clone(),
+            self.registry.scope("ids.serving"),
+        );
         if let Some(scope) = wallclock {
             app.set_wallclock_obs(scope);
         }

@@ -421,7 +421,8 @@ pub struct RetrainPolicy {
     pub rng_salt: u64,
 }
 
-/// Frozen snapshot of one tenant's accounting, embedded in reports.
+/// Frozen snapshot of one tenant's accounting, embedded in reports:
+/// the values of the tenant's telemetry counters of the same names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TenantCounters {
     /// Distinct window indices offered at ingestion.
@@ -483,9 +484,10 @@ impl TenantCounters {
     }
 }
 
-/// Per-tenant deterministic telemetry instruments. Every figure is
-/// deterministic: the per-window stage timings come from the modelled
-/// cost under injected pressure (the same numbers that decide
+/// Per-tenant deterministic telemetry instruments, the only store of
+/// the tenant's counts ([`TenantCounters`] reads them back). Every
+/// figure is deterministic: the per-window stage timings come from the
+/// modelled cost under injected pressure (the same numbers that decide
 /// degradation), and the predict-path profile counts model work units —
 /// wall-clock time never enters, so the export stays byte-identical
 /// across same-seed runs.
@@ -546,6 +548,27 @@ impl TenantObs {
             scope,
         }
     }
+
+    /// The counters' current values. The queue-owned record and
+    /// window-ingestion counts are as of the last
+    /// [`ServingCore::sync_counters`].
+    fn counters(&self) -> TenantCounters {
+        TenantCounters {
+            windows_ingested: self.windows_ingested.value(),
+            windows_classified: self.windows_classified.value(),
+            windows_degraded: self.windows_degraded.value(),
+            windows_shed: self.windows_shed.value(),
+            records_offered: self.records_offered.value(),
+            records_admitted: self.records_admitted.value(),
+            records_processed: self.records_processed.value(),
+            records_shed: self.records_shed.value(),
+            records_sampled_out: self.records_sampled_out.value(),
+            classify_errors: self.classify_errors.value(),
+            challenger_windows: self.challenger_windows.value(),
+            verdict_disagreements: self.verdict_disagreements.value(),
+            packet_disagreements: self.packet_disagreements.value(),
+        }
+    }
 }
 
 /// One tenant's live state.
@@ -559,8 +582,7 @@ struct TenantState {
     /// have not yet reached a terminal verdict. Classified → degraded;
     /// never classified → shed (settled at finalize).
     affected_pending: BTreeSet<u64>,
-    counters: TenantCounters,
-    obs: Option<TenantObs>,
+    obs: TenantObs,
 }
 
 /// Serving-layer chaos: the `serve.*` decision points plus the feature
@@ -608,7 +630,8 @@ struct StagedSwap {
     ready_tick: u64,
 }
 
-/// Service-level deterministic instruments.
+/// Service-level deterministic instruments, the only store of the
+/// swap and retrain counts.
 #[derive(Debug)]
 struct ServiceObs {
     scope: Scope,
@@ -717,9 +740,6 @@ struct ServingCore {
     staged: Option<StagedSwap>,
     chaos: Option<ServingChaos>,
     tick_index: u64,
-    swaps: u64,
-    retrains: u64,
-    retrains_failed: u64,
     window_secs: u64,
     last_pressure: f64,
     last_now: SimTime,
@@ -727,7 +747,7 @@ struct ServingCore {
     /// First flow-state-conservation violation observed after a forced
     /// cull (`features.state_cull` chaos), or `None`.
     flow_state_violation: Option<String>,
-    obs: Option<ServiceObs>,
+    obs: ServiceObs,
     wall_obs: Option<WallclockObs>,
     // Scratch reused across tenants and windows.
     scratch: FeatureMatrix,
@@ -771,16 +791,13 @@ impl ServingCore {
         }
         let staged = self.staged.take().expect("checked above");
         let generation = self.champion.swap(staged.ids);
-        self.swaps += 1;
-        if let Some(obs) = &self.obs {
-            obs.swaps.inc();
-            obs.generation.set(generation as i64);
-            obs.scope.event(
-                now.as_nanos(),
-                "model_swap",
-                format!("generation={generation} tick={}", self.tick_index),
-            );
-        }
+        self.obs.swaps.inc();
+        self.obs.generation.set(generation as i64);
+        self.obs.scope.event(
+            now.as_nanos(),
+            "model_swap",
+            format!("generation={generation} tick={}", self.tick_index),
+        );
     }
 
     /// Stages a deterministic retrain from the replay buffer.
@@ -793,7 +810,7 @@ impl ServingCore {
             return;
         }
         let dataset = Dataset::from_records(self.replay.iter().copied().collect::<Vec<_>>());
-        let retrain_index = self.retrains + self.retrains_failed;
+        let retrain_index = self.obs.retrains.value() + self.obs.retrains_failed.value();
         let mut rng = SimRng::seed_from(
             policy.rng_salt ^ (retrain_index.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
         );
@@ -807,29 +824,23 @@ impl ServingCore {
         };
         match TrainedIds::train(&dataset, &policy.kind, config, &mut rng) {
             Ok(outcome) => {
-                self.retrains += 1;
-                if let Some(obs) = &self.obs {
-                    obs.retrains.inc();
-                    obs.scope.event(
-                        now.as_nanos(),
-                        "retrain_staged",
-                        format!("tick={} samples={}", self.tick_index, outcome.train_samples),
-                    );
-                }
+                self.obs.retrains.inc();
+                self.obs.scope.event(
+                    now.as_nanos(),
+                    "retrain_staged",
+                    format!("tick={} samples={}", self.tick_index, outcome.train_samples),
+                );
                 self.stage(outcome.ids, policy.delay_windows);
             }
             Err(e) => {
                 // Recoverable: a single-class replay buffer (e.g. pure
                 // flood) cannot train — keep serving the old champion.
-                self.retrains_failed += 1;
-                if let Some(obs) = &self.obs {
-                    obs.retrains_failed.inc();
-                    obs.scope.event(
-                        now.as_nanos(),
-                        "retrain_failed",
-                        format!("tick={} error={e}", self.tick_index),
-                    );
-                }
+                self.obs.retrains_failed.inc();
+                self.obs.scope.event(
+                    now.as_nanos(),
+                    "retrain_failed",
+                    format!("tick={} error={e}", self.tick_index),
+                );
             }
         }
     }
@@ -846,13 +857,11 @@ impl ServingCore {
             if self.tick_index == tick {
                 if let Some(challenger) = &self.challenger {
                     let promoted = challenger.load().value.clone();
-                    if let Some(obs) = &self.obs {
-                        obs.scope.event(
-                            now.as_nanos(),
-                            "challenger_promotion_staged",
-                            format!("tick={tick}"),
-                        );
-                    }
+                    self.obs.scope.event(
+                        now.as_nanos(),
+                        "challenger_promotion_staged",
+                        format!("tick={tick}"),
+                    );
                     self.stage(promoted, self.promote_delay_ticks);
                 }
             }
@@ -868,10 +877,8 @@ impl ServingCore {
         let classified_packets = self.classify_batch(now, pressure);
 
         for tenant in &self.tenants {
-            if let Some(obs) = &tenant.obs {
-                obs.queue_depth.set(tenant.queue.len() as i64);
-                obs.queue_high_water.set_max(tenant.queue.high_water() as i64);
-            }
+            tenant.obs.queue_depth.set(tenant.queue.len() as i64);
+            tenant.obs.queue_high_water.set_max(tenant.queue.high_water() as i64);
         }
         classified_packets
     }
@@ -901,13 +908,11 @@ impl ServingCore {
         tenant.queue.clear_forced_full();
         if forced {
             tenant.queue.force_full();
-            if let Some(obs) = &tenant.obs {
-                obs.scope.event(
-                    now.as_nanos(),
-                    "queue_forced_full",
-                    format!("tick={}", self.tick_index),
-                );
-            }
+            tenant.obs.scope.event(
+                now.as_nanos(),
+                "queue_forced_full",
+                format!("tick={}", self.tick_index),
+            );
         }
 
         // Ingest: drain what the policy allows, offer record by record.
@@ -953,13 +958,11 @@ impl ServingCore {
         if cull {
             let tenant = &mut self.tenants[t];
             tenant.aggregator.force_cull();
-            if let Some(obs) = &tenant.obs {
-                obs.scope.event(
-                    now.as_nanos(),
-                    "state_cull",
-                    format!("tick={}", self.tick_index),
-                );
-            }
+            tenant.obs.scope.event(
+                now.as_nanos(),
+                "state_cull",
+                format!("tick={}", self.tick_index),
+            );
             if self.flow_state_violation.is_none() {
                 if let Some(v) = tenant.aggregator.state_conservation_violation() {
                     self.flow_state_violation =
@@ -1004,15 +1007,12 @@ impl ServingCore {
             if modelled_secs > shed_threshold {
                 // Too far past budget to be worth classifying late:
                 // shed whole, accounted.
-                tenant.counters.windows_shed += 1;
-                if let Some(obs) = &tenant.obs {
-                    obs.windows_shed.inc();
-                    obs.scope.event(
-                        now.as_nanos(),
-                        "window_shed",
-                        format!("w={} packets={}", window.index, window.records.len()),
-                    );
-                }
+                tenant.obs.windows_shed.inc();
+                tenant.obs.scope.event(
+                    now.as_nanos(),
+                    "window_shed",
+                    format!("w={} packets={}", window.index, window.records.len()),
+                );
                 continue;
             }
             window.append_features(&mut self.scratch);
@@ -1036,23 +1036,20 @@ impl ServingCore {
         // every window of the batch, exactly as the per-window path
         // degraded each of them individually.
         let champion = self.champion.load();
-        let champion_ok = match champion.value.check_classify_arity(&self.scratch) {
-            Ok(()) => {
-                champion.value.scaler().transform_matrix(&mut self.scratch);
-                let predict_started = Instant::now();
-                champion.value.model().predict_batch_spans_into(
-                    self.scratch.view(),
-                    &self.spans,
-                    &mut self.predictions,
-                    &mut self.span_work,
-                );
-                if let Some(wall) = &self.wall_obs {
-                    wall.predict_wall_ns.observe(predict_started.elapsed().as_nanos() as u64);
-                }
-                true
+        let arity = champion.value.check_classify_arity(&self.scratch);
+        if arity.is_ok() {
+            champion.value.scaler().transform_matrix(&mut self.scratch);
+            let predict_started = Instant::now();
+            champion.value.model().predict_batch_spans_into(
+                self.scratch.view(),
+                &self.spans,
+                &mut self.predictions,
+                &mut self.span_work,
+            );
+            if let Some(wall) = &self.wall_obs {
+                wall.predict_wall_ns.observe(predict_started.elapsed().as_nanos() as u64);
             }
-            Err(_) => false,
-        };
+        }
 
         // Shadow evaluation: the challenger scores the same coalesced
         // batch through its own scaler and scratch, but never emits;
@@ -1085,8 +1082,9 @@ impl ServingCore {
             let window = &self.completed[meta.window];
             let tenant = &mut self.tenants[meta.tenant];
             let span = self.spans[j];
-            let mut detection = if champion_ok {
-                if let Some(obs) = &tenant.obs {
+            let obs = &tenant.obs;
+            let mut detection = match &arity {
+                Ok(()) => {
                     let packets = window.records.len();
                     let (extract_ns, classify_ns) = cost.modelled_stage_ns(packets, pressure);
                     obs.packets_classified.add(packets as u64);
@@ -1101,42 +1099,36 @@ impl ServingCore {
                             format!("w={} packets={packets}", window.index),
                         );
                     }
+                    detection_from_predictions(window, &self.predictions[span.range()])
                 }
-                detection_from_predictions(window, &self.predictions[span.range()])
-            } else {
-                let e = champion
-                    .value
-                    .check_classify_arity(&self.scratch)
-                    .expect_err("checked above");
-                tenant.counters.classify_errors += 1;
-                if let Some(obs) = &tenant.obs {
+                Err(e) => {
                     obs.classify_errors.inc();
                     obs.scope.event(
                         now.as_nanos(),
                         "classify_error",
                         format!("w={} {e}", window.index),
                     );
-                }
-                WindowDetection {
-                    window_index: window.index,
-                    packets: window.records.len(),
-                    correct: 0,
-                    predicted_malicious: 0,
-                    truth_malicious: 0,
-                    malicious_correct: 0,
-                    mixed: window.is_mixed(),
-                    majority_truth: window.majority_label(),
-                    generation: champion.generation,
-                    degraded: true,
+                    WindowDetection {
+                        window_index: window.index,
+                        packets: window.records.len(),
+                        correct: 0,
+                        predicted_malicious: 0,
+                        truth_malicious: 0,
+                        malicious_correct: 0,
+                        mixed: window.is_mixed(),
+                        majority_truth: window.majority_label(),
+                        generation: champion.generation,
+                        degraded: true,
+                    }
                 }
             };
             detection.generation = champion.generation;
             detection.degraded |= meta.late || meta.affected;
 
-            if champion_ok && challenger_ok {
+            if arity.is_ok() && challenger_ok {
                 let shadow =
                     detection_from_predictions(window, &self.challenger_predictions[span.range()]);
-                tenant.counters.challenger_windows += 1;
+                obs.challenger_windows.inc();
                 let champion_verdict = detection.predicted_malicious * 2 > detection.packets;
                 let challenger_verdict = shadow.predicted_malicious * 2 > shadow.packets;
                 let verdict_differs = champion_verdict != challenger_verdict;
@@ -1145,28 +1137,14 @@ impl ServingCore {
                     .zip(&self.challenger_predictions[span.range()])
                     .filter(|(a, b)| a != b)
                     .count() as u64;
-                tenant.counters.verdict_disagreements += u64::from(verdict_differs);
-                tenant.counters.packet_disagreements += packet_diffs;
-                if let Some(obs) = &tenant.obs {
-                    obs.challenger_windows.inc();
-                    if verdict_differs {
-                        obs.verdict_disagreements.inc();
-                    }
-                    obs.packet_disagreements.add(packet_diffs);
-                }
+                obs.verdict_disagreements.add(u64::from(verdict_differs));
+                obs.packet_disagreements.add(packet_diffs);
             }
 
             if detection.degraded {
-                tenant.counters.windows_degraded += 1;
+                obs.windows_degraded.inc();
             } else {
-                tenant.counters.windows_classified += 1;
-            }
-            if let Some(obs) = &tenant.obs {
-                if detection.degraded {
-                    obs.windows_degraded.inc();
-                } else {
-                    obs.windows_classified.inc();
-                }
+                obs.windows_classified.inc();
             }
             tenant.log.push(detection);
         }
@@ -1203,42 +1181,29 @@ impl ServingCore {
             // Whatever is still marked affected never completed: every
             // record of those windows was shed or sampled out.
             let wholly_shed = tenant.affected_pending.len() as u64;
-            tenant.counters.windows_shed += wholly_shed;
-            if let Some(obs) = &tenant.obs {
-                for _ in 0..wholly_shed {
-                    obs.windows_shed.inc();
-                }
-            }
+            tenant.obs.windows_shed.add(wholly_shed);
             tenant.affected_pending.clear();
         }
         self.sync_counters();
     }
 
-    /// Copies queue-level accounting into the frozen counters and obs.
-    fn sync_counters(&mut self) {
-        for tenant in &mut self.tenants {
+    /// Publishes the queue-owned accounting (and the extractors'
+    /// flows-touched total) into the telemetry counters.
+    fn sync_counters(&self) {
+        for tenant in &self.tenants {
             let (offered, admitted, popped, shed, sampled) = tenant.queue.record_counts();
-            tenant.counters.records_offered = offered;
-            tenant.counters.records_admitted = admitted;
-            tenant.counters.records_processed = popped;
-            tenant.counters.records_shed = shed;
-            tenant.counters.records_sampled_out = sampled;
-            tenant.counters.windows_ingested = tenant.queue.windows_ingested();
-            if let Some(obs) = &tenant.obs {
-                set_counter(&obs.records_offered, offered);
-                set_counter(&obs.records_admitted, admitted);
-                set_counter(&obs.records_processed, popped);
-                set_counter(&obs.records_shed, shed);
-                set_counter(&obs.records_sampled_out, sampled);
-                set_counter(&obs.windows_ingested, tenant.queue.windows_ingested());
-                obs.queue_depth.set(tenant.queue.len() as i64);
-                obs.queue_high_water.set_max(tenant.queue.high_water() as i64);
-            }
+            let obs = &tenant.obs;
+            set_counter(&obs.records_offered, offered);
+            set_counter(&obs.records_admitted, admitted);
+            set_counter(&obs.records_processed, popped);
+            set_counter(&obs.records_shed, shed);
+            set_counter(&obs.records_sampled_out, sampled);
+            set_counter(&obs.windows_ingested, tenant.queue.windows_ingested());
+            obs.queue_depth.set(tenant.queue.len() as i64);
+            obs.queue_high_water.set_max(tenant.queue.high_water() as i64);
         }
-        if let Some(obs) = &self.obs {
-            let touched: u64 = self.tenants.iter().map(|t| t.aggregator.flows_touched()).sum();
-            set_counter(&obs.flows_touched, touched);
-        }
+        let touched: u64 = self.tenants.iter().map(|t| t.aggregator.flows_touched()).sum();
+        set_counter(&self.obs.flows_touched, touched);
     }
 }
 
@@ -1280,16 +1245,25 @@ impl std::fmt::Debug for ServingHandle {
 
 /// Creates a connected [`IdsService`] / [`ServingHandle`] pair over a
 /// config and one `(TenantConfig, SnifferHandle)` per monitored link.
+/// The service counts under `scope` (conventionally `ids.serving`):
+/// service counters plus one child scope per tenant, named after it.
+/// The handle's read-outs are those counters, so two services under one
+/// scope would share them.
 ///
 /// # Panics
 ///
-/// Panics if `tenants` is empty.
+/// Panics if `tenants` is empty or two tenants share a name.
 pub fn serving_pair(
     config: ServingConfig,
     tenants: Vec<(TenantConfig, SnifferHandle)>,
     meter: ResourceMeter,
+    scope: Scope,
 ) -> (IdsService, ServingHandle) {
     assert!(!tenants.is_empty(), "a serving deployment needs at least one tenant");
+    let mut names = BTreeSet::new();
+    for (cfg, _) in &tenants {
+        assert!(names.insert(&cfg.name), "two tenants are named {:?}", cfg.name);
+    }
     let window_secs = config.champion.window_secs();
     let stats_refresh = config.champion.stats_refresh();
     let tenant_states = tenants
@@ -1299,8 +1273,7 @@ pub fn serving_pair(
             aggregator: WindowAggregator::new(window_secs).with_stats_refresh(stats_refresh),
             log: DetectionLog::new(),
             affected_pending: BTreeSet::new(),
-            counters: TenantCounters::default(),
-            obs: None,
+            obs: TenantObs::new(scope.child(&cfg.name)),
             feed,
             config: cfg,
         })
@@ -1316,15 +1289,12 @@ pub fn serving_pair(
         staged: None,
         chaos: config.chaos.map(|(seed, intensity)| ServingChaos::new(seed, intensity)),
         tick_index: 0,
-        swaps: 0,
-        retrains: 0,
-        retrains_failed: 0,
         window_secs,
         last_pressure: 1.0,
         last_now: SimTime::ZERO,
         finalized: false,
         flow_state_violation: None,
-        obs: None,
+        obs: ServiceObs::new(scope),
         wall_obs: None,
         scratch: FeatureMatrix::new(TOTAL_FEATURES),
         predictions: Vec::new(),
@@ -1343,17 +1313,6 @@ pub fn serving_pair(
 }
 
 impl IdsService {
-    /// Attaches deterministic telemetry under `scope` (conventionally
-    /// `ids.serving`): service counters plus one child scope per
-    /// tenant. Call before installing the app.
-    pub fn set_obs(&mut self, scope: Scope) {
-        let mut core = self.core.borrow_mut();
-        for tenant in &mut core.tenants {
-            tenant.obs = Some(TenantObs::new(scope.child(&tenant.config.name)));
-        }
-        core.obs = Some(ServiceObs::new(scope));
-    }
-
     /// Attaches the wall-clock reporting scope (call before installing
     /// the app). Must come from a registry separate from the
     /// deterministic one — measured predict latency is host-dependent
@@ -1431,18 +1390,18 @@ impl ServingHandle {
     /// A tenant's frozen accounting. Call [`ServingHandle::finalize`]
     /// first for exact conservation.
     pub fn tenant_counters(&self, name: &str) -> Option<TenantCounters> {
-        let mut core = self.core.borrow_mut();
+        let core = self.core.borrow();
         core.sync_counters();
-        core.tenants.iter().find(|t| t.config.name == name).map(|t| t.counters)
+        core.tenants.iter().find(|t| t.config.name == name).map(|t| t.obs.counters())
     }
 
     /// Every tenant's `(name, counters)`, in service order.
     pub fn all_counters(&self) -> Vec<(String, TenantCounters)> {
-        let mut core = self.core.borrow_mut();
+        let core = self.core.borrow();
         core.sync_counters();
         core.tenants
             .iter()
-            .map(|t| (t.config.name.clone(), t.counters))
+            .map(|t| (t.config.name.clone(), t.obs.counters()))
             .collect()
     }
 
@@ -1453,8 +1412,8 @@ impl ServingHandle {
 
     /// `(swaps, retrains, retrains_failed)` so far.
     pub fn swap_counts(&self) -> (u64, u64, u64) {
-        let core = self.core.borrow();
-        (core.swaps, core.retrains, core.retrains_failed)
+        let obs = &self.core.borrow().obs;
+        (obs.swaps.value(), obs.retrains.value(), obs.retrains_failed.value())
     }
 
     /// Serving-chaos `(swap_delay_fires, queue_full_fires,
@@ -1478,21 +1437,18 @@ impl ServingHandle {
     /// `None` when all accounting is exact. Call after
     /// [`ServingHandle::finalize`].
     pub fn conservation_violation(&self) -> Option<String> {
-        {
-            let mut core = self.core.borrow_mut();
-            core.sync_counters();
-        }
         let core = self.core.borrow();
+        core.sync_counters();
         for tenant in &core.tenants {
             if let Some(v) = tenant.queue.conservation_violation() {
                 return Some(format!("tenant {}: {v}", tenant.config.name));
             }
-            if let Some(v) = tenant.counters.conservation_violation() {
+            let counters = tenant.obs.counters();
+            if let Some(v) = counters.conservation_violation() {
                 return Some(format!("tenant {}: {v}", tenant.config.name));
             }
             let logged = tenant.log.len() as u64;
-            let counted =
-                tenant.counters.windows_classified + tenant.counters.windows_degraded;
+            let counted = counters.windows_classified + counters.windows_degraded;
             if logged != counted {
                 return Some(format!(
                     "tenant {}: log has {logged} windows but counters account {counted}",
@@ -1651,6 +1607,15 @@ mod tests {
         }
     }
 
+    /// A champion that calls every packet benign, with a fitted scaler.
+    fn all_benign_ids() -> TrainedIds {
+        let mut rows =
+            FeatureMatrix::from_rows(&[vec![0.0; TOTAL_FEATURES], vec![1.0; TOTAL_FEATURES]])
+                .unwrap();
+        let scaler = Scaler::fit_transform_matrix(ScalingMethod::MinMax, &mut rows);
+        TrainedIds::from_parts(Box::new(AllBenign), scaler, IdsConfig::default())
+    }
+
     /// Captures `n` benign packets stamped `at` into the sniffer.
     fn capture(tap: &mut Sniffer, at: SimTime, n: usize) {
         let meta = TapMeta { time: at, link: LinkId::from_raw(0), receiver: NodeId::from_raw(0) };
@@ -1668,11 +1633,7 @@ mod tests {
     /// it, where a default tenant's 8× shed factor would have.
     #[test]
     fn paper_tenant_never_sheds_at_the_feed_bound_or_under_pressure() {
-        let mut rows =
-            FeatureMatrix::from_rows(&[vec![0.0; TOTAL_FEATURES], vec![1.0; TOTAL_FEATURES]])
-                .unwrap();
-        let scaler = Scaler::fit_transform_matrix(ScalingMethod::MinMax, &mut rows);
-        let ids = TrainedIds::from_parts(Box::new(AllBenign), scaler, IdsConfig::default());
+        let ids = all_benign_ids();
         let (mut tap, feed) = sniffer_pair(SnifferFilter::All);
         let bound = OverloadPolicy::default().feed_capacity.expect("the feed is bounded");
         // What `IdsService::on_start` applies.
@@ -1681,6 +1642,7 @@ mod tests {
             ServingConfig::new(ids),
             vec![(TenantConfig::paper("paper"), feed.clone())],
             ResourceMeter::new(),
+            obs::Registry::new().scope("ids.serving"),
         );
         let log = handle.tenant_log("paper").expect("the tenant");
         let assert_never_shed = |tick: &str| {
@@ -1754,6 +1716,7 @@ mod tests {
             ServingConfig::new(ids),
             vec![(TenantConfig::paper("paper"), feed)],
             ResourceMeter::new(),
+            obs::Registry::new().scope("ids.serving"),
         );
         for secs in 0..5 {
             capture(&mut tap, SimTime::from_millis(secs * 1000 + 500), 50);
@@ -1770,6 +1733,20 @@ mod tests {
         assert_eq!((c.windows_classified, c.windows_degraded), (0, 5));
         assert_eq!(c.classify_errors, 5);
         assert_eq!(handle.conservation_violation(), None);
+    }
+
+    /// A tenant's counts live under a scope named after it, so two
+    /// tenants of one name would count into each other.
+    #[test]
+    #[should_panic(expected = "two tenants are named \"link\"")]
+    fn serving_pair_rejects_duplicate_tenant_names() {
+        let (_tap, feed) = sniffer_pair(SnifferFilter::All);
+        let _ = serving_pair(
+            ServingConfig::new(all_benign_ids()),
+            vec![(TenantConfig::new("link"), feed.clone()), (TenantConfig::paper("link"), feed)],
+            ResourceMeter::new(),
+            obs::Registry::new().scope("ids.serving"),
+        );
     }
 
     #[test]

@@ -217,6 +217,7 @@ impl Autoencoder {
         {
             return Err(DecodeError::Corrupt("layers do not chain"));
         }
+        d.finish()?;
         Ok(Autoencoder {
             enc1,
             enc2,

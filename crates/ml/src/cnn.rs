@@ -1040,6 +1040,7 @@ impl Cnn {
         };
         let fc1 = dense(flat, config.hidden)?;
         let fc2 = dense(config.hidden, CLASSES)?;
+        d.finish()?;
         Ok(Cnn { config, conv1, conv2, fc1, fc2 })
     }
 }
@@ -1167,6 +1168,7 @@ impl Classifier for Cnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::assert_trailing_byte_rejected;
     use crate::matrix::FeatureMatrix;
     use crate::classifier::predict_view;
     use crate::nn::softmax;
@@ -1924,6 +1926,7 @@ mod tests {
         for cut in 0..blob.len() {
             assert!(Cnn::decode(&blob[..cut]).is_err(), "truncated at {cut}");
         }
+        assert_trailing_byte_rejected(&blob, Cnn::decode);
     }
 
     #[test]

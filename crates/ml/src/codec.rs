@@ -180,9 +180,18 @@ impl<'a> Decoder<'a> {
         Ok(())
     }
 
-    /// `true` when every byte has been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.pos == self.buf.len()
+    /// Ends decoding: a blob must be used up exactly, so bytes after
+    /// the last field are an error rather than silently ignored.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError::Corrupt`] when bytes remain.
+    pub fn finish(self) -> Result<(), DecodeError> {
+        if self.pos == self.buf.len() {
+            Ok(())
+        } else {
+            Err(DecodeError::Corrupt("trailing bytes"))
+        }
     }
 }
 
@@ -220,9 +229,10 @@ pub(crate) mod tests {
     /// and length-prefixed slices: the `usize` word at each byte offset
     /// in `words` is set in turn to 0, 1, the value of each neighbouring
     /// word in `words`, `u32::MAX` and `2^63`. Each mutant must fail to
-    /// decode or decode to a model that predicts every row of `probe`,
-    /// and every truncation of `blob` must fail to decode. Returns how
-    /// many mutants decoded.
+    /// decode or decode to a model that predicts every row of `probe`;
+    /// every truncation of `blob` and `blob` plus one byte must fail to
+    /// decode, and `blob` itself must round-trip. Returns how many
+    /// mutants decoded.
     pub(crate) fn usize_mutants_error_or_predict<M: Classifier>(
         blob: &[u8],
         words: &[usize],
@@ -252,7 +262,24 @@ pub(crate) mod tests {
         for cut in 0..blob.len() {
             assert!(decode(&blob[..cut]).is_err(), "truncated at {cut}");
         }
+        assert_trailing_byte_rejected(blob, &decode);
         decoded
+    }
+
+    /// `blob` round-trips through `decode`, and `blob` plus one byte
+    /// fails to decode.
+    pub(crate) fn assert_trailing_byte_rejected<M: Classifier>(
+        blob: &[u8],
+        decode: impl Fn(&[u8]) -> Result<M, DecodeError>,
+    ) {
+        let model = decode(blob).expect("the untouched blob decodes");
+        assert_eq!(model.encode(), blob, "the untouched blob round-trips");
+        let mut longer = blob.to_vec();
+        longer.push(0);
+        assert_eq!(
+            decode(&longer).err(),
+            Some(DecodeError::Corrupt("trailing bytes"))
+        );
     }
 
     #[test]
@@ -268,7 +295,7 @@ pub(crate) mod tests {
         assert_eq!(d.get_u32().unwrap(), 0xdead_beef);
         assert_eq!(d.get_u64().unwrap(), 42);
         assert_eq!(d.get_f64().unwrap(), std::f64::consts::PI);
-        assert!(d.is_exhausted());
+        assert_eq!(d.finish(), Ok(()));
     }
 
     #[test]

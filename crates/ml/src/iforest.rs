@@ -247,6 +247,7 @@ impl IsolationForest {
             }
             trees.push(IsolationTree { nodes });
         }
+        d.finish()?;
         Ok(IsolationForest { trees, dims, sample_size, threshold })
     }
 }
@@ -305,6 +306,7 @@ impl Classifier for IsolationForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::assert_trailing_byte_rejected;
     use crate::matrix::FeatureMatrix;
 
     /// A dense benign cluster plus scattered anomalies, `dims` wide.
@@ -434,6 +436,7 @@ mod tests {
         for cut in 0..blob.len() {
             assert!(IsolationForest::decode(&blob[..cut]).is_err(), "truncated at {cut}");
         }
+        assert_trailing_byte_rejected(&blob, IsolationForest::decode);
     }
 
     #[test]

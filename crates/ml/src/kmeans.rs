@@ -444,6 +444,7 @@ impl KMeansDetector {
         if cluster_labels.iter().any(|&label| label > 1) {
             return Err(DecodeError::Corrupt("cluster label"));
         }
+        d.finish()?;
         Ok(KMeansDetector {
             model: KMeans { centroids, proportions, inertia: 0.0, iterations: 0 },
             cluster_labels,
@@ -518,6 +519,7 @@ impl Classifier for KMeansDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::assert_trailing_byte_rejected;
     use crate::matrix::FeatureMatrix;
     use crate::classifier::predict_view;
 
@@ -713,6 +715,7 @@ mod tests {
         for cut in 0..blob.len() {
             assert!(KMeansDetector::decode(&blob[..cut]).is_err(), "truncated at {cut}");
         }
+        assert_trailing_byte_rejected(&blob, KMeansDetector::decode);
     }
 
     /// Blobs no single-word mutation reaches: no clusters, centroids of

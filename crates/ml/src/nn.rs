@@ -188,11 +188,14 @@ impl Adam {
         const B2: f64 = 0.999;
         const EPS: f64 = 1e-8;
         let t = t as i32;
+        // Bias corrections depend only on the step; dividing by them (not
+        // multiplying by reciprocals) keeps every update's rounding.
+        let (m_correction, v_correction) = (1.0 - B1.powi(t), 1.0 - B2.powi(t));
         for i in 0..params.len() {
             self.m[i] = B1 * self.m[i] + (1.0 - B1) * grads[i];
             self.v[i] = B2 * self.v[i] + (1.0 - B2) * grads[i] * grads[i];
-            let m_hat = self.m[i] / (1.0 - B1.powi(t));
-            let v_hat = self.v[i] / (1.0 - B2.powi(t));
+            let m_hat = self.m[i] / m_correction;
+            let v_hat = self.v[i] / v_correction;
             params[i] -= lr * m_hat / (v_hat.sqrt() + EPS);
         }
     }

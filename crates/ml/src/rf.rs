@@ -690,6 +690,7 @@ impl RandomForest {
         let trees: Vec<DecisionTree> = (0..count)
             .map(|_| DecisionTree::decode_from(&mut d, dims))
             .collect::<Result<_, _>>()?;
+        d.finish()?;
         Ok(RandomForest::from_trees(trees, dims))
     }
 
@@ -812,6 +813,7 @@ impl Classifier for RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::assert_trailing_byte_rejected;
     use crate::matrix::FeatureMatrix;
     use crate::classifier::predict_view;
     use crate::matrix::gather;
@@ -1213,6 +1215,7 @@ mod tests {
                 "truncated at {cut}"
             );
         }
+        assert_trailing_byte_rejected(&blob, RandomForest::decode);
     }
 
     /// Same seed ⇒ bit-identical forest at any thread budget.

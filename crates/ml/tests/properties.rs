@@ -34,7 +34,7 @@ proptest! {
             prop_assert_eq!(d.get_u64().unwrap(), v);
         }
         prop_assert_eq!(d.get_f64_slice().unwrap(), f64s);
-        prop_assert!(d.is_exhausted());
+        prop_assert_eq!(d.finish(), Ok(()));
     }
 
     /// Decoding arbitrary garbage never panics: it returns an error or

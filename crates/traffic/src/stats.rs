@@ -2,10 +2,8 @@
 //!
 //! Applications run boxed inside the [`netsim::world::World`], so
 //! orchestration code observes them through cheaply clonable shared
-//! handles rather than downcasting.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! handles rather than downcasting. A handle's counts are its telemetry
+//! instruments: the run report and the export read the same store.
 
 use obs::{Counter, Scope};
 
@@ -28,115 +26,76 @@ pub struct ClientCounters {
     pub bytes_sent: u64,
 }
 
-/// Telemetry mirrors of [`ClientCounters`]. The scope carries the
-/// protocol (e.g. `traffic.client.http`), so per-protocol outcome and
-/// retry-exhaustion counters come out separately in the export.
-#[derive(Debug)]
-struct ClientObs {
+/// A shared handle onto one workload's counters. The counts live in
+/// the telemetry instruments of the scope the handle is built from (one
+/// scope per protocol, e.g. `traffic.client.http`), so per-protocol
+/// outcome and retry-exhaustion counters come out separately in the
+/// export; clones share them.
+#[derive(Debug, Clone)]
+pub struct ClientStats {
     started: Counter,
     completed: Counter,
+    // `failed` counts transactions abandoned after the retry budget ran
+    // dry — the retry-exhaustion signal.
     failed: Counter,
     retried: Counter,
     bytes_received: Counter,
     bytes_sent: Counter,
 }
 
-impl ClientObs {
-    fn new(scope: &Scope) -> Self {
-        ClientObs {
+impl ClientStats {
+    /// Creates zeroed counters under `scope`.
+    pub fn new(scope: &Scope) -> Self {
+        ClientStats {
             started: scope.counter("started"),
             completed: scope.counter("completed"),
-            // `failed` counts transactions abandoned after the retry
-            // budget ran dry — the retry-exhaustion signal.
             failed: scope.counter("failed"),
             retried: scope.counter("retried"),
             bytes_received: scope.counter("bytes_received"),
             bytes_sent: scope.counter("bytes_sent"),
         }
     }
-}
-
-#[derive(Debug, Default)]
-struct ClientInner {
-    counters: ClientCounters,
-    obs: Option<ClientObs>,
-}
-
-/// A shared handle onto one workload's counters.
-#[derive(Debug, Clone, Default)]
-pub struct ClientStats {
-    inner: Rc<RefCell<ClientInner>>,
-}
-
-impl ClientStats {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attaches telemetry: every counter update is mirrored into `scope`
-    /// (one scope per protocol workload).
-    pub fn set_obs(&self, scope: &Scope) {
-        self.inner.borrow_mut().obs = Some(ClientObs::new(scope));
-    }
 
     /// A snapshot of the counters.
     pub fn snapshot(&self) -> ClientCounters {
-        self.inner.borrow().counters
+        ClientCounters {
+            started: self.started.value(),
+            completed: self.completed.value(),
+            failed: self.failed.value(),
+            retried: self.retried.value(),
+            bytes_received: self.bytes_received.value(),
+            bytes_sent: self.bytes_sent.value(),
+        }
     }
 
     /// Records a started transaction.
     pub fn add_started(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.started += 1;
-        if let Some(obs) = &inner.obs {
-            obs.started.inc();
-        }
+        self.started.inc();
     }
 
     /// Records a completed transaction.
     pub fn add_completed(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.completed += 1;
-        if let Some(obs) = &inner.obs {
-            obs.completed.inc();
-        }
+        self.completed.inc();
     }
 
     /// Records a failed transaction (retry budget exhausted).
     pub fn add_failed(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.failed += 1;
-        if let Some(obs) = &inner.obs {
-            obs.failed.inc();
-        }
+        self.failed.inc();
     }
 
     /// Records a retry attempt.
     pub fn add_retried(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.retried += 1;
-        if let Some(obs) = &inner.obs {
-            obs.retried.inc();
-        }
+        self.retried.inc();
     }
 
     /// Records received payload bytes.
     pub fn add_bytes_received(&self, n: u64) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.bytes_received += n;
-        if let Some(obs) = &inner.obs {
-            obs.bytes_received.add(n);
-        }
+        self.bytes_received.add(n);
     }
 
     /// Records sent payload bytes.
     pub fn add_bytes_sent(&self, n: u64) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.bytes_sent += n;
-        if let Some(obs) = &inner.obs {
-            obs.bytes_sent.add(n);
-        }
+        self.bytes_sent.add(n);
     }
 }
 
@@ -153,89 +112,56 @@ pub struct ServerCounters {
     pub bytes_sent: u64,
 }
 
-/// Telemetry mirrors of [`ServerCounters`].
-#[derive(Debug)]
-struct ServerObs {
+/// A shared handle onto one server's counters, stored in the
+/// instruments of the scope it is built from (one scope per protocol
+/// server); clones share them.
+#[derive(Debug, Clone)]
+pub struct ServerStats {
     accepted: Counter,
     served: Counter,
     errors: Counter,
     bytes_sent: Counter,
 }
 
-impl ServerObs {
-    fn new(scope: &Scope) -> Self {
-        ServerObs {
+impl ServerStats {
+    /// Creates zeroed counters under `scope`.
+    pub fn new(scope: &Scope) -> Self {
+        ServerStats {
             accepted: scope.counter("accepted"),
             served: scope.counter("served"),
             errors: scope.counter("errors"),
             bytes_sent: scope.counter("bytes_sent"),
         }
     }
-}
-
-#[derive(Debug, Default)]
-struct ServerInner {
-    counters: ServerCounters,
-    obs: Option<ServerObs>,
-}
-
-/// A shared handle onto one server's counters.
-#[derive(Debug, Clone, Default)]
-pub struct ServerStats {
-    inner: Rc<RefCell<ServerInner>>,
-}
-
-impl ServerStats {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attaches telemetry: every counter update is mirrored into `scope`
-    /// (one scope per protocol server).
-    pub fn set_obs(&self, scope: &Scope) {
-        self.inner.borrow_mut().obs = Some(ServerObs::new(scope));
-    }
 
     /// A snapshot of the counters.
     pub fn snapshot(&self) -> ServerCounters {
-        self.inner.borrow().counters
+        ServerCounters {
+            accepted: self.accepted.value(),
+            served: self.served.value(),
+            errors: self.errors.value(),
+            bytes_sent: self.bytes_sent.value(),
+        }
     }
 
     /// Records an accepted connection.
     pub fn add_accepted(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.accepted += 1;
-        if let Some(obs) = &inner.obs {
-            obs.accepted.inc();
-        }
+        self.accepted.inc();
     }
 
     /// Records a served request.
     pub fn add_served(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.served += 1;
-        if let Some(obs) = &inner.obs {
-            obs.served.inc();
-        }
+        self.served.inc();
     }
 
     /// Records an error.
     pub fn add_error(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.errors += 1;
-        if let Some(obs) = &inner.obs {
-            obs.errors.inc();
-        }
+        self.errors.inc();
     }
 
     /// Records sent payload bytes.
     pub fn add_bytes_sent(&self, n: u64) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.bytes_sent += n;
-        if let Some(obs) = &inner.obs {
-            obs.bytes_sent.add(n);
-        }
+        self.bytes_sent.add(n);
     }
 }
 
@@ -245,7 +171,7 @@ mod tests {
 
     #[test]
     fn client_handles_share_state() {
-        let a = ClientStats::new();
+        let a = ClientStats::new(&obs::Registry::new().scope("traffic.client.http"));
         let b = a.clone();
         b.add_started();
         b.add_completed();
@@ -258,7 +184,7 @@ mod tests {
 
     #[test]
     fn server_handles_share_state() {
-        let a = ServerStats::new();
+        let a = ServerStats::new(&obs::Registry::new().scope("traffic.server.http"));
         let b = a.clone();
         b.add_accepted();
         b.add_served();
@@ -272,19 +198,16 @@ mod tests {
     }
 
     #[test]
-    fn obs_mirrors_per_protocol_outcomes() {
+    fn counts_export_per_protocol_outcomes() {
         let registry = obs::Registry::new();
-        let http = ClientStats::new();
-        http.set_obs(&registry.scope("traffic.client.http"));
-        let ftp = ClientStats::new();
-        ftp.set_obs(&registry.scope("traffic.client.ftp"));
+        let http = ClientStats::new(&registry.scope("traffic.client.http"));
+        let ftp = ClientStats::new(&registry.scope("traffic.client.ftp"));
         http.add_started();
         http.add_completed();
         ftp.add_started();
         ftp.add_retried();
         ftp.add_failed();
-        let server = ServerStats::new();
-        server.set_obs(&registry.scope("traffic.server.http"));
+        let server = ServerStats::new(&registry.scope("traffic.server.http"));
         server.add_accepted();
         server.add_bytes_sent(64);
         let telemetry = registry.snapshot();

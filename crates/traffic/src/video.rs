@@ -40,7 +40,7 @@ struct StreamSession {
 }
 
 /// The RTMP-like streaming server.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct VideoServer {
     stats: ServerStats,
     sessions: HashMap<ConnId, StreamSession>,

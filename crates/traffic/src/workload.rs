@@ -82,7 +82,7 @@ impl WorkloadConfig {
 }
 
 /// Stats handles for the three TServer servers.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ServerStatsBundle {
     /// Apache-like HTTP server counters.
     pub http: ServerStats,
@@ -93,17 +93,19 @@ pub struct ServerStatsBundle {
 }
 
 impl ServerStatsBundle {
-    /// Attaches per-protocol telemetry under `scope` (e.g.
+    /// Zeroed per-protocol counters under `scope` (e.g.
     /// `traffic.server.http.*`).
-    pub fn set_obs(&self, scope: &obs::Scope) {
-        self.http.set_obs(&scope.child("http"));
-        self.video.set_obs(&scope.child("video"));
-        self.ftp.set_obs(&scope.child("ftp"));
+    pub fn new(scope: &obs::Scope) -> Self {
+        ServerStatsBundle {
+            http: ServerStats::new(&scope.child("http")),
+            video: ServerStats::new(&scope.child("video")),
+            ftp: ServerStats::new(&scope.child("ftp")),
+        }
     }
 }
 
 /// Stats handles for the device-side client workloads.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ClientStatsBundle {
     /// HTTP client counters (all devices aggregated).
     pub http: ClientStats,
@@ -114,24 +116,27 @@ pub struct ClientStatsBundle {
 }
 
 impl ClientStatsBundle {
-    /// Attaches per-protocol telemetry under `scope` (e.g.
+    /// Zeroed per-protocol counters under `scope` (e.g.
     /// `traffic.client.http.*`).
-    pub fn set_obs(&self, scope: &obs::Scope) {
-        self.http.set_obs(&scope.child("http"));
-        self.video.set_obs(&scope.child("video"));
-        self.ftp.set_obs(&scope.child("ftp"));
+    pub fn new(scope: &obs::Scope) -> Self {
+        ClientStatsBundle {
+            http: ClientStats::new(&scope.child("http")),
+            video: ClientStats::new(&scope.child("video")),
+            ftp: ClientStats::new(&scope.child("ftp")),
+        }
     }
 }
 
 /// Installs Apache-, Nginx/RTMP- and FTP-like servers into the TServer
-/// container. Returns the shared stats handles.
+/// container. Returns the shared stats handles, counting under `scope`.
 pub fn install_tserver(
     rt: &mut Runtime,
     tserver: ContainerId,
     config: &WorkloadConfig,
+    scope: &obs::Scope,
     rng: &mut SimRng,
 ) -> ServerStatsBundle {
-    let stats = ServerStatsBundle::default();
+    let stats = ServerStatsBundle::new(scope);
     let http_catalogue =
         Catalogue::generate(config.http_objects, config.http_min_bytes, config.http_max_bytes, rng);
     let ftp_catalogue =
@@ -208,16 +213,17 @@ pub fn install_device_client_mix(
 }
 
 /// Installs one client per device (the default mix) and returns the
-/// shared stats handles.
+/// shared stats handles, counting under `scope`.
 pub fn install_device_clients(
     rt: &mut Runtime,
     devices: &[ContainerId],
     tserver_addr: Addr,
     config: &WorkloadConfig,
     start_at: SimTime,
+    scope: &obs::Scope,
     rng: &mut SimRng,
 ) -> ClientStatsBundle {
-    let stats = ClientStatsBundle::default();
+    let stats = ClientStatsBundle::new(scope);
     install_device_client_mix(rt, devices, tserver_addr, config, start_at, 0, &stats, rng);
     stats
 }
@@ -245,10 +251,19 @@ mod tests {
             ftp_think_mean: 1.0,
             ..WorkloadConfig::default()
         };
-        let server_stats = install_tserver(&mut rt, tserver, &config, &mut rng);
+        let registry = obs::Registry::new();
+        let server_stats =
+            install_tserver(&mut rt, tserver, &config, &registry.scope("traffic.server"), &mut rng);
         let tserver_addr = rt.addr(tserver);
-        let client_stats =
-            install_device_clients(&mut rt, &devices, tserver_addr, &config, SimTime::ZERO, &mut rng);
+        let client_stats = install_device_clients(
+            &mut rt,
+            &devices,
+            tserver_addr,
+            &config,
+            SimTime::ZERO,
+            &registry.scope("traffic.client"),
+            &mut rng,
+        );
 
         rt.run_for(SimDuration::from_secs(30));
 
@@ -283,10 +298,18 @@ mod tests {
             ftp_think_mean: 1.0,
             ..WorkloadConfig::default()
         };
-        install_tserver(&mut rt, tserver, &config, &mut rng);
+        let registry = obs::Registry::new();
+        install_tserver(&mut rt, tserver, &config, &registry.scope("traffic.server"), &mut rng);
         let tserver_addr = rt.addr(tserver);
-        let client_stats =
-            install_device_clients(&mut rt, &devices, tserver_addr, &config, SimTime::ZERO, &mut rng);
+        let client_stats = install_device_clients(
+            &mut rt,
+            &devices,
+            tserver_addr,
+            &config,
+            SimTime::ZERO,
+            &registry.scope("traffic.client"),
+            &mut rng,
+        );
 
         rt.run_for(SimDuration::from_secs(5));
         let before = client_stats.http.snapshot().completed;

@@ -20,6 +20,16 @@ fn runtime(seed: u64) -> Runtime {
     Runtime::new(seed, LinkConfig::lan_100mbps())
 }
 
+/// Server counters in a registry of their own.
+fn zeroed_server_stats() -> ServerStats {
+    ServerStats::new(&obs::Registry::new().scope("traffic.server"))
+}
+
+/// Client counters in a registry of their own.
+fn zeroed_client_stats() -> ClientStats {
+    ClientStats::new(&obs::Registry::new().scope("traffic.client"))
+}
+
 /// A hand-rolled client requesting a missing object: the server answers
 /// 404 and counts an error; the connection survives.
 #[test]
@@ -48,7 +58,7 @@ fn http_missing_object_is_a_404_not_a_crash() {
     let mut rt = runtime(1);
     let tserver = rt.deploy(ContainerSpec::new("tserver", Role::TServer));
     let dev = rt.deploy(ContainerSpec::new("dev", Role::Device));
-    let stats = ServerStats::new();
+    let stats = zeroed_server_stats();
     let mut rng = SimRng::seed_from(2);
     let catalogue = Catalogue::generate(10, 500, 5_000, &mut rng);
     rt.install(
@@ -77,8 +87,8 @@ fn http_client_loop_completes_every_request() {
     let mut rt = runtime(3);
     let tserver = rt.deploy(ContainerSpec::new("tserver", Role::TServer));
     let dev = rt.deploy(ContainerSpec::new("dev", Role::Device));
-    let server_stats = ServerStats::new();
-    let client_stats = ClientStats::new();
+    let server_stats = zeroed_server_stats();
+    let client_stats = zeroed_client_stats();
     let mut rng = SimRng::seed_from(4);
     let catalogue = Catalogue::generate(20, 1_000, 50_000, &mut rng);
     rt.install(
@@ -117,8 +127,8 @@ fn ftp_sessions_do_not_leak_data_listeners() {
     let mut rt = runtime(5);
     let tserver = rt.deploy(ContainerSpec::new("tserver", Role::TServer));
     let dev = rt.deploy(ContainerSpec::new("dev", Role::Device));
-    let server_stats = ServerStats::new();
-    let client_stats = ClientStats::new();
+    let server_stats = zeroed_server_stats();
+    let client_stats = zeroed_client_stats();
     let mut rng = SimRng::seed_from(6);
     let files = Catalogue::generate(5, 10_000, 100_000, &mut rng);
     rt.install(
@@ -154,7 +164,7 @@ fn ftp_sessions_do_not_leak_data_listeners() {
 fn video_streams_serve_concurrent_viewers() {
     let mut rt = runtime(7);
     let tserver = rt.deploy(ContainerSpec::new("tserver", Role::TServer));
-    let server_stats = ServerStats::new();
+    let server_stats = zeroed_server_stats();
     rt.install(
         tserver,
         Box::new(VideoServer::new(server_stats.clone())),
@@ -163,7 +173,7 @@ fn video_streams_serve_concurrent_viewers() {
     );
     let tserver_addr = rt.addr(tserver);
     let mut rng = SimRng::seed_from(8);
-    let client_stats = ClientStats::new();
+    let client_stats = zeroed_client_stats();
     for i in 0..4 {
         let dev = rt.deploy(ContainerSpec::new(format!("dev-{i}"), Role::Device));
         rt.install(
@@ -200,8 +210,8 @@ fn clients_survive_server_outage() {
     let mut rt = runtime(9);
     let tserver = rt.deploy(ContainerSpec::new("tserver", Role::TServer));
     let dev = rt.deploy(ContainerSpec::new("dev", Role::Device));
-    let server_stats = ServerStats::new();
-    let client_stats = ClientStats::new();
+    let server_stats = zeroed_server_stats();
+    let client_stats = zeroed_client_stats();
     let mut rng = SimRng::seed_from(10);
     let catalogue = Catalogue::generate(20, 1_000, 20_000, &mut rng);
     rt.install(
@@ -251,12 +261,12 @@ fn clients_retry_through_brief_outage() {
     let mut rt = runtime(11);
     let tserver = rt.deploy(ContainerSpec::new("tserver", Role::TServer));
     let dev = rt.deploy(ContainerSpec::new("dev", Role::Device));
-    let client_stats = ClientStats::new();
+    let client_stats = zeroed_client_stats();
     let mut rng = SimRng::seed_from(12);
     let catalogue = Catalogue::generate(20, 1_000, 20_000, &mut rng);
     rt.install(
         tserver,
-        Box::new(HttpServer::new(catalogue, ServerStats::new())),
+        Box::new(HttpServer::new(catalogue, zeroed_server_stats())),
         Provenance::Benign,
         SimTime::ZERO,
     );

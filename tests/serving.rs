@@ -4,7 +4,13 @@
 //! every dropped/shed/degraded window accounted (`ingested ==
 //! classified + degraded + shed` per tenant), a mid-run hot-swap that
 //! changes the generation in the `DetectionLog` without losing a
-//! window, and byte-identical output across same-seed runs.
+//! window, and byte-identical output across same-seed runs. The seed-42
+//! run's signature is pinned in `tests/golden/serving.txt`.
+//!
+//! To regenerate the fixture after an *intentional* behaviour change:
+//! `UPDATE_IDENTITY_FIXTURES=1 cargo test --test serving`.
+
+use std::path::Path;
 
 use ddoshield::experiments::{run_serving_detection, ExperimentScale};
 use ddoshield::ServingOutcome;
@@ -32,6 +38,27 @@ fn signature(outcome: &ServingOutcome) -> String {
     out.push('\n');
     out.push_str(&outcome.report.telemetry.render_text());
     out
+}
+
+fn check_fixture(name: &str, produced: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var_os("UPDATE_IDENTITY_FIXTURES").is_some() {
+        std::fs::write(&path, produced).expect("write fixture");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing fixture {}: {e} (run with UPDATE_IDENTITY_FIXTURES=1)",
+            path.display()
+        )
+    });
+    assert_eq!(
+        produced, &golden,
+        "{name} diverged; if the change is intentional, regenerate with \
+         UPDATE_IDENTITY_FIXTURES=1"
+    );
 }
 
 #[test]
@@ -82,6 +109,9 @@ fn serving_chaos_run_is_accounted_and_hot_swaps() {
     assert!(total_shed > 0, "chaos run never engaged a backpressure policy");
     let degraded: u64 = report.tenants.iter().map(|t| t.counters.windows_degraded).sum();
     assert!(degraded > 0, "CPU-pressure spike never degraded a window");
+
+    // Every count above, the logs and the telemetry export, byte for byte.
+    check_fixture("serving.txt", &signature(&outcome));
 }
 
 #[test]
