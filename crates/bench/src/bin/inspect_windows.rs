@@ -3,8 +3,9 @@
 //! to calibrate the E1 distribution shift (see DESIGN.md §4). Not a
 //! paper artefact.
 
-use ddoshield::experiments::{detection_scenario, training_scenario, ExperimentScale};
-use ddoshield::Testbed;
+use ddoshield::experiments::{
+    deploy_to_live, detection_scenario, run_training_capture, ExperimentScale,
+};
 use features::extract::windows_of;
 use netsim::time::SimDuration;
 
@@ -31,13 +32,9 @@ fn summarize(name: &str, ds: &capture::Dataset) {
 
 fn main() {
     let scale = ExperimentScale::quick();
-    let mut t = Testbed::deploy(training_scenario(42, scale.capture_secs));
-    t.run_infection_lead();
-    let train = t.run_capture(SimDuration::from_secs(scale.capture_secs));
-    summarize("train", &train);
-    let mut l = Testbed::deploy(detection_scenario(42, scale.live_secs, scale.capture_secs + 5));
-    l.run_infection_lead();
-    let _ = l.run_capture(SimDuration::from_secs(scale.capture_secs + 5));
-    let live = l.run_capture(SimDuration::from_secs(scale.live_secs));
+    summarize("train", &run_training_capture(42, &scale));
+    let scenario = detection_scenario(42, scale.live_secs, scale.epoch_offset_secs());
+    let live =
+        deploy_to_live(scenario, &scale).run_capture(SimDuration::from_secs(scale.live_secs));
     summarize("live", &live);
 }

@@ -6,9 +6,7 @@
 //! train-time metrics (the contrast with Table I is the point).
 
 use bench::{banner, render_table, scale_from_env, seed_from_env};
-use ddoshield::experiments::{paper_models, run_training_capture};
-use ids::pipeline::{IdsConfig, TrainedIds};
-use netsim::rng::SimRng;
+use ddoshield::experiments::{paper_models, run_training_capture, train_ids};
 
 fn main() {
     let scale = scale_from_env();
@@ -24,10 +22,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for kind in paper_models(&scale) {
-        let mut rng = SimRng::seed_from(seed ^ 0x7ea1);
-        let config = IdsConfig { max_train_samples: scale.max_train_samples, ..IdsConfig::default() };
-        let outcome = TrainedIds::train(&capture, &kind, config, &mut rng)
-            .expect("training capture contains both classes");
+        let outcome = train_ids(&capture, &kind, seed, &scale);
         let m = outcome.holdout_metrics;
         rows.push(vec![
             kind.name().to_string(),

@@ -8,11 +8,18 @@
 //! intensities* — like the paper's separate detection run — which is the
 //! distribution shift that exposes the RF's brittleness on
 //! window-statistical features (Table I).
+//!
+//! Every runner that trains or deploys an IDS, the testbed swarm cases
+//! and the `training_metrics` binary take one capture → train → live
+//! path, built from four shared pieces: [`run_training_capture`],
+//! [`train_ids`] (with [`kmeans_profile`] for the single-model runs),
+//! [`deploy_to_live`], and for the serving runs [`run_serving_plan`].
 
-use capture::dataset::ClassCounts;
-use ids::pipeline::{IdsConfig, ModelKind, TrainedIds};
+use capture::dataset::{ClassCounts, Dataset};
+use ids::pipeline::{IdsConfig, ModelKind, TrainedIds, TrainingOutcome};
 use ids::realtime::DetectionLog;
 use ids::resources::SustainabilityReport;
+use ids::serving::{BackpressurePolicy, RetrainPolicy, ServingConfig, TenantConfig};
 use ml::cnn::CnnConfig;
 use ml::kmeans::KMeansConfig;
 use ml::metrics::MetricsReport;
@@ -66,6 +73,20 @@ impl ExperimentScale {
             max_train_samples: 40_000,
             cnn_epochs: 8,
         }
+    }
+
+    /// Where the live phase starts, in virtual seconds after the
+    /// infection lead: the training epoch plus a 5 s gap. The detection
+    /// run follows the training run on the continuing clock (as in the
+    /// paper's back-to-back runs), so live timestamps exceed trained ones.
+    pub fn epoch_offset_secs(&self) -> u64 {
+        self.capture_secs + 5
+    }
+
+    /// The IDS configuration every experiment trains with: the defaults,
+    /// capped at this scale's training samples.
+    pub fn ids_config(&self) -> IdsConfig {
+        IdsConfig { max_train_samples: self.max_train_samples, ..IdsConfig::default() }
     }
 }
 
@@ -138,9 +159,86 @@ pub fn paper_models(scale: &ExperimentScale) -> Vec<ModelKind> {
             },
             bootstrap: true,
         }),
-        ModelKind::KMeans(KMeansConfig { k_max: 24, ..KMeansConfig::default() }),
+        kmeans_profile(),
         ModelKind::Cnn(CnnConfig { epochs: scale.cnn_epochs, ..CnnConfig::default() }),
     ]
+}
+
+/// The paper's K-Means profile (U-K-Means over up to 24 clusters): the
+/// Table I model, and the IDS of every single-model live run.
+pub fn kmeans_profile() -> ModelKind {
+    ModelKind::KMeans(KMeansConfig { k_max: 24, ..KMeansConfig::default() })
+}
+
+/// Trains `kind` on `capture` as every experiment does: with
+/// [`ExperimentScale::ids_config`], from the `seed ^ 0x7ea1` stream.
+pub fn train_ids(
+    capture: &Dataset,
+    kind: &ModelKind,
+    seed: u64,
+    scale: &ExperimentScale,
+) -> TrainingOutcome {
+    train_from(capture, kind, scale.ids_config(), seed ^ 0x7ea1)
+}
+
+/// Trains from the RNG stream `stream`. Experiment captures always hold
+/// both classes, so a training error is a bug.
+fn train_from(
+    capture: &Dataset,
+    kind: &ModelKind,
+    config: IdsConfig,
+    stream: u64,
+) -> TrainingOutcome {
+    TrainedIds::train(capture, kind, config, &mut SimRng::seed_from(stream))
+        .expect("training capture contains both classes")
+}
+
+/// Deploys `scenario` and runs it up to its live phase: the infection
+/// lead, then [`ExperimentScale::epoch_offset_secs`] of traffic whose
+/// capture is discarded. Build `scenario` with the same offset, so its
+/// attacks land in the live phase.
+pub fn deploy_to_live(scenario: ScenarioConfig, scale: &ExperimentScale) -> Testbed {
+    let mut live = Testbed::deploy(scenario);
+    live.run_infection_lead();
+    let _ = live.run_capture(SimDuration::from_secs(scale.epoch_offset_secs()));
+    live
+}
+
+/// The two-tenant serving plan of E13 and the serving swarm case, run as
+/// the live phase of `live` (brought up by [`deploy_to_live`]). The
+/// champion serves two tenants, the TServer link on a drop-oldest
+/// bounded queue and one device link on sampled degradation; the
+/// challenger is promoted mid-run; `retrain` optionally stages
+/// background retrains. Armed
+/// buggify in the testbed's scenario also arms the serving layer's
+/// decision points.
+pub fn run_serving_plan(
+    live: &mut Testbed,
+    scale: &ExperimentScale,
+    champion: TrainedIds,
+    challenger: TrainedIds,
+    retrain: Option<RetrainPolicy>,
+) -> ServingRunReport {
+    let mut config = ServingConfig::new(champion);
+    config.challenger = Some(challenger);
+    config.promote_challenger_at_tick = Some(scale.live_secs / 2);
+    config.promote_delay_ticks = 2;
+    config.retrain = retrain;
+    let buggify = live.config().buggify;
+    if buggify.enabled {
+        config.chaos = Some((buggify.swarm_seed, buggify.intensity));
+    }
+    let mut tserver = TenantConfig::new("tserver");
+    tserver.queue_capacity = 512;
+    tserver.policy = BackpressurePolicy::DropOldest;
+    tserver.budget.drain_records_per_tick = 256;
+    let mut dev0 = TenantConfig::new("dev0");
+    dev0.queue_capacity = 256;
+    dev0.policy = BackpressurePolicy::DegradeSampled { keep: 2 };
+    dev0.budget.drain_records_per_tick = 128;
+    let tenants =
+        vec![(tserver, ServingTenantTarget::TServer), (dev0, ServingTenantTarget::Device(0))];
+    live.run_live_serving(SimDuration::from_secs(scale.live_secs), config, tenants)
 }
 
 /// Everything one full evaluation produces: Table I, Table II, the
@@ -180,70 +278,33 @@ impl ModelReport {
 /// Runs the complete evaluation: one training capture, three model
 /// trainings, and one (identical, same-seed) live deployment per model.
 pub fn run_full_evaluation(seed: u64, scale: &ExperimentScale) -> FullReport {
-    let capture = run_training_capture(seed, scale);
-    let dataset = capture.class_counts();
-    let capture_secs = capture.duration_secs();
-
-    let models = paper_models(scale)
-        .into_iter()
-        .map(|kind| {
-            let ids_config = IdsConfig {
-                max_train_samples: scale.max_train_samples,
-                ..IdsConfig::default()
-            };
-            let mut rng = SimRng::seed_from(seed ^ 0x7ea1);
-            let outcome = TrainedIds::train(&capture, &kind, ids_config, &mut rng)
-                .expect("training capture contains both classes");
-            // Fresh live deployment; the same detection seed for every
-            // model makes the packet streams identical across models.
-            // The detection epoch starts after the training epoch has
-            // elapsed on the continuing clock (as in the paper's
-            // back-to-back runs), so live timestamps exceed trained ones.
-            let epoch_offset = scale.capture_secs + 5;
-            let mut live = Testbed::deploy(detection_scenario(seed, scale.live_secs, epoch_offset));
-            live.run_infection_lead();
-            let _ = live.run_capture(SimDuration::from_secs(epoch_offset));
-            let report = live.run_live(SimDuration::from_secs(scale.live_secs), outcome.ids);
-            ModelReport {
-                name: kind.name(),
-                train_metrics: outcome.holdout_metrics,
-                train_samples: outcome.train_samples,
-                log: report.log,
-                sustainability: report.sustainability,
-            }
-        })
-        .collect();
-
-    FullReport { dataset, capture_secs, models }
+    evaluate_models(seed, scale, paper_models(scale))
 }
 
 /// E8 (§V extension): evaluates the paper's *planned* additional models
 /// — SVM, Isolation Forest and an autoencoder — in the identical
 /// capture-train-live pipeline as Table I, alongside the original three.
 pub fn run_extended_evaluation(seed: u64, scale: &ExperimentScale) -> FullReport {
-    let capture = run_training_capture(seed, scale);
-    let dataset = capture.class_counts();
-    let capture_secs = capture.duration_secs();
-
     let mut kinds = paper_models(scale);
     kinds.push(ModelKind::Svm(Default::default()));
     kinds.push(ModelKind::IsolationForest(Default::default()));
     kinds.push(ModelKind::Autoencoder(Default::default()));
+    evaluate_models(seed, scale, kinds)
+}
 
+/// The body of E1 and E8: one training capture, then per model a
+/// training and a fresh live deployment. The same detection seed for
+/// every model makes the live packet streams identical across models.
+fn evaluate_models(seed: u64, scale: &ExperimentScale, kinds: Vec<ModelKind>) -> FullReport {
+    let capture = run_training_capture(seed, scale);
     let models = kinds
-        .into_iter()
+        .iter()
         .map(|kind| {
-            let ids_config = IdsConfig {
-                max_train_samples: scale.max_train_samples,
-                ..IdsConfig::default()
-            };
-            let mut rng = SimRng::seed_from(seed ^ 0x7ea1);
-            let outcome = TrainedIds::train(&capture, &kind, ids_config, &mut rng)
-                .expect("training capture contains both classes");
-            let epoch_offset = scale.capture_secs + 5;
-            let mut live = Testbed::deploy(detection_scenario(seed, scale.live_secs, epoch_offset));
-            live.run_infection_lead();
-            let _ = live.run_capture(SimDuration::from_secs(epoch_offset));
+            let outcome = train_ids(&capture, kind, seed, scale);
+            let mut live = deploy_to_live(
+                detection_scenario(seed, scale.live_secs, scale.epoch_offset_secs()),
+                scale,
+            );
             let report = live.run_live(SimDuration::from_secs(scale.live_secs), outcome.ids);
             ModelReport {
                 name: kind.name(),
@@ -254,8 +315,7 @@ pub fn run_extended_evaluation(seed: u64, scale: &ExperimentScale) -> FullReport
             }
         })
         .collect();
-
-    FullReport { dataset, capture_secs, models }
+    FullReport { dataset: capture.class_counts(), capture_secs: capture.duration_secs(), models }
 }
 
 /// The outcome of the federated-learning experiment (E9).
@@ -285,7 +345,7 @@ pub fn run_federated_experiment(
 
     // Each client is an independent site: same topology (so addresses
     // transfer), different seed.
-    let shards: Vec<capture::dataset::Dataset> = (0..clients)
+    let shards: Vec<Dataset> = (0..clients)
         .map(|i| run_training_capture(seed.wrapping_add(i as u64 * 101), scale))
         .collect();
     let holdout = run_training_capture(seed.wrapping_add(7_777), scale);
@@ -301,25 +361,18 @@ pub fn run_federated_experiment(
         train_federated(&shards, &holdout, &fed_config, &mut rng).expect("clients have both classes");
     let round_accuracy: Vec<f64> = outcome.round_metrics.iter().map(|m| m.accuracy).collect();
 
-    let ids_config = IdsConfig { max_train_samples: scale.max_train_samples, ..IdsConfig::default() };
     let federated_ids =
-        TrainedIds::from_parts(Box::new(outcome.global), outcome.scaler, ids_config);
+        TrainedIds::from_parts(Box::new(outcome.global), outcome.scaler, scale.ids_config());
 
     // Centralised baseline: the ordinary pipeline on the first shard.
-    let mut rng = SimRng::seed_from(seed ^ 0x7ea1);
-    let central = TrainedIds::train(
-        &shards[0],
-        &ModelKind::Cnn(CnnConfig { epochs: scale.cnn_epochs, ..CnnConfig::default() }),
-        ids_config,
-        &mut rng,
-    )
-    .expect("shard has both classes");
+    let cnn = ModelKind::Cnn(CnnConfig { epochs: scale.cnn_epochs, ..CnnConfig::default() });
+    let central = train_ids(&shards[0], &cnn, seed, scale);
 
-    let epoch_offset = scale.capture_secs + 5;
     let live_accuracy = |ids: TrainedIds| {
-        let mut live = Testbed::deploy(detection_scenario(seed, scale.live_secs, epoch_offset));
-        live.run_infection_lead();
-        let _ = live.run_capture(SimDuration::from_secs(epoch_offset));
+        let mut live = deploy_to_live(
+            detection_scenario(seed, scale.live_secs, scale.epoch_offset_secs()),
+            scale,
+        );
         let report = live.run_live(SimDuration::from_secs(scale.live_secs), ids);
         report.log.mean_accuracy() * 100.0
     };
@@ -354,13 +407,13 @@ pub struct VectorDetectability {
 pub fn run_vector_detectability(seed: u64, scale: &ExperimentScale) -> Vec<VectorDetectability> {
     use botnet::commands::AttackVector;
     let capture = run_training_capture(seed, scale);
-    let ids_config = IdsConfig { max_train_samples: scale.max_train_samples, ..IdsConfig::default() };
+    // One deployed IDS facing each attack in turn.
+    let ids = train_ids(&capture, &kmeans_profile(), seed, scale).ids;
 
     AttackVector::EXTENDED
         .iter()
         .map(|&vector| {
-            let epoch_offset = scale.capture_secs + 5;
-            let mut config = detection_scenario(seed, scale.live_secs, epoch_offset);
+            let mut config = detection_scenario(seed, scale.live_secs, scale.epoch_offset_secs());
             // Single-vector schedule at the same cadence.
             for phase in &mut config.attacks {
                 phase.vector = vector;
@@ -368,21 +421,8 @@ pub fn run_vector_detectability(seed: u64, scale: &ExperimentScale) -> Vec<Vecto
                     phase.pps = 120; // requests/s per bot
                 }
             }
-            let mut live = Testbed::deploy(config);
-            live.run_infection_lead();
-            let _ = live.run_capture(SimDuration::from_secs(epoch_offset));
-            // Training is deterministic in the seed, so re-fitting here
-            // yields the *identical* model for every vector — one
-            // deployed IDS facing each attack in turn.
-            let mut rng2 = SimRng::seed_from(seed ^ 0x7ea1);
-            let fresh = TrainedIds::train(
-                &capture,
-                &ModelKind::KMeans(KMeansConfig { k_max: 24, ..KMeansConfig::default() }),
-                ids_config,
-                &mut rng2,
-            )
-            .expect("training capture contains both classes");
-            let report = live.run_live(SimDuration::from_secs(scale.live_secs), fresh.ids);
+            let mut live = deploy_to_live(config, scale);
+            let report = live.run_live(SimDuration::from_secs(scale.live_secs), ids.clone());
             VectorDetectability {
                 vector: vector.to_string(),
                 accuracy_percent: report.log.mean_accuracy() * 100.0,
@@ -462,48 +502,11 @@ pub fn lifecycle_scenario(seed: u64, live_secs: u64, epoch_offset_secs: u64) -> 
     config
 }
 
-/// The outcome of a lifecycle chaos run: detection log, robustness
-/// accounting (downtime, benign success rate, eviction/reinfection)
-/// and bridge counters. Like [`run_chaos_detection`], a pure function
-/// of the seed — repeated runs are byte-identical.
-#[derive(Debug)]
-pub struct LifecycleOutcome {
-    /// The live phase's detection log, sustainability and robustness.
-    pub live: LiveReport,
-    /// Bridge counters after the run.
-    pub bridge_stats: netsim::link::LinkStats,
-    /// The exact scenario that ran.
-    pub scenario: ScenarioConfig,
-}
-
-/// E12: the detection pipeline while containers crash and reboot.
-/// Trains the K-Means IDS on a clean capture, then deploys the live
-/// run with the [`lifecycle_scenario`] reboot plan. The robustness
-/// report shows the benign success-rate dip during the TServer outage
-/// and the eviction → reinfection cycle after the device reboot.
-pub fn run_lifecycle_detection(seed: u64, scale: &ExperimentScale) -> LifecycleOutcome {
-    let capture = run_training_capture(seed, scale);
-    let ids_config = IdsConfig { max_train_samples: scale.max_train_samples, ..IdsConfig::default() };
-    let mut rng = SimRng::seed_from(seed ^ 0x7ea1);
-    let outcome = TrainedIds::train(
-        &capture,
-        &ModelKind::KMeans(KMeansConfig { k_max: 24, ..KMeansConfig::default() }),
-        ids_config,
-        &mut rng,
-    )
-    .expect("training capture contains both classes");
-
-    let epoch_offset = scale.capture_secs + 5;
-    let scenario = lifecycle_scenario(seed, scale.live_secs, epoch_offset);
-    let mut live = Testbed::deploy(scenario.clone());
-    live.run_infection_lead();
-    let _ = live.run_capture(SimDuration::from_secs(epoch_offset));
-    let report = live.run_live(SimDuration::from_secs(scale.live_secs), outcome.ids);
-    let bridge_stats = live.bridge_stats();
-    LifecycleOutcome { live: report, bridge_stats, scenario }
-}
-
-/// The outcome of a chaos detection run (E11).
+/// The outcome of a single-model live run under chaos (E11), container
+/// lifecycle faults (E12) or neither (the baseline): the detection log,
+/// robustness accounting (downtime, benign success rate,
+/// eviction/reinfection) and bridge counters. A pure function of the
+/// seed: repeated runs are byte-identical.
 #[derive(Debug)]
 pub struct ChaosOutcome {
     /// The live phase's detection log, sustainability and robustness.
@@ -521,39 +524,37 @@ pub struct ChaosOutcome {
 /// invocations produce byte-identical detection logs
 /// ([`ids::realtime::DetectionLog::serialize_compact`]) and link counters.
 pub fn run_chaos_detection(seed: u64, scale: &ExperimentScale) -> ChaosOutcome {
-    run_kmeans_live(seed, scale, true)
+    run_kmeans_live(seed, scale, chaos_scenario)
+}
+
+/// E12: the detection pipeline while containers crash and reboot.
+/// Trains the K-Means IDS on a clean capture, then deploys the live
+/// run with the [`lifecycle_scenario`] reboot plan. The robustness
+/// report shows the benign success-rate dip during the TServer outage
+/// and the eviction → reinfection cycle after the device reboot.
+pub fn run_lifecycle_detection(seed: u64, scale: &ExperimentScale) -> ChaosOutcome {
+    run_kmeans_live(seed, scale, lifecycle_scenario)
 }
 
 /// The fault-free twin of [`run_chaos_detection`]: identical training,
 /// identical scenario, empty fault plan. Pairing the two isolates the
 /// effect of the injected chaos on the same traffic.
 pub fn run_baseline_detection(seed: u64, scale: &ExperimentScale) -> ChaosOutcome {
-    run_kmeans_live(seed, scale, false)
+    run_kmeans_live(seed, scale, detection_scenario)
 }
 
-fn run_kmeans_live(seed: u64, scale: &ExperimentScale, with_faults: bool) -> ChaosOutcome {
+/// The body of E11, E12 and the baseline: the K-Means IDS trained on
+/// the training capture, live on the scenario `build` makes.
+fn run_kmeans_live(
+    seed: u64,
+    scale: &ExperimentScale,
+    build: fn(u64, u64, u64) -> ScenarioConfig,
+) -> ChaosOutcome {
     let capture = run_training_capture(seed, scale);
-    let ids_config = IdsConfig { max_train_samples: scale.max_train_samples, ..IdsConfig::default() };
-    let mut rng = SimRng::seed_from(seed ^ 0x7ea1);
-    let outcome = TrainedIds::train(
-        &capture,
-        &ModelKind::KMeans(KMeansConfig { k_max: 24, ..KMeansConfig::default() }),
-        ids_config,
-        &mut rng,
-    )
-    .expect("training capture contains both classes");
-
-    let epoch_offset = scale.capture_secs + 5;
-    let scenario = if with_faults {
-        chaos_scenario(seed, scale.live_secs, epoch_offset)
-    } else {
-        detection_scenario(seed, scale.live_secs, epoch_offset)
-    };
-    let mut live = Testbed::deploy(scenario.clone());
-    live.run_infection_lead();
-    let _ = live.run_capture(SimDuration::from_secs(epoch_offset));
-    let report = live.run_live(SimDuration::from_secs(scale.live_secs), outcome.ids);
-    let bridge_stats = live.bridge_stats();
+    let ids = train_ids(&capture, &kmeans_profile(), seed, scale).ids;
+    let mut live = deploy_to_live(build(seed, scale.live_secs, scale.epoch_offset_secs()), scale);
+    let report = live.run_live(SimDuration::from_secs(scale.live_secs), ids);
+    let (bridge_stats, scenario) = (live.bridge_stats(), live.config().clone());
     ChaosOutcome { live: report, bridge_stats, scenario }
 }
 
@@ -562,27 +563,13 @@ fn run_kmeans_live(seed: u64, scale: &ExperimentScale, with_faults: bool) -> Cha
 /// challenger a coarser (cheaper) K-Means fitted from an independent
 /// RNG stream.
 pub fn train_serving_models(
-    capture: &capture::dataset::Dataset,
+    capture: &Dataset,
     scale: &ExperimentScale,
     seed: u64,
 ) -> (TrainedIds, TrainedIds) {
-    let ids_config = IdsConfig { max_train_samples: scale.max_train_samples, ..IdsConfig::default() };
-    let mut rng = SimRng::seed_from(seed ^ 0x7ea1);
-    let champion = TrainedIds::train(
-        capture,
-        &ModelKind::KMeans(KMeansConfig { k_max: 24, ..KMeansConfig::default() }),
-        ids_config,
-        &mut rng,
-    )
-    .expect("training capture contains both classes");
-    let mut rng = SimRng::seed_from(seed ^ 0xc4a1);
-    let challenger = TrainedIds::train(
-        capture,
-        &ModelKind::KMeans(KMeansConfig { k_max: 8, ..KMeansConfig::default() }),
-        ids_config,
-        &mut rng,
-    )
-    .expect("training capture contains both classes");
+    let champion = train_ids(capture, &kmeans_profile(), seed, scale);
+    let coarse = ModelKind::KMeans(KMeansConfig { k_max: 8, ..KMeansConfig::default() });
+    let challenger = train_from(capture, &coarse, scale.ids_config(), seed ^ 0xc4a1);
     (champion.ids, challenger.ids)
 }
 
@@ -613,56 +600,21 @@ pub struct ServingOutcome {
 pub fn run_serving_detection(seed: u64, scale: &ExperimentScale) -> ServingOutcome {
     let capture = run_training_capture(seed, scale);
     let (champion, challenger) = train_serving_models(&capture, scale, seed);
-
-    let epoch_offset = scale.capture_secs + 5;
-    let scenario = chaos_scenario(seed, scale.live_secs, epoch_offset);
-    let mut live = Testbed::deploy(scenario.clone());
-    live.run_infection_lead();
-    let _ = live.run_capture(SimDuration::from_secs(epoch_offset));
-
-    let mut config = ids::serving::ServingConfig::new(champion);
-    config.challenger = Some(challenger);
-    config.promote_challenger_at_tick = Some(scale.live_secs / 2);
-    config.promote_delay_ticks = 2;
-    config.retrain = Some(ids::serving::RetrainPolicy {
+    let mut live =
+        deploy_to_live(chaos_scenario(seed, scale.live_secs, scale.epoch_offset_secs()), scale);
+    let retrain = RetrainPolicy {
         every_windows: (scale.live_secs / 4).max(4),
         delay_windows: 2,
         kind: ModelKind::KMeans(KMeansConfig { k_max: 8, ..KMeansConfig::default() }),
         replay_capacity: scale.max_train_samples.min(4_000),
         rng_salt: seed ^ 0x5e47e,
-    });
-    if scenario.buggify.enabled {
-        config.chaos = Some((scenario.buggify.swarm_seed, scenario.buggify.intensity));
-    }
-    let tenants = vec![
-        (
-            {
-                let mut t = ids::serving::TenantConfig::new("tserver");
-                t.queue_capacity = 512;
-                t.policy = ids::serving::BackpressurePolicy::DropOldest;
-                t.budget.drain_records_per_tick = 256;
-                t
-            },
-            ServingTenantTarget::TServer,
-        ),
-        (
-            {
-                let mut t = ids::serving::TenantConfig::new("dev0");
-                t.queue_capacity = 256;
-                t.policy = ids::serving::BackpressurePolicy::DegradeSampled { keep: 2 };
-                t.budget.drain_records_per_tick = 128;
-                t
-            },
-            ServingTenantTarget::Device(0),
-        ),
-    ];
-    let report = live.run_live_serving(SimDuration::from_secs(scale.live_secs), config, tenants);
-    let bridge_stats = live.bridge_stats();
-    ServingOutcome { report, bridge_stats, scenario }
+    };
+    let report = run_serving_plan(&mut live, scale, champion, challenger, Some(retrain));
+    ServingOutcome { report, bridge_stats: live.bridge_stats(), scenario: live.config().clone() }
 }
 
 /// Runs just the training capture (E3's dataset statistics).
-pub fn run_training_capture(seed: u64, scale: &ExperimentScale) -> capture::dataset::Dataset {
+pub fn run_training_capture(seed: u64, scale: &ExperimentScale) -> Dataset {
     let mut testbed = Testbed::deploy(training_scenario(seed, scale.capture_secs));
     testbed.run_infection_lead();
     testbed.run_capture(SimDuration::from_secs(scale.capture_secs))
@@ -747,24 +699,14 @@ pub fn run_window_ablation(seed: u64, scale: &ExperimentScale, periods: &[u64]) 
     periods
         .iter()
         .map(|&stats_period| {
-            let ids_config = IdsConfig {
-                stats_refresh: stats_period.max(1) as usize,
-                max_train_samples: scale.max_train_samples,
-                ..IdsConfig::default()
-            };
-            let mut rng = SimRng::seed_from(seed ^ 0xab1a);
-            let outcome = TrainedIds::train(
-                &capture,
-                &ModelKind::KMeans(KMeansConfig { k_max: 24, ..KMeansConfig::default() }),
-                ids_config,
-                &mut rng,
-            )
-            .expect("capture contains both classes");
-            let epoch_offset = scale.capture_secs + 5;
-            let mut live = Testbed::deploy(detection_scenario(seed, scale.live_secs, epoch_offset));
-            live.run_infection_lead();
-            let _ = live.run_capture(SimDuration::from_secs(epoch_offset));
-            let report = live.run_live(SimDuration::from_secs(scale.live_secs), outcome.ids);
+            let config =
+                IdsConfig { stats_refresh: stats_period.max(1) as usize, ..scale.ids_config() };
+            let ids = train_from(&capture, &kmeans_profile(), config, seed ^ 0xab1a).ids;
+            let mut live = deploy_to_live(
+                detection_scenario(seed, scale.live_secs, scale.epoch_offset_secs()),
+                scale,
+            );
+            let report = live.run_live(SimDuration::from_secs(scale.live_secs), ids);
             WindowAblationPoint {
                 stats_period,
                 cpu_percent: report.sustainability.cpu_percent,

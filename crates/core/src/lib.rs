@@ -34,8 +34,7 @@ pub mod testbed;
 
 pub use experiments::{
     run_baseline_detection, run_chaos_detection, run_full_evaluation, run_lifecycle_detection,
-    run_serving_detection, ChaosOutcome, ExperimentScale, FullReport, LifecycleOutcome,
-    ModelReport, ServingOutcome,
+    run_serving_detection, ChaosOutcome, ExperimentScale, FullReport, ModelReport, ServingOutcome,
 };
 pub use shardplan::{partition_devices, run_sharded_chaos, ShardPlanConfig, ShardedChaosReport};
 pub use scenario::{

@@ -1,13 +1,16 @@
 //! Seed-swarm testing: the golden scenarios under buggify perturbation.
 //!
-//! A swarm run executes one golden scenario (chaos or lifecycle) with
-//! the [`netsim::buggify`] layer armed under a *swarm seed*, then checks
-//! machine-readable invariants: the run must not panic, the IDS must
-//! stay live (every window classified or degraded, indices strictly
-//! increasing), the paper-preset IDS tenant must never shed, the sniffer
-//! feed must conserve records, the packet pool must stay healthy, and
-//! the virtual clock must land exactly where the phase arithmetic says.
-//! Monotone-clock and ChunkQueue-accounting checks ride along as
+//! A swarm run executes one golden scenario (chaos, lifecycle, serving
+//! or sharded) with the [`netsim::buggify`] layer armed under a *swarm
+//! seed*, then checks machine-readable invariants: the run must not
+//! panic, the IDS must stay live (every window classified or degraded,
+//! indices strictly increasing), the paper-preset IDS tenant must never
+//! shed, the sniffer feed must conserve records, the packet pool must
+//! stay healthy, and the virtual clock must land exactly where the phase
+//! arithmetic says. Every case runs under one panic guard
+//! ([`run_swarm_case`]); the three testbed cases share one live-run path
+//! ([`crate::experiments::deploy_to_live`]) and one set of testbed
+//! checks. Monotone-clock and ChunkQueue-accounting checks ride along as
 //! `debug_assert!`s, which is why swarm binaries are built with debug
 //! assertions on (the `swarm` profile).
 //!
@@ -16,18 +19,18 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ids::pipeline::{IdsConfig, ModelKind, TrainedIds};
-use ml::kmeans::KMeansConfig;
+use ids::pipeline::TrainedIds;
+use ids::realtime::DetectionLog;
 use netsim::buggify::BuggifyConfig;
-use netsim::rng::SimRng;
 use netsim::time::{SimDuration, SimTime};
 use obs::RunTelemetry;
 
 use crate::experiments::{
-    chaos_scenario, lifecycle_scenario, run_training_capture, train_serving_models,
-    ExperimentScale,
+    chaos_scenario, deploy_to_live, lifecycle_scenario, run_serving_plan, run_training_capture,
+    train_serving_models, ExperimentScale,
 };
-use crate::testbed::{ServingTenantTarget, Testbed};
+use crate::shardplan::{run_sharded_chaos, ShardPlanConfig};
+use crate::testbed::Testbed;
 
 /// Which golden scenario a swarm run perturbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,24 +163,6 @@ pub fn swarm_models(scenario_seed: u64, scale: &ExperimentScale) -> SwarmModels 
     SwarmModels { champion, challenger }
 }
 
-/// Trains the swarm's K-Means IDS once for a scenario seed (the
-/// champion of [`swarm_models`], for callers that only deploy the
-/// single-model cases).
-pub fn swarm_trained_ids(scenario_seed: u64, scale: &ExperimentScale) -> TrainedIds {
-    let capture = run_training_capture(scenario_seed, scale);
-    let ids_config =
-        IdsConfig { max_train_samples: scale.max_train_samples, ..IdsConfig::default() };
-    let mut rng = SimRng::seed_from(scenario_seed ^ 0x7ea1);
-    TrainedIds::train(
-        &capture,
-        &ModelKind::KMeans(KMeansConfig { k_max: 24, ..KMeansConfig::default() }),
-        ids_config,
-        &mut rng,
-    )
-    .expect("training capture contains both classes")
-    .ids
-}
-
 /// Runs one golden scenario under one buggify swarm seed and checks
 /// every invariant. Pure function of its arguments — a failing seed
 /// replays bit-identically.
@@ -188,116 +173,133 @@ pub fn run_swarm_case(
     scale: &ExperimentScale,
     models: &SwarmModels,
 ) -> SwarmReport {
-    if case == SwarmCase::Serving {
-        return run_swarm_serving(scenario_seed, swarm_seed, scale, models);
-    }
-    if case == SwarmCase::Sharded {
-        return run_swarm_sharded(scenario_seed, swarm_seed);
-    }
-    let epoch_offset = scale.capture_secs + 5;
-    let mut scenario = match case {
-        SwarmCase::Chaos => chaos_scenario(scenario_seed, scale.live_secs, epoch_offset),
-        SwarmCase::Lifecycle => lifecycle_scenario(scenario_seed, scale.live_secs, epoch_offset),
-        SwarmCase::Serving | SwarmCase::Sharded => unreachable!("dispatched above"),
-    };
-    scenario.buggify = BuggifyConfig::swarm(swarm_seed);
-
-    let mut violations = Vec::new();
-    let ids = models.champion.clone();
-    let lead = scenario.infection_lead;
-    let live_secs = scale.live_secs;
-    let run = catch_unwind(AssertUnwindSafe(move || {
-        let mut tb = Testbed::deploy(scenario);
-        tb.run_infection_lead();
-        let _ = tb.run_capture(SimDuration::from_secs(epoch_offset));
-        let report = tb.run_live(SimDuration::from_secs(live_secs), ids);
-        let sniffer = tb.sniffer();
-        let feed = (
-            sniffer.captured_total(),
-            sniffer.drained_total(),
-            sniffer.buffered() as u64,
-            sniffer.dropped_overflow(),
-        );
-        let pool = tb.runtime().world().packet_pool();
-        let pool_health = (pool.live(), pool.high_water(), pool.capacity());
-        let fires: u64 =
-            tb.runtime().world().buggify_counts().iter().map(|&(_, _, f)| f).sum();
-        let now = tb.runtime().now();
-        let log_text = report.log.serialize_compact();
-        let liveness = report.log.liveness_violation();
-        let shed = paper_tenant_shed_violation(&report.telemetry);
-        let telemetry = report.telemetry.render_text();
-        let windows = report.log.len();
-        let degraded = report.log.degraded_count();
-        (feed, pool_health, fires, now, log_text, liveness, shed, telemetry, windows, degraded)
+    let guarded = catch_unwind(AssertUnwindSafe(|| match case {
+        SwarmCase::Sharded => sharded_run(scenario_seed, swarm_seed),
+        _ => testbed_run(case, scenario_seed, swarm_seed, scale, models),
     }));
-
-    let (windows, degraded, fires, fingerprint) = match run {
+    let mut report = SwarmReport {
+        case,
+        scenario_seed,
+        swarm_seed,
+        violations: Vec::new(),
+        windows: 0,
+        degraded: 0,
+        buggify_fires: 0,
+        fingerprint: 0,
+    };
+    match guarded {
+        Ok(run) => {
+            report.violations = run
+                .checks
+                .into_iter()
+                .filter_map(|(invariant, detail)| {
+                    Some(SwarmViolation { invariant, detail: detail? })
+                })
+                .collect();
+            report.windows = run.windows;
+            report.degraded = run.degraded;
+            report.buggify_fires = run.fires;
+            report.fingerprint =
+                fnv1a(run.log.as_bytes()) ^ fnv1a(run.telemetry.as_bytes()).rotate_left(17);
+        }
         Err(payload) => {
-            let msg = payload
+            let detail = payload
                 .downcast_ref::<&str>()
                 .map(|s| (*s).to_owned())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "non-string panic payload".to_owned());
-            violations.push(SwarmViolation { invariant: "no-panic", detail: msg });
-            (0, 0, 0, 0)
+            report.violations.push(SwarmViolation { invariant: "no-panic", detail });
         }
-        Ok((feed, pool, fires, now, log_text, liveness, shed, telemetry, windows, degraded)) => {
-            let (captured, drained, buffered, _dropped) = feed;
-            if captured != drained + buffered {
-                violations.push(SwarmViolation {
-                    invariant: "feed-conservation",
-                    detail: format!(
-                        "captured {captured} != drained {drained} + buffered {buffered}"
-                    ),
-                });
-            }
-            let (live, high_water, capacity) = pool;
-            if !(live <= high_water && high_water <= capacity) {
-                violations.push(SwarmViolation {
-                    invariant: "pool-health",
-                    detail: format!(
-                        "live {live} <= high_water {high_water} <= capacity {capacity} violated"
-                    ),
-                });
-            }
-            if let Some(detail) = liveness {
-                violations.push(SwarmViolation { invariant: "ids-liveness", detail });
-            }
-            if let Some(detail) = shed {
-                violations.push(SwarmViolation { invariant: "paper-tenant-never-sheds", detail });
-            }
-            let expected =
-                SimTime::ZERO + lead + SimDuration::from_secs(epoch_offset + live_secs);
-            if now != expected {
-                violations.push(SwarmViolation {
-                    invariant: "clock-horizon",
-                    detail: format!("clock ended at {now:?}, expected {expected:?}"),
-                });
-            }
-            let mut fp = fnv1a(log_text.as_bytes());
-            fp ^= fnv1a(telemetry.as_bytes()).rotate_left(17);
-            (windows, degraded, fires, fp)
-        }
-    };
+    }
+    report
+}
 
-    SwarmReport {
-        case,
-        scenario_seed,
-        swarm_seed,
-        violations,
-        windows,
-        degraded,
-        buggify_fires: fires,
-        fingerprint,
+/// What a case's body hands back to [`run_swarm_case`]'s guard.
+struct CaseRun {
+    /// Every checked invariant, with a detail when it was violated.
+    checks: Vec<(&'static str, Option<String>)>,
+    windows: usize,
+    degraded: usize,
+    fires: u64,
+    /// The detection log and telemetry text the fingerprint hashes.
+    log: String,
+    telemetry: String,
+}
+
+/// The chaos, lifecycle and serving cases: the case's scenario under the
+/// swarm seed, brought up to its live phase, the case's live phase, then
+/// the testbed checks every case shares.
+fn testbed_run(
+    case: SwarmCase,
+    scenario_seed: u64,
+    swarm_seed: u64,
+    scale: &ExperimentScale,
+    models: &SwarmModels,
+) -> CaseRun {
+    let build = if case == SwarmCase::Lifecycle { lifecycle_scenario } else { chaos_scenario };
+    let mut scenario = build(scenario_seed, scale.live_secs, scale.epoch_offset_secs());
+    scenario.buggify = BuggifyConfig::swarm(swarm_seed);
+    let horizon = SimTime::ZERO
+        + scenario.infection_lead
+        + SimDuration::from_secs(scale.epoch_offset_secs() + scale.live_secs);
+    let mut tb = deploy_to_live(scenario, scale);
+    let live_phase = if case == SwarmCase::Serving { serving_live } else { paper_live };
+    let mut run = live_phase(&mut tb, scale, models);
+    run.fires = tb.runtime().world().buggify_counts().iter().map(|&(_, _, f)| f).sum();
+    run.checks.extend(testbed_checks(&tb, horizon));
+    run
+}
+
+/// The invariants every testbed case shares: the sniffer feed conserves
+/// records, the packet pool's accounting holds, and the clock lands
+/// exactly on `horizon`.
+fn testbed_checks(tb: &Testbed, horizon: SimTime) -> [(&'static str, Option<String>); 3] {
+    let sniffer = tb.sniffer();
+    let (captured, drained) = (sniffer.captured_total(), sniffer.drained_total());
+    let buffered = sniffer.buffered() as u64;
+    let pool = tb.runtime().world().packet_pool();
+    let (live, high_water, capacity) = (pool.live(), pool.high_water(), pool.capacity());
+    let now = tb.runtime().now();
+    [
+        (
+            "feed-conservation",
+            (captured != drained + buffered)
+                .then(|| format!("captured {captured} != drained {drained} + buffered {buffered}")),
+        ),
+        (
+            "pool-health",
+            (!(live <= high_water && high_water <= capacity)).then(|| {
+                format!("live {live} <= high_water {high_water} <= capacity {capacity} violated")
+            }),
+        ),
+        (
+            "clock-horizon",
+            (now != horizon).then(|| format!("clock ended at {now:?}, expected {horizon:?}")),
+        ),
+    ]
+}
+
+/// The chaos and lifecycle cases' live phase: [`Testbed::run_live`]'s
+/// paper-preset tenant.
+fn paper_live(tb: &mut Testbed, scale: &ExperimentScale, models: &SwarmModels) -> CaseRun {
+    let report = tb.run_live(SimDuration::from_secs(scale.live_secs), models.champion.clone());
+    CaseRun {
+        checks: vec![
+            ("ids-liveness", report.log.liveness_violation()),
+            ("paper-tenant-never-sheds", paper_tenant_shed_violation(&report.telemetry)),
+        ],
+        windows: report.log.len(),
+        degraded: report.log.degraded_count(),
+        fires: 0,
+        log: report.log.serialize_compact(),
+        telemetry: report.telemetry.render_text(),
     }
 }
 
 /// The `paper-tenant-never-sheds` invariant: [`Testbed::run_live`]'s
 /// single tenant (the paper preset, named `tserver`) sheds no record and
 /// no window, however the feed is perturbed. Read back from the run's
-/// telemetry export, as the serving case reads its conservation
-/// counters; a missing counter is a violation too.
+/// telemetry export; a missing counter is a violation too.
 fn paper_tenant_shed_violation(telemetry: &RunTelemetry) -> Option<String> {
     for name in ["records_shed", "records_sampled_out", "windows_shed"] {
         let key = format!("ids.serving.tserver.{name}");
@@ -310,299 +312,82 @@ fn paper_tenant_shed_violation(telemetry: &RunTelemetry) -> Option<String> {
     None
 }
 
-/// The serving-layer swarm case: [`chaos_scenario`] + kernel buggify +
-/// the two `serve.*` decision points, against a two-tenant
-/// [`ids::serving::IdsService`] with a mid-run challenger promotion.
-/// On top of the shared invariants it checks *serving conservation*
-/// (per tenant, `windows_ingested == windows_classified +
-/// windows_degraded + windows_shed`, via both the handle and the
-/// telemetry export), *flow-state conservation* (after every
-/// `features.state_cull` forced cull, each tenant's incremental flow
-/// aggregates must still account for every pushed record byte-for-byte),
-/// *generation monotonicity* in every log, and that the staged hot-swap
-/// actually landed despite `serve.model_swap_delay` perturbation.
-fn run_swarm_serving(
-    scenario_seed: u64,
-    swarm_seed: u64,
-    scale: &ExperimentScale,
-    models: &SwarmModels,
-) -> SwarmReport {
-    let epoch_offset = scale.capture_secs + 5;
-    let mut scenario = chaos_scenario(scenario_seed, scale.live_secs, epoch_offset);
-    scenario.buggify = BuggifyConfig::swarm(swarm_seed);
-
-    let mut violations = Vec::new();
+/// The serving case's live phase: the two-tenant serving plan
+/// ([`run_serving_plan`], no retrain) with a mid-run challenger
+/// promotion and the `serve.*` decision points armed. It checks
+/// *serving conservation* on the handle (per tenant, `windows_ingested
+/// == windows_classified + windows_degraded + windows_shed`, the
+/// record-level analogue, and the log against the counters),
+/// *flow-state conservation* (after every `features.state_cull` forced
+/// cull, each tenant's incremental flow aggregates must still account
+/// for every pushed record byte-for-byte), *generation monotonicity* in
+/// every log, and that the staged hot-swap actually landed despite
+/// `serve.model_swap_delay` perturbation.
+fn serving_live(tb: &mut Testbed, scale: &ExperimentScale, models: &SwarmModels) -> CaseRun {
     let champion = models.champion.clone();
-    let challenger = models.challenger.clone();
-    let lead = scenario.infection_lead;
-    let live_secs = scale.live_secs;
-    let run = catch_unwind(AssertUnwindSafe(move || {
-        let mut tb = Testbed::deploy(scenario.clone());
-        tb.run_infection_lead();
-        let _ = tb.run_capture(SimDuration::from_secs(epoch_offset));
-
-        let mut config = ids::serving::ServingConfig::new(champion);
-        config.challenger = Some(challenger);
-        config.promote_challenger_at_tick = Some(live_secs / 2);
-        config.promote_delay_ticks = 2;
-        config.chaos = Some((scenario.buggify.swarm_seed, scenario.buggify.intensity));
-        let tenants = vec![
+    let report = run_serving_plan(tb, scale, champion, models.challenger.clone(), None);
+    let logs = || report.tenants.iter().map(|tenant| &tenant.log);
+    let mut log = String::new();
+    for tenant in &report.tenants {
+        log.push_str(&format!("== {} ==\n", tenant.name));
+        log.push_str(&tenant.log.serialize_compact());
+    }
+    let swap_missing = report.swaps == 0 || report.generation == 0;
+    CaseRun {
+        checks: vec![
+            ("ids-liveness", logs().find_map(DetectionLog::liveness_violation)),
+            ("serving-conservation", report.handle.conservation_violation()),
+            ("flow-state-conservation", report.handle.flow_state_violation()),
+            ("generation-monotone", logs().find_map(DetectionLog::generation_violation)),
             (
-                {
-                    let mut t = ids::serving::TenantConfig::new("tserver");
-                    t.queue_capacity = 512;
-                    t.policy = ids::serving::BackpressurePolicy::DropOldest;
-                    t.budget.drain_records_per_tick = 256;
-                    t
-                },
-                ServingTenantTarget::TServer,
+                "swap-landed",
+                swap_missing.then(|| "the staged challenger promotion never swapped in".to_owned()),
             ),
-            (
-                {
-                    let mut t = ids::serving::TenantConfig::new("dev0");
-                    t.queue_capacity = 256;
-                    t.policy = ids::serving::BackpressurePolicy::DegradeSampled { keep: 2 };
-                    t.budget.drain_records_per_tick = 128;
-                    t
-                },
-                ServingTenantTarget::Device(0),
-            ),
-        ];
-        let report = tb.run_live_serving(SimDuration::from_secs(live_secs), config, tenants);
-
-        let sniffer = tb.sniffer();
-        let feed = (
-            sniffer.captured_total(),
-            sniffer.drained_total(),
-            sniffer.buffered() as u64,
-            sniffer.dropped_overflow(),
-        );
-        let pool = tb.runtime().world().packet_pool();
-        let pool_health = (pool.live(), pool.high_water(), pool.capacity());
-        let fires: u64 =
-            tb.runtime().world().buggify_counts().iter().map(|&(_, _, f)| f).sum();
-        let now = tb.runtime().now();
-
-        let serving_conservation = report.handle.conservation_violation();
-        let flow_state_conservation = report.handle.flow_state_violation();
-        let mut log_text = String::new();
-        let mut liveness = None;
-        let mut generation_violation = None;
-        let mut windows = 0usize;
-        let mut degraded = 0usize;
-        let mut telemetry_conservation = None;
-        for tenant in &report.tenants {
-            log_text.push_str(&format!("== {} ==\n", tenant.name));
-            log_text.push_str(&tenant.log.serialize_compact());
-            windows += tenant.log.len();
-            degraded += tenant.log.degraded_count();
-            if liveness.is_none() {
-                liveness = tenant.log.liveness_violation();
-            }
-            if generation_violation.is_none() {
-                generation_violation = tenant.log.generation_violation();
-            }
-            // The same conservation equation, read back from the
-            // telemetry snapshot the report carries: every shed window
-            // must be accounted in the export, not only in a live read.
-            if telemetry_conservation.is_none() {
-                let prefix = format!("ids.serving.{}.", tenant.name);
-                let get = |name: &str| {
-                    report.telemetry.counter(&format!("{prefix}{name}")).unwrap_or(0)
-                };
-                let ingested = get("windows_ingested");
-                let out = get("windows_classified") + get("windows_degraded")
-                    + get("windows_shed");
-                if ingested != out {
-                    telemetry_conservation = Some(format!(
-                        "telemetry {prefix}: ingested {ingested} != accounted {out}"
-                    ));
-                }
-            }
-        }
-        let swap_landed = report.swaps >= 1 && report.generation >= 1;
-        let telemetry_text = report.telemetry.render_text();
-        (
-            feed,
-            pool_health,
-            fires,
-            now,
-            log_text,
-            liveness,
-            serving_conservation,
-            flow_state_conservation,
-            generation_violation,
-            telemetry_conservation,
-            swap_landed,
-            telemetry_text,
-            windows,
-            degraded,
-        )
-    }));
-
-    let (windows, degraded, fires, fingerprint) = match run {
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            violations.push(SwarmViolation { invariant: "no-panic", detail: msg });
-            (0, 0, 0, 0)
-        }
-        Ok((
-            feed,
-            pool,
-            fires,
-            now,
-            log_text,
-            liveness,
-            serving_conservation,
-            flow_state_conservation,
-            generation_violation,
-            telemetry_conservation,
-            swap_landed,
-            telemetry_text,
-            windows,
-            degraded,
-        )) => {
-            let (captured, drained, buffered, _dropped) = feed;
-            if captured != drained + buffered {
-                violations.push(SwarmViolation {
-                    invariant: "feed-conservation",
-                    detail: format!(
-                        "captured {captured} != drained {drained} + buffered {buffered}"
-                    ),
-                });
-            }
-            let (live, high_water, capacity) = pool;
-            if !(live <= high_water && high_water <= capacity) {
-                violations.push(SwarmViolation {
-                    invariant: "pool-health",
-                    detail: format!(
-                        "live {live} <= high_water {high_water} <= capacity {capacity} violated"
-                    ),
-                });
-            }
-            if let Some(detail) = liveness {
-                violations.push(SwarmViolation { invariant: "ids-liveness", detail });
-            }
-            if let Some(detail) = serving_conservation {
-                violations.push(SwarmViolation { invariant: "serving-conservation", detail });
-            }
-            if let Some(detail) = telemetry_conservation {
-                violations.push(SwarmViolation { invariant: "serving-conservation", detail });
-            }
-            if let Some(detail) = flow_state_conservation {
-                violations.push(SwarmViolation { invariant: "flow-state-conservation", detail });
-            }
-            if let Some(detail) = generation_violation {
-                violations.push(SwarmViolation { invariant: "generation-monotone", detail });
-            }
-            if !swap_landed {
-                violations.push(SwarmViolation {
-                    invariant: "swap-landed",
-                    detail: "the staged challenger promotion never swapped in".to_owned(),
-                });
-            }
-            let expected =
-                SimTime::ZERO + lead + SimDuration::from_secs(epoch_offset + live_secs);
-            if now != expected {
-                violations.push(SwarmViolation {
-                    invariant: "clock-horizon",
-                    detail: format!("clock ended at {now:?}, expected {expected:?}"),
-                });
-            }
-            let mut fp = fnv1a(log_text.as_bytes());
-            fp ^= fnv1a(telemetry_text.as_bytes()).rotate_left(17);
-            (windows, degraded, fires, fp)
-        }
-    };
-
-    SwarmReport {
-        case: SwarmCase::Serving,
-        scenario_seed,
-        swarm_seed,
-        violations,
-        windows,
-        degraded,
-        buggify_fires: fires,
-        fingerprint,
+        ],
+        windows: logs().map(DetectionLog::len).sum(),
+        degraded: logs().map(DetectionLog::degraded_count).sum(),
+        fires: 0,
+        log,
+        telemetry: report.telemetry.render_text(),
     }
 }
 
 /// The sharded swarm case: the smoke-scale sharded chaos scenario
-/// ([`crate::shardplan::ShardPlanConfig::smoke`]) under the swarm seed,
-/// executed at one and at two worker shards. On top of `no-panic` it
-/// checks *shard conservation* (every cross-shard packet is delivered,
-/// unroutable, or in flight at the end), *clock-horizon agreement*
-/// (every cell's clock lands exactly on the configured end), and
-/// *shard invariance* (the two shard counts produce byte-identical
-/// detection logs and telemetry — the tentpole determinism contract,
-/// now also exercised under perturbation).
-fn run_swarm_sharded(scenario_seed: u64, swarm_seed: u64) -> SwarmReport {
-    let mut violations = Vec::new();
-    let run = catch_unwind(AssertUnwindSafe(move || {
-        let mut config = crate::shardplan::ShardPlanConfig::smoke(scenario_seed);
-        config.buggify = BuggifyConfig::swarm(swarm_seed);
-        config.shards = 1;
-        let one = crate::shardplan::run_sharded_chaos(&config);
-        config.shards = 2;
-        let two = crate::shardplan::run_sharded_chaos(&config);
-        (one, two, config.duration)
-    }));
-
-    let (windows, fires, fingerprint) = match run {
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            violations.push(SwarmViolation { invariant: "no-panic", detail: msg });
-            (0, 0, 0)
-        }
-        Ok((one, two, duration)) => {
-            for (label, report) in [("1-shard", &one), ("2-shard", &two)] {
-                if let Some(detail) = report.stats.conservation_violation() {
-                    violations.push(SwarmViolation {
-                        invariant: "shard-conservation",
-                        detail: format!("{label}: {detail}"),
-                    });
-                }
-                if let Some(detail) = report.stats.clock_violation(SimTime::ZERO + duration) {
-                    violations.push(SwarmViolation {
-                        invariant: "clock-horizon",
-                        detail: format!("{label}: {detail}"),
-                    });
-                }
-            }
-            if one.output() != two.output() {
-                violations.push(SwarmViolation {
-                    invariant: "shard-invariance",
-                    detail: format!(
-                        "1-shard and 2-shard artifacts differ ({} vs {} bytes)",
-                        one.output().len(),
-                        two.output().len()
-                    ),
-                });
-            }
-            let fires = one.stats.cell_buggify_fires + one.stats.boundary_delay_fires;
-            let mut fp = fnv1a(one.log.as_bytes());
-            fp ^= fnv1a(one.telemetry.as_bytes()).rotate_left(17);
-            (one.log.lines().count(), fires, fp)
-        }
-    };
-
-    SwarmReport {
-        case: SwarmCase::Sharded,
-        scenario_seed,
-        swarm_seed,
-        violations,
-        windows,
+/// ([`ShardPlanConfig::smoke`]) under the swarm seed, executed at one
+/// and at two worker shards. It checks *shard conservation* (every
+/// cross-shard packet is delivered, unroutable, or in flight at the
+/// end), *clock-horizon agreement* (every cell's clock lands exactly on
+/// the configured end), and *shard invariance* (the two shard counts
+/// produce byte-identical detection logs and telemetry — the
+/// determinism contract, exercised under perturbation).
+fn sharded_run(scenario_seed: u64, swarm_seed: u64) -> CaseRun {
+    let mut config = ShardPlanConfig::smoke(scenario_seed);
+    config.buggify = BuggifyConfig::swarm(swarm_seed);
+    config.shards = 1;
+    let one = run_sharded_chaos(&config);
+    config.shards = 2;
+    let two = run_sharded_chaos(&config);
+    let mut checks = Vec::new();
+    for (label, report) in [("1-shard", &one), ("2-shard", &two)] {
+        let labelled = |detail: Option<String>| detail.map(|d| format!("{label}: {d}"));
+        let clock = report.stats.clock_violation(SimTime::ZERO + config.duration);
+        checks.push(("shard-conservation", labelled(report.stats.conservation_violation())));
+        checks.push(("clock-horizon", labelled(clock)));
+    }
+    let (a, b) = (one.output(), two.output());
+    checks.push((
+        "shard-invariance",
+        (a != b).then(|| {
+            format!("1-shard and 2-shard artifacts differ ({} vs {} bytes)", a.len(), b.len())
+        }),
+    ));
+    CaseRun {
+        checks,
+        windows: one.log.lines().count(),
         degraded: 0,
-        buggify_fires: fires,
-        fingerprint,
+        fires: one.stats.cell_buggify_fires + one.stats.boundary_delay_fires,
+        log: one.log,
+        telemetry: one.telemetry,
     }
 }
 
@@ -638,6 +423,14 @@ mod tests {
         ExperimentScale::swarm()
     }
 
+    /// `(windows, degraded, buggify_fires, fingerprint)`: the values
+    /// pinned below were recorded at scenario seed 11, swarm seed 1, so a
+    /// change that moves one byte of a case's log or telemetry fails
+    /// here, not only in a same-binary determinism check.
+    fn pinned(report: &SwarmReport) -> (usize, usize, u64, u64) {
+        (report.windows, report.degraded, report.buggify_fires, report.fingerprint)
+    }
+
     #[test]
     fn case_names_round_trip() {
         for case in SwarmCase::ALL {
@@ -655,6 +448,19 @@ mod tests {
         assert!(report.buggify_fires > 0, "the perturbation layer must engage");
         assert!(report.windows > 0, "the IDS must classify windows");
         assert!(report.repro_command().contains("--swarm-seed 1"));
+        assert_eq!(pinned(&report), (28, 9, 42408, 0x5318_c3e1_b86d_db68));
+    }
+
+    #[test]
+    fn lifecycle_swarm_run_passes_its_invariants() {
+        let scale = tiny_scale();
+        let models = swarm_models(11, &scale);
+        let report = run_swarm_case(SwarmCase::Lifecycle, 11, 1, &scale, &models);
+        assert!(report.passed(), "violations: {:?}", report.violations);
+        assert!(report.buggify_fires > 0, "the perturbation layer must engage");
+        assert!(report.windows > 0, "the IDS must classify windows");
+        assert!(report.repro_command().contains("--case lifecycle"));
+        assert_eq!(pinned(&report), (29, 0, 42929, 0x353a_8b3c_5f29_fe3a));
     }
 
     #[test]
@@ -666,6 +472,7 @@ mod tests {
         assert!(report.buggify_fires > 0, "the perturbation layer must engage");
         assert!(report.windows > 0, "the service must classify windows");
         assert!(report.repro_command().contains("--case serving"));
+        assert_eq!(pinned(&report), (57, 52, 42408, 0x1dff_488c_c60e_a3b3));
     }
 
     #[test]
@@ -677,6 +484,7 @@ mod tests {
         assert!(report.buggify_fires > 0, "the perturbation layer must engage");
         assert!(report.windows > 0, "the detector must log windows");
         assert!(report.repro_command().contains("--case sharded"));
+        assert_eq!(pinned(&report), (10, 0, 741, 0xb628_2f66_3b6b_2796));
         assert_eq!(check_determinism(SwarmCase::Sharded, 11, 5, &scale, &models), None);
     }
 

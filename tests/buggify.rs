@@ -16,8 +16,8 @@
 //! `tests/identity.rs`, which runs the golden scenarios with the
 //! default (disabled) config against committed fixtures.
 
-use ddoshield::experiments::{detection_scenario, ExperimentScale};
-use ddoshield::Testbed;
+use ddoshield::experiments::{deploy_to_live, detection_scenario, ExperimentScale};
+use ddoshield::swarm::swarm_models;
 use netsim::buggify::BuggifyConfig;
 use netsim::time::SimDuration;
 
@@ -30,14 +30,11 @@ fn scale() -> ExperimentScale {
 /// One perturbed live run; returns (telemetry text, alert stream).
 fn run_with(buggify: BuggifyConfig) -> (String, String) {
     let scale = scale();
-    let epoch_offset = scale.capture_secs + 5;
-    let ids = ddoshield::swarm::swarm_trained_ids(SEED, &scale);
+    let ids = swarm_models(SEED, &scale).champion;
 
-    let mut scenario = detection_scenario(SEED, scale.live_secs, epoch_offset);
+    let mut scenario = detection_scenario(SEED, scale.live_secs, scale.epoch_offset_secs());
     scenario.buggify = buggify;
-    let mut live = Testbed::deploy(scenario);
-    live.run_infection_lead();
-    let _ = live.run_capture(SimDuration::from_secs(epoch_offset));
+    let mut live = deploy_to_live(scenario, &scale);
     let report = live.run_live(SimDuration::from_secs(scale.live_secs), ids);
     (report.telemetry.render_text(), report.log.serialize_compact())
 }
