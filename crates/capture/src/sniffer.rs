@@ -10,10 +10,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use netsim::buggify::{stream_seed, DecisionPoint};
+use netsim::buggify::{Buggify, DecisionPoint};
 use netsim::packet::Packet;
 use netsim::tap::{PacketTap, TapMeta};
-use netsim::{Addr, SimRng};
+use netsim::Addr;
 
 use crate::record::PacketRecord;
 
@@ -37,38 +37,6 @@ impl SnifferFilter {
     }
 }
 
-/// Buggify-style perturbation of the capture path, keyed off the same
-/// `(swarm_seed, decision-point name)` stream derivation as the kernel's
-/// [`netsim::buggify`] layer so a swarm seed replays identically here
-/// too. Two independent streams: one decides whether a drain is
-/// partial, one decides whether a record's wire length is truncated.
-#[derive(Debug)]
-struct DrainChaos {
-    drain_rng: SimRng,
-    truncate_rng: SimRng,
-    intensity: f64,
-    partial_drains: u64,
-    truncated_records: u64,
-}
-
-impl DrainChaos {
-    fn new(swarm_seed: u64, intensity: f64) -> Self {
-        DrainChaos {
-            drain_rng: SimRng::seed_from(stream_seed(
-                swarm_seed,
-                DecisionPoint::CaptureDrainPartial.name(),
-            )),
-            truncate_rng: SimRng::seed_from(stream_seed(
-                swarm_seed,
-                DecisionPoint::CaptureRecordTruncate.name(),
-            )),
-            intensity,
-            partial_drains: 0,
-            truncated_records: 0,
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct SnifferState {
     records: Vec<PacketRecord>,
@@ -78,8 +46,9 @@ struct SnifferState {
     /// tail drop once `records.len()` reaches `n` (live IDS feed).
     capacity: Option<usize>,
     dropped_overflow: u64,
-    /// Optional perturbation layer; `None` keeps the hot path chaos-free.
-    chaos: Option<DrainChaos>,
+    /// The capture path's decision points (partial drains, truncated
+    /// records); disabled by default.
+    buggify: Buggify,
 }
 
 /// The tap half: installed into the world.
@@ -133,16 +102,13 @@ impl PacketTap for Sniffer {
         }
         state.captured_total += 1;
         let mut record = PacketRecord::from_packet(meta.time, packet);
-        if let Some(chaos) = state.chaos.as_mut() {
-            let p = DecisionPoint::CaptureRecordTruncate.base_probability() * chaos.intensity;
-            if chaos.truncate_rng.chance(p) {
-                // A truncated write: the record survives but reports a
-                // snaplen-style clipped wire length (never below the
-                // payload accounting's 1-byte floor).
-                let frac = chaos.truncate_rng.uniform_range(0.1, 0.9);
-                record.wire_len = ((record.wire_len as f64 * frac) as u32).max(1);
-                chaos.truncated_records += 1;
-            }
+        let truncate = DecisionPoint::CaptureRecordTruncate;
+        if state.buggify.fire(truncate) {
+            // A truncated write: the record survives but reports a
+            // snaplen-style clipped wire length (never below the
+            // payload accounting's 1-byte floor).
+            let frac = state.buggify.magnitude(truncate, 0.1, 0.9);
+            record.wire_len = ((record.wire_len as f64 * frac) as u32).max(1);
         }
         state.records.push(record);
     }
@@ -174,10 +140,10 @@ impl SnifferHandle {
     /// A take of everything swaps buffers: the sniffer keeps capturing
     /// into the allocation `out` brought back, so a consumer draining on
     /// a cadence ping-pongs two buffers and never allocates after
-    /// warmup. Partial-drain chaos may shorten any take of two or more
-    /// records: a random suffix of it stays buffered, as if the
-    /// consumer's read returned short. Conservation is preserved — the
-    /// suffix counts as buffered, not drained.
+    /// warmup. The `capture.drain.partial` decision point may shorten
+    /// any take of two or more records: a random suffix of it stays
+    /// buffered, as if the consumer's read returned short. Conservation
+    /// is preserved — the suffix counts as buffered, not drained.
     pub fn drain_up_to(&self, max: usize, out: &mut Vec<PacketRecord>) {
         out.clear();
         if max == 0 {
@@ -187,13 +153,9 @@ impl SnifferHandle {
         let state = &mut *state;
         let buffered = state.records.len();
         let mut take = buffered.min(max);
-        if let Some(chaos) = state.chaos.as_mut() {
-            let p = DecisionPoint::CaptureDrainPartial.base_probability() * chaos.intensity;
-            if take >= 2 && chaos.drain_rng.chance(p) {
-                let keep = chaos.drain_rng.int_range(1, take as u64 - 1) as usize;
-                take -= keep;
-                chaos.partial_drains += 1;
-            }
+        let partial = DecisionPoint::CaptureDrainPartial;
+        if take >= 2 && state.buggify.fire(partial) {
+            take -= state.buggify.magnitude_int(partial, 1, take as u64 - 1) as usize;
         }
         if take == buffered {
             std::mem::swap(&mut state.records, out);
@@ -203,23 +165,11 @@ impl SnifferHandle {
         state.drained_total += take as u64;
     }
 
-    /// Arms capture-path chaos (partial drains, truncated records) for
-    /// a swarm run. The streams are keyed by the same
-    /// [`netsim::buggify::stream_seed`] derivation as the kernel's
-    /// decision points, so one swarm seed drives the whole testbed.
-    pub fn set_chaos(&self, swarm_seed: u64, intensity: f64) {
-        self.state.borrow_mut().chaos = Some(DrainChaos::new(swarm_seed, intensity));
-    }
-
-    /// Disarms capture-path chaos.
-    pub fn clear_chaos(&self) {
-        self.state.borrow_mut().chaos = None;
-    }
-
-    /// `(partial_drains, truncated_records)` fired so far, or `None`
-    /// when chaos is disarmed.
-    pub fn chaos_counts(&self) -> Option<(u64, u64)> {
-        self.state.borrow().chaos.as_ref().map(|c| (c.partial_drains, c.truncated_records))
+    /// Arms the capture path's decision points with `buggify`, usually
+    /// a [`netsim::world::World::buggify_fork`], so their evaluations
+    /// and fires export with the kernel's.
+    pub fn set_buggify(&self, buggify: Buggify) {
+        self.state.borrow_mut().buggify = buggify;
     }
 
     /// Total records handed to consumers via drains so far. Together
@@ -262,6 +212,7 @@ impl SnifferHandle {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use netsim::buggify::BuggifyConfig;
     use netsim::ids::{LinkId, NodeId};
     use netsim::packet::Provenance;
     use netsim::time::SimTime;
@@ -272,6 +223,21 @@ mod tests {
 
     fn udp(src: Addr, dst: Addr) -> Packet {
         Packet::udp(src, dst, 1, 2, Bytes::new()).with_provenance(Provenance::Benign)
+    }
+
+    /// Arms `handle` with a fork of a swarm layer at `intensity` times
+    /// the standard fire rate; the returned original reads the counts.
+    fn arm(handle: &SnifferHandle, swarm_seed: u64, intensity: f64) -> Buggify {
+        let buggify = Buggify::new(BuggifyConfig { enabled: true, swarm_seed, intensity });
+        handle.set_buggify(buggify.fork());
+        buggify
+    }
+
+    /// `(partial drains, truncated records)` fired so far.
+    fn fires(buggify: &Buggify) -> (u64, u64) {
+        let counts = buggify.counts();
+        let fires = |point: DecisionPoint| counts.iter().find(|c| c.0 == point.name()).unwrap().2;
+        (fires(DecisionPoint::CaptureDrainPartial), fires(DecisionPoint::CaptureRecordTruncate))
     }
 
     #[test]
@@ -389,7 +355,7 @@ mod tests {
     #[test]
     fn chaos_partial_drains_preserve_conservation() {
         let (mut tap, handle) = sniffer_pair(SnifferFilter::All);
-        handle.set_chaos(1234, 20.0); // inflate so partial drains fire often
+        let buggify = arm(&handle, 1234, 20.0); // inflate so partial drains fire often
         let mut buf = Vec::new();
         let mut offered = 0u64;
         for round in 0..50 {
@@ -405,14 +371,14 @@ mod tests {
             );
             assert_eq!(offered, handle.captured_total() + handle.dropped_overflow());
         }
-        let (partials, _) = handle.chaos_counts().unwrap();
+        let (partials, _) = fires(&buggify);
         assert!(partials > 0, "chaos at 20x intensity must fire at least once");
     }
 
     #[test]
     fn chaos_truncation_clips_wire_len_but_loses_no_record() {
         let (mut tap, handle) = sniffer_pair(SnifferFilter::All);
-        handle.set_chaos(77, 100.0); // 100x => truncation probability 1.0
+        let buggify = arm(&handle, 77, 100.0); // 100x => truncation probability 1.0
         for _ in 0..20 {
             tap.on_packet(&meta(), &udp(Addr::new(1, 0, 0, 1), Addr::new(2, 0, 0, 1)));
         }
@@ -423,7 +389,7 @@ mod tests {
             records.extend(handle.drain());
         }
         assert_eq!(records.len(), 20, "truncation must never drop records");
-        let (_, truncated) = handle.chaos_counts().unwrap();
+        let (_, truncated) = fires(&buggify);
         assert_eq!(truncated, 20);
         let untouched = {
             let (mut tap2, handle2) = sniffer_pair(SnifferFilter::All);
@@ -478,7 +444,7 @@ mod tests {
     #[test]
     fn drain_up_to_chaos_preserves_conservation() {
         let (mut tap, handle) = sniffer_pair(SnifferFilter::All);
-        handle.set_chaos(99, 20.0);
+        let buggify = arm(&handle, 99, 20.0);
         let mut buf = Vec::new();
         for round in 0..50 {
             for _ in 0..6 {
@@ -492,7 +458,7 @@ mod tests {
                 "conservation must survive capped chaos drains (round {round})"
             );
         }
-        let (partials, _) = handle.chaos_counts().unwrap();
+        let (partials, _) = fires(&buggify);
         assert!(partials > 0);
     }
 
@@ -500,7 +466,7 @@ mod tests {
     fn chaos_replays_identically_per_swarm_seed() {
         let run = |seed: u64| {
             let (mut tap, handle) = sniffer_pair(SnifferFilter::All);
-            handle.set_chaos(seed, 10.0);
+            let buggify = arm(&handle, seed, 10.0);
             let mut buf = Vec::new();
             let mut trace = Vec::new();
             for _ in 0..40 {
@@ -510,7 +476,7 @@ mod tests {
                 handle.drain_into(&mut buf);
                 trace.push((buf.len(), handle.buffered()));
             }
-            (trace, handle.chaos_counts().unwrap())
+            (trace, fires(&buggify))
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6));

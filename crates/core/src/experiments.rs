@@ -211,7 +211,7 @@ pub fn deploy_to_live(scenario: ScenarioConfig, scale: &ExperimentScale) -> Test
 /// challenger is promoted mid-run; `retrain` optionally stages
 /// background retrains. Armed
 /// buggify in the testbed's scenario also arms the serving layer's
-/// decision points.
+/// decision points, through a fork of the testbed world's layer.
 pub fn run_serving_plan(
     live: &mut Testbed,
     scale: &ExperimentScale,
@@ -224,10 +224,7 @@ pub fn run_serving_plan(
     config.promote_challenger_at_tick = Some(scale.live_secs / 2);
     config.promote_delay_ticks = 2;
     config.retrain = retrain;
-    let buggify = live.config().buggify;
-    if buggify.enabled {
-        config.chaos = Some((buggify.swarm_seed, buggify.intensity));
-    }
+    config.buggify = live.runtime().world().buggify_fork();
     let mut tserver = TenantConfig::new("tserver");
     tserver.queue_capacity = 512;
     tserver.policy = BackpressurePolicy::DropOldest;

@@ -391,28 +391,23 @@ fn sharded_run(scenario_seed: u64, swarm_seed: u64) -> CaseRun {
     }
 }
 
-/// Runs a swarm seed twice and reports a `determinism` violation if the
-/// two runs' fingerprints differ. Used by the runner on a sample of
-/// seeds — the double run costs a full extra execution.
+/// Runs `first`'s case and seeds once more and reports a `determinism`
+/// violation if the rerun's fingerprint differs from `first`'s. Used by
+/// the runner on a sample of seeds — the rerun costs a full extra
+/// execution.
 pub fn check_determinism(
-    case: SwarmCase,
-    scenario_seed: u64,
-    swarm_seed: u64,
+    first: &SwarmReport,
     scale: &ExperimentScale,
     models: &SwarmModels,
 ) -> Option<SwarmViolation> {
-    let a = run_swarm_case(case, scenario_seed, swarm_seed, scale, models);
-    let b = run_swarm_case(case, scenario_seed, swarm_seed, scale, models);
-    if a.fingerprint != b.fingerprint {
-        return Some(SwarmViolation {
-            invariant: "determinism",
-            detail: format!(
-                "same swarm seed {} produced fingerprints {:#018x} and {:#018x}",
-                swarm_seed, a.fingerprint, b.fingerprint
-            ),
-        });
-    }
-    None
+    let again = run_swarm_case(first.case, first.scenario_seed, first.swarm_seed, scale, models);
+    (again.fingerprint != first.fingerprint).then(|| SwarmViolation {
+        invariant: "determinism",
+        detail: format!(
+            "same swarm seed {} produced fingerprints {:#018x} and {:#018x}",
+            first.swarm_seed, first.fingerprint, again.fingerprint
+        ),
+    })
 }
 
 #[cfg(test)]
@@ -448,7 +443,7 @@ mod tests {
         assert!(report.buggify_fires > 0, "the perturbation layer must engage");
         assert!(report.windows > 0, "the IDS must classify windows");
         assert!(report.repro_command().contains("--swarm-seed 1"));
-        assert_eq!(pinned(&report), (28, 9, 42408, 0x5318_c3e1_b86d_db68));
+        assert_eq!(pinned(&report), (28, 9, 47044, 0x73ec_ab0a_587f_8ae1));
     }
 
     #[test]
@@ -460,7 +455,7 @@ mod tests {
         assert!(report.buggify_fires > 0, "the perturbation layer must engage");
         assert!(report.windows > 0, "the IDS must classify windows");
         assert!(report.repro_command().contains("--case lifecycle"));
-        assert_eq!(pinned(&report), (29, 0, 42929, 0x353a_8b3c_5f29_fe3a));
+        assert_eq!(pinned(&report), (29, 0, 47632, 0x306d_76bb_9eeb_0f45));
     }
 
     #[test]
@@ -472,7 +467,7 @@ mod tests {
         assert!(report.buggify_fires > 0, "the perturbation layer must engage");
         assert!(report.windows > 0, "the service must classify windows");
         assert!(report.repro_command().contains("--case serving"));
-        assert_eq!(pinned(&report), (57, 52, 42408, 0x1dff_488c_c60e_a3b3));
+        assert_eq!(pinned(&report), (57, 52, 47135, 0x3a96_eb70_4f33_2acc));
     }
 
     #[test]
@@ -485,15 +480,15 @@ mod tests {
         assert!(report.windows > 0, "the detector must log windows");
         assert!(report.repro_command().contains("--case sharded"));
         assert_eq!(pinned(&report), (10, 0, 741, 0xb628_2f66_3b6b_2796));
-        assert_eq!(check_determinism(SwarmCase::Sharded, 11, 5, &scale, &models), None);
+        assert_eq!(check_determinism(&report, &scale, &models), None);
     }
 
     #[test]
     fn same_swarm_seed_reports_identical_fingerprints() {
         let scale = tiny_scale();
         let models = swarm_models(11, &scale);
-        assert_eq!(check_determinism(SwarmCase::Chaos, 11, 2, &scale, &models), None);
         let a = run_swarm_case(SwarmCase::Chaos, 11, 3, &scale, &models);
+        assert_eq!(check_determinism(&a, &scale, &models), None);
         let b = run_swarm_case(SwarmCase::Chaos, 11, 4, &scale, &models);
         assert_ne!(
             a.fingerprint, b.fingerprint,
@@ -505,6 +500,7 @@ mod tests {
     fn serving_same_swarm_seed_is_deterministic() {
         let scale = tiny_scale();
         let models = swarm_models(11, &scale);
-        assert_eq!(check_determinism(SwarmCase::Serving, 11, 5, &scale, &models), None);
+        let first = run_swarm_case(SwarmCase::Serving, 11, 5, &scale, &models);
+        assert_eq!(check_determinism(&first, &scale, &models), None);
     }
 }

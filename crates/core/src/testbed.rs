@@ -162,12 +162,10 @@ impl Testbed {
 
         // Buggify swarm perturbation: armed before any app starts so
         // every decision-point stream observes the run from its first
-        // event. One swarm seed drives both the kernel's decision
-        // points and the capture path's drain/truncate chaos.
-        if config.buggify.enabled {
-            rt.set_buggify(config.buggify);
-            sniffer.set_chaos(config.buggify.swarm_seed, config.buggify.intensity);
-        }
+        // event. The sniffer draws its capture points from a fork of
+        // the kernel's layer and counts into the kernel's table.
+        rt.set_buggify(config.buggify);
+        sniffer.set_buggify(rt.world().buggify_fork());
 
         // Fault injection: compile the declarative config into concrete
         // timestamped actions against the bridge and the IDS node. The
@@ -352,16 +350,6 @@ impl Testbed {
     ) -> ServingRunReport {
         let served = self.serve(duration, config, tenants, None, true);
         let handle = served.handle;
-        // Serving-chaos counters follow the capture-chaos convention:
-        // exported only when armed, keeping baseline telemetry
-        // fixture-identical.
-        if let Some((swap_delay_fires, queue_full_fires, state_cull_fires)) = handle.chaos_counts()
-        {
-            let scope = self.registry.scope("ids.serving.chaos");
-            scope.gauge("swap_delay_fires").set(swap_delay_fires as i64);
-            scope.gauge("queue_full_fires").set(queue_full_fires as i64);
-            scope.gauge("state_cull_fires").set(state_cull_fires as i64);
-        }
         let (swaps, retrains, retrains_failed) = handle.swap_counts();
         let generation = handle.generation();
         let telemetry = self.telemetry();
@@ -405,12 +393,7 @@ impl Testbed {
                     let addr = self.rt.addr(self.devices[i]);
                     let (tap, handle) = sniffer_pair(SnifferFilter::Involving(addr));
                     self.rt.world_mut().add_tap(Box::new(tap));
-                    if self.config.buggify.enabled {
-                        handle.set_chaos(
-                            self.config.buggify.swarm_seed,
-                            self.config.buggify.intensity,
-                        );
-                    }
+                    handle.set_buggify(self.rt.world().buggify_fork());
                     handle
                 }
             };
@@ -487,14 +470,6 @@ impl Testbed {
     /// render byte-identical [`RunTelemetry::render_text`] output.
     pub fn telemetry(&mut self) -> RunTelemetry {
         self.rt.world_mut().publish_link_obs();
-        // Capture-path chaos counters mirror the kernel's buggify
-        // gauges: present only when armed, so baseline telemetry stays
-        // byte-identical to the golden fixtures.
-        if let Some((partial_drains, truncated_records)) = self.sniffer.chaos_counts() {
-            let scope = self.registry.scope("capture.chaos");
-            scope.gauge("partial_drains").set(partial_drains as i64);
-            scope.gauge("truncated_records").set(truncated_records as i64);
-        }
         self.registry.snapshot()
     }
 

@@ -28,8 +28,8 @@
 //!   tenant, so one tenant's overload degrades only its own windows.
 //!
 //! Determinism contract: all control flow runs on modelled cost, the
-//! sim clock, and buggify-style chaos streams keyed by
-//! [`netsim::buggify::stream_seed`]. Wall-clock time feeds the
+//! sim clock, and the decision points of a [`netsim::buggify::Buggify`]
+//! fork ([`ServingConfig::buggify`]). Wall-clock time feeds the
 //! sustainability meter only. Same seed ⇒ byte-identical detection logs
 //! and telemetry, regardless of `ml::par` thread counts.
 
@@ -46,7 +46,7 @@ use containers::meter::ResourceMeter;
 use features::extract::{WindowAggregator, Window, TOTAL_FEATURES};
 use ml::handle::SwapHandle;
 use ml::matrix::FeatureMatrix;
-use netsim::buggify::{stream_seed, DecisionPoint};
+use netsim::buggify::{Buggify, DecisionPoint};
 use netsim::rng::SimRng;
 use netsim::time::{SimDuration, SimTime};
 use netsim::world::{App, Ctx};
@@ -262,7 +262,7 @@ impl IngestQueue {
     }
 
     /// Latches the queue as "momentarily full" for the current tick
-    /// (the `serve.ingest_queue_full` chaos point): block-upstream
+    /// (the `serve.ingest_queue_full` decision point): block-upstream
     /// drains nothing, drop-oldest sheds for every admission, sampled
     /// admission engages regardless of occupancy.
     pub fn force_full(&mut self) {
@@ -410,7 +410,7 @@ pub struct RetrainPolicy {
     /// Stage a retrain every this many service ticks (≥ 1).
     pub every_windows: u64,
     /// Ticks between staging and the atomic swap (modelled training
-    /// latency; the `serve.model_swap_delay` chaos point stretches it).
+    /// latency; the `serve.model_swap_delay` decision point stretches it).
     pub delay_windows: u64,
     /// Model family to retrain.
     pub kind: ModelKind,
@@ -585,45 +585,6 @@ struct TenantState {
     obs: TenantObs,
 }
 
-/// Serving-layer chaos: the `serve.*` decision points plus the feature
-/// layer's `features.state_cull`, evaluated from private streams keyed
-/// exactly like the kernel's buggify layer (same swarm seed ⇒ same
-/// perturbation schedule), since the service runs above the kernel and
-/// cannot reach its `Buggify` state.
-#[derive(Debug)]
-struct ServingChaos {
-    swap_rng: SimRng,
-    queue_rng: SimRng,
-    cull_rng: SimRng,
-    intensity: f64,
-    swap_delay_fires: u64,
-    queue_full_fires: u64,
-    state_cull_fires: u64,
-}
-
-impl ServingChaos {
-    fn new(swarm_seed: u64, intensity: f64) -> Self {
-        ServingChaos {
-            swap_rng: SimRng::seed_from(stream_seed(
-                swarm_seed,
-                DecisionPoint::ServeModelSwapDelay.name(),
-            )),
-            queue_rng: SimRng::seed_from(stream_seed(
-                swarm_seed,
-                DecisionPoint::ServeIngestQueueFull.name(),
-            )),
-            cull_rng: SimRng::seed_from(stream_seed(
-                swarm_seed,
-                DecisionPoint::FeaturesStateCull.name(),
-            )),
-            intensity,
-            swap_delay_fires: 0,
-            queue_full_fires: 0,
-            state_cull_fires: 0,
-        }
-    }
-}
-
 /// A model staged for the next boundary swap.
 struct StagedSwap {
     ids: TrainedIds,
@@ -693,13 +654,14 @@ pub struct ServingConfig {
     pub promote_delay_ticks: u64,
     /// Optional deterministic background retraining.
     pub retrain: Option<RetrainPolicy>,
-    /// Serving-layer chaos `(swarm_seed, intensity)`; `None` disarmed.
-    pub chaos: Option<(u64, f64)>,
+    /// The `serve.*` and `features.state_cull` decision points, usually
+    /// a [`netsim::world::World::buggify_fork`]; disabled by default.
+    pub buggify: Buggify,
 }
 
 impl ServingConfig {
     /// A service with just a champion: no challenger, no promotion, no
-    /// retraining, chaos disarmed.
+    /// retraining, decision points disarmed.
     pub fn new(champion: TrainedIds) -> Self {
         ServingConfig {
             champion,
@@ -707,7 +669,7 @@ impl ServingConfig {
             promote_challenger_at_tick: None,
             promote_delay_ticks: 1,
             retrain: None,
-            chaos: None,
+            buggify: Buggify::disabled(),
         }
     }
 }
@@ -738,7 +700,7 @@ struct ServingCore {
     retrain: Option<RetrainPolicy>,
     replay: VecDeque<PacketRecord>,
     staged: Option<StagedSwap>,
-    chaos: Option<ServingChaos>,
+    buggify: Buggify,
     tick_index: u64,
     window_secs: u64,
     last_pressure: f64,
@@ -769,15 +731,12 @@ struct ServingCore {
 
 impl ServingCore {
     /// Stages `ids` for a boundary swap `delay` ticks from now; the
-    /// `serve.model_swap_delay` chaos point may stretch the delay.
+    /// `serve.model_swap_delay` decision point may stretch the delay.
     fn stage(&mut self, ids: TrainedIds, delay: u64) {
         let mut delay = delay;
-        if let Some(chaos) = self.chaos.as_mut() {
-            let p = DecisionPoint::ServeModelSwapDelay.base_probability() * chaos.intensity;
-            if chaos.swap_rng.chance(p) {
-                delay += chaos.swap_rng.int_range(1, 4);
-                chaos.swap_delay_fires += 1;
-            }
+        let swap_delay = DecisionPoint::ServeModelSwapDelay;
+        if self.buggify.fire(swap_delay) {
+            delay += self.buggify.magnitude_int(swap_delay, 1, 4);
         }
         self.staged = Some(StagedSwap { ids, ready_tick: self.tick_index + delay });
     }
@@ -888,22 +847,10 @@ impl ServingCore {
     /// (tagged with the tenant in `completed_by`) for the tick's one
     /// coalesced classify pass.
     fn ingest_tenant(&mut self, t: usize, now: SimTime) {
-        // Per-tick chaos: maybe latch the queue as full, maybe force an
-        // early stale-key cull on the feature state.
-        let mut forced = false;
-        let mut cull = false;
-        if let Some(chaos) = self.chaos.as_mut() {
-            let p = DecisionPoint::ServeIngestQueueFull.base_probability() * chaos.intensity;
-            if chaos.queue_rng.chance(p) {
-                chaos.queue_full_fires += 1;
-                forced = true;
-            }
-            let p = DecisionPoint::FeaturesStateCull.base_probability() * chaos.intensity;
-            if chaos.cull_rng.chance(p) {
-                chaos.state_cull_fires += 1;
-                cull = true;
-            }
-        }
+        // Per-tick decision points: maybe latch the queue as full, maybe
+        // force an early stale-key cull on the feature state.
+        let forced = self.buggify.fire(DecisionPoint::ServeIngestQueueFull);
+        let cull = self.buggify.fire(DecisionPoint::FeaturesStateCull);
         let tenant = &mut self.tenants[t];
         tenant.queue.clear_forced_full();
         if forced {
@@ -951,7 +898,7 @@ impl ServingCore {
             }
         }
 
-        // The `features.state_cull` chaos point: force an early cull at
+        // The `features.state_cull` decision point: force an early cull at
         // this window/tick boundary and immediately verify the live
         // per-flow state survived — a cull that disturbs in-window
         // aggregates is the bug class this invariant exists to catch.
@@ -1287,7 +1234,7 @@ pub fn serving_pair(
         retrain: config.retrain,
         replay: VecDeque::new(),
         staged: None,
-        chaos: config.chaos.map(|(seed, intensity)| ServingChaos::new(seed, intensity)),
+        buggify: config.buggify,
         tick_index: 0,
         window_secs,
         last_pressure: 1.0,
@@ -1414,16 +1361,6 @@ impl ServingHandle {
     pub fn swap_counts(&self) -> (u64, u64, u64) {
         let obs = &self.core.borrow().obs;
         (obs.swaps.value(), obs.retrains.value(), obs.retrains_failed.value())
-    }
-
-    /// Serving-chaos `(swap_delay_fires, queue_full_fires,
-    /// state_cull_fires)`, or `None` when disarmed.
-    pub fn chaos_counts(&self) -> Option<(u64, u64, u64)> {
-        self.core
-            .borrow()
-            .chaos
-            .as_ref()
-            .map(|c| (c.swap_delay_fires, c.queue_full_fires, c.state_cull_fires))
     }
 
     /// First flow-state-conservation violation observed after a forced

@@ -19,12 +19,28 @@
 //! branch on a flag and consumes zero randomness, keeping byte-identity
 //! fixtures valid.
 //!
+//! ## Forks
+//!
+//! Points evaluated outside the kernel — the sniffer's capture points
+//! and the serving layer's `serve.*` and `features.state_cull` points —
+//! draw from a [`Buggify::fork`] of the world's instance
+//! ([`World::buggify_fork`](crate::world::World::buggify_fork)). A fork
+//! has its own streams, seeded exactly as [`Buggify::new`] seeds them,
+//! so a layer's draws do not depend on how many draws any other layer
+//! made; two forks of one instance draw identical sequences. The shard
+//! coordinator evaluates `shard.boundary_delay` on an instance of its
+//! own and reports it in [`crate::shard::ShardStats`].
+//!
 //! ## Observability
 //!
-//! Every point counts evaluations and fires. The world exports them as
+//! Every point counts evaluations and fires in one table that the world
+//! and all its forks share. The world exports it as
 //! `netsim.buggify.<point>.{evals,fires}` gauges — only when buggify is
 //! enabled, so disabled telemetry stays byte-identical to the golden
 //! fixtures while swarm telemetry stays byte-stable per seed.
+
+use std::cell::Cell;
+use std::rc::Rc;
 
 use crate::rng::SimRng;
 use serde::{Deserialize, Serialize};
@@ -79,7 +95,7 @@ pub fn stream_seed(swarm_seed: u64, name: &str) -> u64 {
     swarm_seed ^ h.wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-/// Named decision points, one per perturbation the kernel can inject.
+/// Named decision points, one per perturbation the testbed can inject.
 ///
 /// The `&'static str` names are the stable identity of each stream (see
 /// [`stream_seed`]) and the label under which fire counters export.
@@ -201,22 +217,19 @@ impl DecisionPoint {
     }
 }
 
-/// One decision point's private stream and fire accounting.
-#[derive(Debug, Clone)]
-struct PointState {
-    rng: SimRng,
-    evals: u64,
-    fires: u64,
-}
-
-/// The kernel-owned buggify state: per-point streams plus counters.
+/// A buggify layer: per-point streams plus the `(evals, fires)` table
+/// it shares with its forks. The world owns one; see [`Buggify::fork`].
 ///
 /// Constructed disabled by default; [`Buggify::enabled`] is the single
 /// branch the hot path pays when the layer is off.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Buggify {
     cfg: BuggifyConfig,
-    points: Vec<PointState>,
+    /// One private stream per point, in [`ALL_POINTS`] order. Empty when
+    /// disabled.
+    streams: Vec<SimRng>,
+    /// Per-point `(evals, fires)`, shared with every fork.
+    counts: Rc<[Cell<(u64, u64)>]>,
 }
 
 impl Default for Buggify {
@@ -228,24 +241,28 @@ impl Default for Buggify {
 impl Buggify {
     /// A disabled instance: no streams are seeded, every fire is `false`.
     pub fn disabled() -> Self {
-        Buggify { cfg: BuggifyConfig::default(), points: Vec::new() }
+        Buggify::new(BuggifyConfig::default())
     }
 
     /// Builds the per-point streams for a config. A disabled config
     /// produces the same state as [`Buggify::disabled`].
     pub fn new(cfg: BuggifyConfig) -> Self {
-        if !cfg.enabled {
-            return Buggify { cfg, points: Vec::new() };
-        }
-        let points = ALL_POINTS
-            .iter()
-            .map(|p| PointState {
-                rng: SimRng::seed_from(stream_seed(cfg.swarm_seed, p.name())),
-                evals: 0,
-                fires: 0,
-            })
-            .collect();
-        Buggify { cfg, points }
+        let points = if cfg.enabled { POINT_COUNT } else { 0 };
+        Buggify::with_counts(cfg, vec![Cell::new((0, 0)); points].into())
+    }
+
+    /// A new instance with this one's config and freshly seeded streams
+    /// (the same sequences [`Buggify::new`] would draw) that counts its
+    /// evaluations and fires into this instance's table.
+    pub fn fork(&self) -> Buggify {
+        Buggify::with_counts(self.cfg, Rc::clone(&self.counts))
+    }
+
+    fn with_counts(cfg: BuggifyConfig, counts: Rc<[Cell<(u64, u64)>]>) -> Self {
+        let points: &[DecisionPoint] = if cfg.enabled { &ALL_POINTS } else { &[] };
+        let streams =
+            points.iter().map(|p| SimRng::seed_from(stream_seed(cfg.swarm_seed, p.name()))).collect();
+        Buggify { cfg, streams, counts }
     }
 
     /// `true` when perturbations are active.
@@ -267,12 +284,10 @@ impl Buggify {
             return false;
         }
         let p = point.base_probability() * self.cfg.intensity;
-        let state = &mut self.points[point as usize];
-        state.evals += 1;
-        let hit = state.rng.chance(p);
-        if hit {
-            state.fires += 1;
-        }
+        let hit = self.streams[point as usize].chance(p);
+        let count = &self.counts[point as usize];
+        let (evals, fires) = count.get();
+        count.set((evals + 1, fires + hit as u64));
         hit
     }
 
@@ -285,22 +300,37 @@ impl Buggify {
     /// Panics if buggify is disabled (callers must gate on `fire`).
     pub fn magnitude(&mut self, point: DecisionPoint, lo: f64, hi: f64) -> f64 {
         assert!(self.cfg.enabled, "magnitude() on disabled buggify");
-        self.points[point as usize].rng.uniform_range(lo, hi)
+        self.streams[point as usize].uniform_range(lo, hi)
     }
 
-    /// Per-point `(name, evals, fires)` counters, in export order.
-    /// Empty when disabled.
+    /// The integer twin of [`Buggify::magnitude`]: a uniform draw in
+    /// `[lo, hi]`, both ends inclusive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if buggify is disabled (callers must gate on `fire`).
+    pub fn magnitude_int(&mut self, point: DecisionPoint, lo: u64, hi: u64) -> u64 {
+        assert!(self.cfg.enabled, "magnitude_int() on disabled buggify");
+        self.streams[point as usize].int_range(lo, hi)
+    }
+
+    /// Per-point `(name, evals, fires)` counters of the table this
+    /// instance shares with its forks, in export order. Empty when
+    /// disabled.
     pub fn counts(&self) -> Vec<(&'static str, u64, u64)> {
         ALL_POINTS
             .iter()
-            .zip(self.points.iter())
-            .map(|(p, s)| (p.name(), s.evals, s.fires))
+            .zip(self.counts.iter())
+            .map(|(p, c)| {
+                let (evals, fires) = c.get();
+                (p.name(), evals, fires)
+            })
             .collect()
     }
 
-    /// Total fires across all points.
+    /// Total fires across all points, forks included.
     pub fn total_fires(&self) -> u64 {
-        self.points.iter().map(|s| s.fires).sum()
+        self.counts.iter().map(|c| c.get().1).sum()
     }
 }
 
@@ -327,6 +357,30 @@ mod tests {
             assert_eq!(a.fire(p), b.fire(p), "draw {i} diverged");
         }
         assert_eq!(a.counts(), b.counts());
+    }
+
+    #[test]
+    fn fork_draws_like_new_and_counts_into_the_original() {
+        let mut original = Buggify::new(BuggifyConfig::swarm(31));
+        // Draws made before the fork must not shift the fork's streams.
+        let drain = DecisionPoint::CaptureDrainPartial;
+        let early_fires = (0..100).filter(|_| original.fire(drain)).count() as u64;
+        let mut fork = original.fork();
+        let mut fresh = Buggify::new(BuggifyConfig::swarm(31));
+        for i in 0..5_000 {
+            let p = ALL_POINTS[i % POINT_COUNT];
+            assert_eq!(fork.fire(p), fresh.fire(p), "draw {i} diverged");
+            assert_eq!(fork.magnitude_int(p, 1, 9), fresh.magnitude_int(p, 1, 9));
+        }
+        // The fork counted into the original's table, on top of the
+        // original's own early draws.
+        for ((name, evals, fires), (_, fresh_evals, fresh_fires)) in
+            original.counts().into_iter().zip(fresh.counts())
+        {
+            let early = if name == drain.name() { (100, early_fires) } else { (0, 0) };
+            assert_eq!((evals, fires), (fresh_evals + early.0, fresh_fires + early.1), "{name}");
+        }
+        assert_eq!(fork.counts(), original.counts());
     }
 
     #[test]

@@ -959,9 +959,10 @@ impl World {
         pool_scope.gauge("capacity").set(pool.capacity() as i64);
         pool_scope.gauge("inserted_total").set(pool.inserted_total() as i64);
         pool_scope.gauge("reused_total").set(pool.reused_total() as i64);
-        // Buggify fire counters, only when the layer is active: the
-        // gauges must not appear in baseline telemetry, which is pinned
-        // byte-for-byte by the golden fixtures.
+        // Buggify counters of every layer (the kernel and its forks),
+        // only when the layer is active: the gauges must not appear in
+        // baseline telemetry, which is pinned byte-for-byte by the
+        // golden fixtures.
         if self.kernel.buggify.enabled() {
             let bscope = obs.scope.child("buggify");
             for (name, evals, fires) in self.kernel.buggify.counts() {
@@ -984,13 +985,16 @@ impl World {
         self.kernel.buggify = Buggify::new(cfg);
     }
 
-    /// Whether buggify perturbation is active.
-    pub fn buggify_enabled(&self) -> bool {
-        self.kernel.buggify.enabled()
+    /// A [`Buggify::fork`] of the world's layer, for decision points
+    /// evaluated outside the kernel (the sniffer, the serving layer).
+    /// Its evaluations and fires count into this world's table. Take
+    /// forks after [`World::set_buggify`].
+    pub fn buggify_fork(&self) -> Buggify {
+        self.kernel.buggify.fork()
     }
 
-    /// Per-decision-point `(name, evaluations, fires)` counters.
-    /// Empty when buggify is disabled.
+    /// Per-decision-point `(name, evaluations, fires)` counters, forks
+    /// included. Empty when buggify is disabled.
     pub fn buggify_counts(&self) -> Vec<(&'static str, u64, u64)> {
         self.kernel.buggify.counts()
     }

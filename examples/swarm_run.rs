@@ -6,8 +6,10 @@
 //! Run with:
 //! `cargo run --profile swarm --example swarm_run -- --case chaos --seed 42 --swarm-seed 7`
 
+use std::io::{self, Write};
+
 use ddoshield::experiments::ExperimentScale;
-use ddoshield::swarm::{run_swarm_case, swarm_models, SwarmCase};
+use ddoshield::swarm::{run_swarm_case, swarm_models, SwarmCase, SwarmReport};
 
 fn main() {
     let mut case = SwarmCase::Chaos;
@@ -32,7 +34,22 @@ fn main() {
     let models = swarm_models(scenario_seed, &scale);
     let report = run_swarm_case(case, scenario_seed, swarm_seed, &scale, &models);
 
-    println!(
+    // A closed stdout (`swarm_run … | head -1`) ends the output early;
+    // the exit code still carries the verdict.
+    if let Err(e) = print_report(&report) {
+        if e.kind() != io::ErrorKind::BrokenPipe {
+            panic!("failed printing to stdout: {e}");
+        }
+    }
+    if !report.passed() {
+        std::process::exit(1);
+    }
+}
+
+fn print_report(report: &SwarmReport) -> io::Result<()> {
+    let mut out = io::stdout().lock();
+    writeln!(
+        out,
         "case={} seed={} swarm_seed={} windows={} degraded={} fires={} fingerprint={:#018x}",
         report.case.name(),
         report.scenario_seed,
@@ -41,14 +58,10 @@ fn main() {
         report.degraded,
         report.buggify_fires,
         report.fingerprint
-    );
-    if report.passed() {
-        println!("verdict=PASS");
-    } else {
-        for v in &report.violations {
-            println!("violation invariant={} detail={}", v.invariant, v.detail);
-        }
-        println!("verdict=FAIL");
-        std::process::exit(1);
+    )?;
+    for v in &report.violations {
+        writeln!(out, "violation invariant={} detail={}", v.invariant, v.detail)?;
     }
+    let verdict = if report.passed() { "PASS" } else { "FAIL" };
+    writeln!(out, "verdict={verdict}")
 }

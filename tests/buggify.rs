@@ -10,15 +10,19 @@
 //! - different swarm seeds genuinely diverge,
 //! - a *disabled* config carrying a nonzero swarm seed produces output
 //!   byte-identical to the default config — the seed must be inert
-//!   until `enabled` flips.
+//!   until `enabled` flips,
+//! - a buggified export counts every layer's decision points (kernel,
+//!   sniffers, serving layer) under `netsim.buggify.*` and nowhere else.
 //!
 //! The disabled-vs-golden-fixture half of the guarantee lives in
 //! `tests/identity.rs`, which runs the golden scenarios with the
 //! default (disabled) config against committed fixtures.
 
-use ddoshield::experiments::{deploy_to_live, detection_scenario, ExperimentScale};
+use ddoshield::experiments::{
+    deploy_to_live, detection_scenario, run_serving_plan, ExperimentScale,
+};
 use ddoshield::swarm::swarm_models;
-use netsim::buggify::BuggifyConfig;
+use netsim::buggify::{BuggifyConfig, DecisionPoint};
 use netsim::time::SimDuration;
 
 const SEED: u64 = 11;
@@ -71,4 +75,29 @@ fn disabled_config_with_seed_is_inert() {
         !telemetry_a.contains("netsim.buggify."),
         "disabled buggify must not export decision-point counters"
     );
+}
+
+#[test]
+fn buggified_export_counts_every_layer_once() {
+    let scale = scale();
+    let models = swarm_models(SEED, &scale);
+    let mut scenario = detection_scenario(SEED, scale.live_secs, scale.epoch_offset_secs());
+    scenario.buggify = BuggifyConfig::swarm(7);
+    let mut live = deploy_to_live(scenario, &scale);
+    let report = run_serving_plan(&mut live, &scale, models.champion, models.challenger, None);
+    let telemetry = &report.telemetry;
+    for point in [
+        DecisionPoint::CaptureDrainPartial,
+        DecisionPoint::CaptureRecordTruncate,
+        DecisionPoint::ServeModelSwapDelay,
+        DecisionPoint::ServeIngestQueueFull,
+        DecisionPoint::FeaturesStateCull,
+    ] {
+        let key = format!("netsim.buggify.{}.evals", point.name());
+        assert!(telemetry.gauge(&key).unwrap_or(0) > 0, "{key} must count the layer's draws");
+    }
+    let text = telemetry.render_text();
+    for stale in ["capture.chaos.", "ids.serving.chaos."] {
+        assert!(!text.contains(stale), "fires must export only under netsim.buggify: {stale}");
+    }
 }

@@ -111,15 +111,10 @@ fn main() {
                 let swarm_seed = args.first_swarm_seed + k / args.cases.len() as u64;
                 let mut report =
                     run_swarm_case(case, args.scenario_seed, swarm_seed, scale, &models);
-                // Double-run a deterministic sample of seeds.
+                // Rerun a deterministic sample of seeds once and compare
+                // the two fingerprints.
                 if args.determinism_every > 0 && swarm_seed.is_multiple_of(args.determinism_every) {
-                    if let Some(v) = check_determinism(
-                        case,
-                        args.scenario_seed,
-                        swarm_seed,
-                        scale,
-                        &models,
-                    ) {
+                    if let Some(v) = check_determinism(&report, scale, &models) {
                         report.violations.push(v);
                     }
                 }
