@@ -110,11 +110,6 @@ impl DeviceAgent {
         }
     }
 
-    /// Whether the device has been compromised.
-    pub fn is_infected(&self) -> bool {
-        self.infected
-    }
-
     fn reply(&self, ctx: &mut Ctx<'_>, conn: ConnId, text: &str) {
         ctx.tcp_send(conn, format!("{text}\r\n").as_bytes());
     }

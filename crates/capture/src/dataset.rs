@@ -68,14 +68,6 @@ impl Dataset {
         Dataset { records }
     }
 
-    /// Appends records, keeping time order.
-    pub fn extend_records(&mut self, records: impl IntoIterator<Item = PacketRecord>) {
-        self.records.extend(records);
-        if !self.records.windows(2).all(|w| w[0].ts <= w[1].ts) {
-            self.records.sort_by_key(|r| r.ts);
-        }
-    }
-
     /// The records, in time order.
     pub fn records(&self) -> &[PacketRecord] {
         &self.records

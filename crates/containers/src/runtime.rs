@@ -267,14 +267,6 @@ impl Runtime {
         app_id
     }
 
-    /// Installs an application with the container role's default
-    /// provenance, starting immediately.
-    pub fn install_default(&mut self, container: ContainerId, app: Box<dyn App>) -> AppId {
-        let provenance = self.containers[container.index()].spec.role.default_provenance();
-        let now = self.world.now();
-        self.install(container, app, provenance, now)
-    }
-
     /// The container record.
     pub fn container(&self, id: ContainerId) -> &Container {
         &self.containers[id.index()]

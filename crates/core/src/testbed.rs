@@ -484,11 +484,6 @@ impl Testbed {
         self.rt.world().link_stats(self.rt.bridge())
     }
 
-    /// Per-second received throughput at the TServer so far, in bytes.
-    pub fn tserver_recv_bytes(&self) -> u64 {
-        self.rt.world().node_stats(self.rt.node(self.tserver)).recv_bytes
-    }
-
     /// SYN-backlog pressure on the TServer's HTTP listener:
     /// (half-open connections, SYNs dropped).
     pub fn tserver_backlog_pressure(&self) -> (usize, u64) {

@@ -1323,11 +1323,6 @@ impl ServingHandle {
         self.core.borrow_mut().finalize();
     }
 
-    /// Tenant names, in service order.
-    pub fn tenant_names(&self) -> Vec<String> {
-        self.core.borrow().tenants.iter().map(|t| t.config.name.clone()).collect()
-    }
-
     /// A tenant's detection log (shared handle).
     pub fn tenant_log(&self, name: &str) -> Option<DetectionLog> {
         let core = self.core.borrow();

@@ -52,16 +52,6 @@ impl LinkConfig {
         }
     }
 
-    /// A 1 Gbit/s profile for the TServer uplink.
-    pub fn uplink_1gbps() -> Self {
-        LinkConfig {
-            bandwidth_bps: 1_000_000_000,
-            delay: SimDuration::from_micros(100),
-            queue_packets: 200,
-            loss_rate: 0.0,
-        }
-    }
-
     /// Time to serialise `bytes` onto the wire at this bandwidth.
     pub fn serialization_time(&self, bytes: usize) -> SimDuration {
         let nanos = (bytes as u128 * 8 * 1_000_000_000) / self.bandwidth_bps as u128;
@@ -336,11 +326,6 @@ impl Link {
     /// Nodes attached to this link.
     pub fn members(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.lanes.iter().map(|l| l.owner)
-    }
-
-    /// Whether `node` is attached to this link.
-    pub fn has_member(&self, node: NodeId) -> bool {
-        self.lanes.iter().any(|l| l.owner == node)
     }
 
     /// Attaches another member to a CSMA bus.

@@ -483,11 +483,6 @@ impl TcpConn {
         self.retransmitted_segments
     }
 
-    /// Bytes currently in flight (sent but unacknowledged, data only).
-    pub fn flight_size(&self) -> usize {
-        self.unacked.len()
-    }
-
     /// Congestion window in bytes.
     pub fn cwnd(&self) -> usize {
         self.cwnd

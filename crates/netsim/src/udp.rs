@@ -23,7 +23,6 @@ pub struct Datagram {
 #[derive(Debug, Default)]
 pub struct UdpHost {
     bindings: FxHashMap<u16, AppId>,
-    next_ephemeral: u16,
     /// Datagrams dropped because no socket was bound to the port.
     pub unreachable: u64,
 }
@@ -31,7 +30,7 @@ pub struct UdpHost {
 impl UdpHost {
     /// Creates an empty table.
     pub fn new() -> Self {
-        UdpHost { next_ephemeral: 40_000, ..UdpHost::default() }
+        UdpHost::default()
     }
 
     /// Binds `port` to `app`. Returns `false` if the port was taken.
@@ -51,27 +50,9 @@ impl UdpHost {
         self.bindings.remove(&port);
     }
 
-    /// Allocates and binds an unused ephemeral port for `app`.
-    pub fn bind_ephemeral(&mut self, app: AppId) -> u16 {
-        for _ in 0..9_152 {
-            let port = self.next_ephemeral;
-            self.next_ephemeral =
-                if self.next_ephemeral == 49_151 { 40_000 } else { self.next_ephemeral + 1 };
-            if self.bind(port, app) {
-                return port;
-            }
-        }
-        panic!("UDP ephemeral port space exhausted");
-    }
-
     /// The application bound to `port`, if any.
     pub fn lookup(&self, port: u16) -> Option<AppId> {
         self.bindings.get(&port).copied()
-    }
-
-    /// Number of bound ports.
-    pub fn bound_count(&self) -> usize {
-        self.bindings.len()
     }
 }
 
@@ -87,14 +68,5 @@ mod tests {
         assert_eq!(host.lookup(53), Some(AppId::from_raw(1)));
         host.unbind(53);
         assert_eq!(host.lookup(53), None);
-    }
-
-    #[test]
-    fn ephemeral_binds_are_unique() {
-        let mut host = UdpHost::new();
-        let a = host.bind_ephemeral(AppId::from_raw(1));
-        let b = host.bind_ephemeral(AppId::from_raw(1));
-        assert_ne!(a, b);
-        assert_eq!(host.bound_count(), 2);
     }
 }

@@ -1124,11 +1124,6 @@ impl World {
         self.run_until(until);
     }
 
-    /// Drains every pending event (use only for bounded workloads).
-    pub fn run_to_completion(&mut self) {
-        while self.step() {}
-    }
-
     /// Runs every event strictly *before* `horizon`, then advances the
     /// clock to `horizon`. This is the conservative-synchronization
     /// primitive for sharded execution: events at exactly `horizon` stay
@@ -1376,11 +1371,6 @@ impl<'a> Ctx<'a> {
         self.kernel.nodes[self.node.index()].udp.bind(port, self.app)
     }
 
-    /// Binds an ephemeral UDP port and returns it.
-    pub fn udp_bind_ephemeral(&mut self) -> u16 {
-        self.kernel.nodes[self.node.index()].udp.bind_ephemeral(self.app)
-    }
-
     /// Sends a UDP datagram from `src_port` to `dst:dst_port`.
     pub fn udp_send(&mut self, src_port: u16, dst: Addr, dst_port: u16, payload: Bytes) {
         let provenance = self.provenance();
@@ -1410,11 +1400,6 @@ impl<'a> Ctx<'a> {
     /// Cancels a timer scheduled with [`Ctx::set_timer`].
     pub fn cancel_timer(&mut self, timer: TimerId) {
         self.kernel.cancelled_timers.insert(timer);
-    }
-
-    /// Payload bytes received so far on a connection (diagnostics).
-    pub fn conn_bytes_received(&self, conn: ConnId) -> Option<u64> {
-        self.kernel.nodes[self.node.index()].tcp.conns.get(&conn).map(|c| c.bytes_received())
     }
 
     /// Segments retransmitted so far on a connection (diagnostics).

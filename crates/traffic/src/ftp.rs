@@ -11,13 +11,12 @@ use std::collections::HashMap;
 
 use netsim::packet::Addr;
 use netsim::rng::SimRng;
-use netsim::time::SimDuration;
 use netsim::world::{App, Ctx};
-use netsim::{ConnId, TcpEvent, TimerId};
+use netsim::{ConnId, TcpEvent};
 
 use crate::http::Catalogue;
 use crate::protocol::{generated_body, LineBuffer};
-use crate::retry::RetryPolicy;
+use crate::retry::{ClientLoop, RetryPolicy, Wake};
 use crate::stats::{ClientStats, ServerStats};
 
 /// The FTP control port.
@@ -222,37 +221,20 @@ enum ClientPhase {
     WaitComplete,
 }
 
-/// Timer token: think pause elapsed, start a new download session.
-const TOKEN_THINK: u64 = 0;
-/// Timer token: the in-flight session hit its deadline.
-const TOKEN_TIMEOUT: u64 = 1;
-/// Timer token: backoff elapsed, retry the pending session.
-const TOKEN_RETRY: u64 = 2;
-
 /// A closed-loop FTP download client. A session that fails or stalls is
 /// retried from scratch (fresh login) with capped exponential backoff
 /// per its [`RetryPolicy`] before counting as a failure.
 #[derive(Debug)]
 pub struct FtpClient {
     server: Addr,
-    think_mean: f64,
     catalogue_len: usize,
-    retry: RetryPolicy,
-    stats: ClientStats,
-    rng: SimRng,
+    cycle: ClientLoop,
     phase: ClientPhase,
     control: Option<ConnId>,
     data: Option<ConnId>,
     buffer: LineBuffer,
-    file_bytes: u64,
     data_closed: bool,
     got_226: bool,
-    /// `true` from `started` until the transaction completes or exhausts
-    /// its retries — spans the backoff gaps between attempts.
-    in_transaction: bool,
-    /// Attempts already burned by the in-progress transaction.
-    attempts: u32,
-    timeout_timer: Option<TimerId>,
 }
 
 impl FtpClient {
@@ -270,27 +252,15 @@ impl FtpClient {
     ) -> Self {
         FtpClient {
             server,
-            think_mean,
             catalogue_len,
-            retry,
-            stats,
-            rng,
+            cycle: ClientLoop::new(think_mean, retry, stats, rng),
             phase: ClientPhase::Idle,
             control: None,
             data: None,
             buffer: LineBuffer::new(),
-            file_bytes: 0,
             data_closed: false,
             got_226: false,
-            in_transaction: false,
-            attempts: 0,
-            timeout_timer: None,
         }
-    }
-
-    fn schedule_next(&mut self, ctx: &mut Ctx<'_>) {
-        let delay = SimDuration::from_secs_f64(self.rng.exponential(self.think_mean));
-        ctx.set_timer(delay, TOKEN_THINK);
     }
 
     fn reset(&mut self) {
@@ -298,15 +268,8 @@ impl FtpClient {
         self.control = None;
         self.data = None;
         self.buffer = LineBuffer::new();
-        self.file_bytes = 0;
         self.data_closed = false;
         self.got_226 = false;
-    }
-
-    fn cancel_timeout(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(timer) = self.timeout_timer.take() {
-            ctx.cancel_timer(timer);
-        }
     }
 
     /// Dials the control channel for the pending transaction and arms
@@ -314,14 +277,12 @@ impl FtpClient {
     fn begin_attempt(&mut self, ctx: &mut Ctx<'_>) {
         self.phase = ClientPhase::Connecting;
         self.control = Some(ctx.tcp_connect(self.server, FTP_PORT));
-        self.timeout_timer = Some(ctx.set_timer(self.retry.timeout, TOKEN_TIMEOUT));
+        self.cycle.arm_deadline(ctx);
     }
 
-    /// One attempt died. Either schedules a backoff retry of the whole
-    /// session or gives up and counts a failure. A down node never
-    /// retries: its transaction died with it.
+    /// One attempt died: tears the session down, so a retry starts from
+    /// a fresh login.
     fn fail(&mut self, ctx: &mut Ctx<'_>) {
-        self.cancel_timeout(ctx);
         if let Some(conn) = self.control.take() {
             ctx.tcp_abort(conn);
         }
@@ -329,37 +290,24 @@ impl FtpClient {
             ctx.tcp_abort(conn);
         }
         self.reset();
-        self.attempts += 1;
-        if self.retry.allows_retry(self.attempts) && ctx.is_up() {
-            self.stats.add_retried();
-            ctx.set_timer(self.retry.backoff(self.attempts, &mut self.rng), TOKEN_RETRY);
-        } else {
-            self.stats.add_failed();
-            self.in_transaction = false;
-            self.attempts = 0;
-            self.schedule_next(ctx);
-        }
+        self.cycle.attempt_failed(ctx);
     }
 
     fn send(&mut self, ctx: &mut Ctx<'_>, text: String) {
         if let Some(conn) = self.control {
-            self.stats.add_bytes_sent(text.len() as u64 + 2);
+            self.cycle.stats.add_bytes_sent(text.len() as u64 + 2);
             ctx.tcp_send(conn, format!("{text}\r\n").as_bytes());
         }
     }
 
     fn maybe_complete(&mut self, ctx: &mut Ctx<'_>) {
         if self.data_closed && self.got_226 {
-            self.cancel_timeout(ctx);
-            self.stats.add_completed();
             self.send(ctx, "QUIT".to_owned());
             if let Some(conn) = self.control.take() {
                 ctx.tcp_close(conn);
             }
             self.reset();
-            self.in_transaction = false;
-            self.attempts = 0;
-            self.schedule_next(ctx);
+            self.cycle.finish(ctx, true);
         }
     }
 
@@ -388,7 +336,7 @@ impl FtpClient {
                         self.phase = ClientPhase::Downloading;
                         let data = ctx.tcp_connect(self.server, port);
                         self.data = Some(data);
-                        let file = self.rng.below(self.catalogue_len as u64);
+                        let file = self.cycle.rng.below(self.catalogue_len as u64);
                         self.send(ctx, format!("RETR file{file}"));
                     }
                     None => self.fail(ctx),
@@ -409,42 +357,13 @@ impl FtpClient {
 
 impl App for FtpClient {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.schedule_next(ctx);
+        self.cycle.think(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        match token {
-            TOKEN_THINK => {
-                if self.phase != ClientPhase::Idle || self.in_transaction || !ctx.is_up() {
-                    self.schedule_next(ctx);
-                    return;
-                }
-                self.stats.add_started();
-                self.in_transaction = true;
-                self.attempts = 0;
-                self.begin_attempt(ctx);
-            }
-            TOKEN_TIMEOUT => {
-                // Cancelled deadlines never fire, so the session is
-                // genuinely stuck mid-protocol.
-                self.timeout_timer = None;
-                if self.phase != ClientPhase::Idle {
-                    self.fail(ctx);
-                }
-            }
-            TOKEN_RETRY => {
-                if !self.in_transaction {
-                    return;
-                }
-                if ctx.is_up() {
-                    self.begin_attempt(ctx);
-                } else {
-                    self.stats.add_failed();
-                    self.in_transaction = false;
-                    self.attempts = 0;
-                    self.schedule_next(ctx);
-                }
-            }
+        match self.cycle.wake(ctx, token) {
+            Some(Wake::Start | Wake::Retry) => self.begin_attempt(ctx),
+            Some(Wake::Deadline) if self.phase != ClientPhase::Idle => self.fail(ctx),
             _ => {}
         }
     }
@@ -461,7 +380,7 @@ impl App for FtpClient {
                 self.phase = ClientPhase::WaitWelcome;
             }
             TcpEvent::Data { data, .. } => {
-                self.stats.add_bytes_received(data.len() as u64);
+                self.cycle.stats.add_bytes_received(data.len() as u64);
                 if is_control {
                     self.buffer.push(&data);
                     let mut lines = Vec::new();
@@ -471,8 +390,6 @@ impl App for FtpClient {
                     for line in lines {
                         self.handle_reply(ctx, line);
                     }
-                } else {
-                    self.file_bytes += data.len() as u64;
                 }
             }
             TcpEvent::PeerClosed { .. } | TcpEvent::Closed { .. } if is_data => {

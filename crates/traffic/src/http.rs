@@ -10,12 +10,11 @@ use std::collections::HashMap;
 
 use netsim::packet::Addr;
 use netsim::rng::{BoundedPareto, SimRng, ZipfTable};
-use netsim::time::SimDuration;
 use netsim::world::{App, Ctx};
-use netsim::{ConnId, TcpEvent, TimerId};
+use netsim::{ConnId, TcpEvent};
 
 use crate::protocol::{http_response, parse_content_length, BodyReader, LineBuffer};
-use crate::retry::RetryPolicy;
+use crate::retry::{ClientLoop, RetryPolicy, Wake};
 use crate::stats::{ClientStats, ServerStats};
 
 /// The TServer's HTTP port.
@@ -136,31 +135,18 @@ enum FetchPhase {
     Body(BodyReader),
 }
 
-/// Timer token: think pause elapsed, start a new transaction.
-const TOKEN_THINK: u64 = 0;
-/// Timer token: the in-flight attempt hit its deadline.
-const TOKEN_TIMEOUT: u64 = 1;
-/// Timer token: backoff elapsed, retry the pending transaction.
-const TOKEN_RETRY: u64 = 2;
-
 /// A closed-loop HTTP client: think, request, download, repeat. Failed
 /// or timed-out requests are retried with capped exponential backoff per
 /// its [`RetryPolicy`] before counting as failures.
 #[derive(Debug)]
 pub struct HttpClient {
     server: Addr,
-    think_mean: f64,
     zipf: ZipfTable,
-    retry: RetryPolicy,
-    stats: ClientStats,
-    rng: SimRng,
+    cycle: ClientLoop,
     current: Option<(ConnId, FetchPhase)>,
     /// The object of the in-progress transaction; retries re-request the
-    /// same object. `None` means the client is thinking.
-    pending_object: Option<usize>,
-    /// Attempts already burned by the in-progress transaction.
-    attempts: u32,
-    timeout_timer: Option<TimerId>,
+    /// same object.
+    object: usize,
 }
 
 impl HttpClient {
@@ -178,26 +164,10 @@ impl HttpClient {
     ) -> Self {
         HttpClient {
             server,
-            think_mean,
             zipf: ZipfTable::new(catalogue_len, 1.0),
-            retry,
-            stats,
-            rng,
+            cycle: ClientLoop::new(think_mean, retry, stats, rng),
             current: None,
-            pending_object: None,
-            attempts: 0,
-            timeout_timer: None,
-        }
-    }
-
-    fn schedule_next(&mut self, ctx: &mut Ctx<'_>) {
-        let delay = SimDuration::from_secs_f64(self.rng.exponential(self.think_mean));
-        ctx.set_timer(delay, TOKEN_THINK);
-    }
-
-    fn cancel_timeout(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(timer) = self.timeout_timer.take() {
-            ctx.cancel_timer(timer);
+            object: 0,
         }
     }
 
@@ -206,76 +176,30 @@ impl HttpClient {
     fn begin_attempt(&mut self, ctx: &mut Ctx<'_>) {
         let conn = ctx.tcp_connect(self.server, HTTP_PORT);
         self.current = Some((conn, FetchPhase::Head(LineBuffer::new())));
-        self.timeout_timer = Some(ctx.set_timer(self.retry.timeout, TOKEN_TIMEOUT));
-    }
-
-    fn finish(&mut self, ctx: &mut Ctx<'_>, ok: bool) {
-        if ok {
-            self.stats.add_completed();
-        } else {
-            self.stats.add_failed();
-        }
-        self.cancel_timeout(ctx);
-        self.current = None;
-        self.pending_object = None;
-        self.attempts = 0;
-        self.schedule_next(ctx);
-    }
-
-    /// One attempt died (refused, reset, or timed out). Either schedules
-    /// a backoff retry of the same transaction or gives up and counts a
-    /// failure. A down node never retries: its transaction died with it.
-    fn attempt_failed(&mut self, ctx: &mut Ctx<'_>) {
-        self.cancel_timeout(ctx);
-        self.current = None;
-        self.attempts += 1;
-        if self.retry.allows_retry(self.attempts) && ctx.is_up() {
-            self.stats.add_retried();
-            ctx.set_timer(self.retry.backoff(self.attempts, &mut self.rng), TOKEN_RETRY);
-        } else {
-            self.finish(ctx, false);
-        }
+        self.cycle.arm_deadline(ctx);
     }
 }
 
 impl App for HttpClient {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.schedule_next(ctx);
+        self.cycle.think(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        match token {
-            TOKEN_THINK => {
-                if self.current.is_some() || self.pending_object.is_some() || !ctx.is_up() {
-                    self.schedule_next(ctx);
-                    return;
-                }
-                self.stats.add_started();
-                self.attempts = 0;
-                self.pending_object = Some(self.zipf.sample(&mut self.rng));
+        match self.cycle.wake(ctx, token) {
+            Some(Wake::Start) => {
+                self.object = self.zipf.sample(&mut self.cycle.rng);
                 self.begin_attempt(ctx);
             }
-            TOKEN_TIMEOUT => {
-                // Cancelled deadlines never fire, so the attempt is
-                // genuinely stuck: tear it down (the abort swallows our
-                // own Closed event) and go through the retry path.
-                self.timeout_timer = None;
+            Some(Wake::Retry) => self.begin_attempt(ctx),
+            Some(Wake::Deadline) => {
+                // The abort swallows our own Closed event.
                 if let Some((conn, _)) = self.current.take() {
                     ctx.tcp_abort(conn);
-                    self.attempt_failed(ctx);
+                    self.cycle.attempt_failed(ctx);
                 }
             }
-            TOKEN_RETRY => {
-                if self.pending_object.is_none() {
-                    return;
-                }
-                if ctx.is_up() {
-                    self.begin_attempt(ctx);
-                } else {
-                    self.finish(ctx, false);
-                }
-            }
-            _ => {}
+            None => {}
         }
     }
 
@@ -286,13 +210,13 @@ impl App for HttpClient {
         }
         match event {
             TcpEvent::Connected { conn } => {
-                let object = self.pending_object.unwrap_or(0);
-                let request = format!("GET /obj/{object} HTTP/1.1\r\nHost: tserver\r\n\r\n");
-                self.stats.add_bytes_sent(request.len() as u64);
+                let request =
+                    format!("GET /obj/{} HTTP/1.1\r\nHost: tserver\r\n\r\n", self.object);
+                self.cycle.stats.add_bytes_sent(request.len() as u64);
                 ctx.tcp_send(conn, request.as_bytes());
             }
             TcpEvent::Data { conn, data } => {
-                self.stats.add_bytes_received(data.len() as u64);
+                self.cycle.stats.add_bytes_received(data.len() as u64);
                 let mut done = false;
                 if let Some((_, phase)) = &mut self.current {
                     match phase {
@@ -329,15 +253,16 @@ impl App for HttpClient {
                 }
                 if done {
                     ctx.tcp_close(conn);
-                    self.finish(ctx, true);
+                    self.current = None;
+                    self.cycle.finish(ctx, true);
                 }
             }
-            TcpEvent::ConnectFailed { .. } => self.attempt_failed(ctx),
-            TcpEvent::Closed { .. } => {
-                // Closed before the body completed: a dead attempt
-                // (unless we initiated the close, in which case
-                // `current` is already None and this event is ignored).
-                self.attempt_failed(ctx);
+            // A refused connect, or a close before the body completed: a
+            // dead attempt (unless we initiated the close, in which case
+            // `current` is already None and this event is ignored).
+            TcpEvent::ConnectFailed { .. } | TcpEvent::Closed { .. } => {
+                self.current = None;
+                self.cycle.attempt_failed(ctx);
             }
             _ => {}
         }

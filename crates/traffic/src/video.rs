@@ -16,7 +16,7 @@ use netsim::world::{App, Ctx};
 use netsim::{ConnId, TcpEvent, TimerId};
 
 use crate::protocol::LineBuffer;
-use crate::retry::RetryPolicy;
+use crate::retry::{ClientLoop, RetryPolicy, Wake};
 use crate::stats::{ClientStats, ServerStats};
 
 /// The TServer's streaming port (RTMP's registered port).
@@ -127,30 +127,16 @@ impl App for VideoServer {
 #[derive(Debug)]
 pub struct VideoClient {
     server: Addr,
-    think_mean: f64,
     watch_mean: f64,
-    retry: RetryPolicy,
-    stats: ClientStats,
-    rng: SimRng,
+    cycle: ClientLoop,
     current: Option<ConnId>,
     session_bytes: u64,
-    /// `true` from `started` until the session completes or exhausts its
-    /// retries — spans the backoff gaps between attempts.
-    in_session: bool,
-    /// Attempts already burned by the in-progress session.
-    attempts: u32,
-    connect_timer: Option<TimerId>,
     leave_timer: Option<TimerId>,
 }
 
-/// Timer token: start a new viewing session.
-const TOKEN_JOIN: u64 = u64::MAX;
-/// Timer token: leave the current session.
-const TOKEN_LEAVE: u64 = u64::MAX - 1;
-/// Timer token: the join attempt hit its connect deadline.
-const TOKEN_TIMEOUT: u64 = u64::MAX - 2;
-/// Timer token: backoff elapsed, retry the pending session.
-const TOKEN_RETRY: u64 = u64::MAX - 3;
+/// Timer token: leave the current session. The loop's own tokens are
+/// small integers.
+const TOKEN_LEAVE: u64 = u64::MAX;
 
 impl VideoClient {
     /// Creates a viewer targeting `server` with the given mean think and
@@ -165,31 +151,11 @@ impl VideoClient {
     ) -> Self {
         VideoClient {
             server,
-            think_mean,
             watch_mean,
-            retry,
-            stats,
-            rng,
+            cycle: ClientLoop::new(think_mean, retry, stats, rng),
             current: None,
             session_bytes: 0,
-            in_session: false,
-            attempts: 0,
-            connect_timer: None,
             leave_timer: None,
-        }
-    }
-
-    fn schedule_join(&mut self, ctx: &mut Ctx<'_>) {
-        let delay = SimDuration::from_secs_f64(self.rng.exponential(self.think_mean));
-        ctx.set_timer(delay, TOKEN_JOIN);
-    }
-
-    fn cancel_timers(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(timer) = self.connect_timer.take() {
-            ctx.cancel_timer(timer);
-        }
-        if let Some(timer) = self.leave_timer.take() {
-            ctx.cancel_timer(timer);
         }
     }
 
@@ -198,81 +164,35 @@ impl VideoClient {
     fn begin_attempt(&mut self, ctx: &mut Ctx<'_>) {
         self.session_bytes = 0;
         self.current = Some(ctx.tcp_connect(self.server, VIDEO_PORT));
-        self.connect_timer = Some(ctx.set_timer(self.retry.timeout, TOKEN_TIMEOUT));
+        self.cycle.arm_deadline(ctx);
     }
 
-    /// One attempt died (refused, reset, or stalled). Either schedules a
-    /// backoff retry of the session or gives up and counts a failure. A
-    /// down node never retries: its session died with it.
+    /// One attempt died (refused, reset, or stalled): tears it down.
     fn attempt_failed(&mut self, ctx: &mut Ctx<'_>) {
-        self.cancel_timers(ctx);
+        if let Some(timer) = self.leave_timer.take() {
+            ctx.cancel_timer(timer);
+        }
         if let Some(conn) = self.current.take() {
             ctx.tcp_abort(conn);
         }
-        self.attempts += 1;
-        if self.retry.allows_retry(self.attempts) && ctx.is_up() {
-            self.stats.add_retried();
-            ctx.set_timer(self.retry.backoff(self.attempts, &mut self.rng), TOKEN_RETRY);
-        } else {
-            self.stats.add_failed();
-            self.in_session = false;
-            self.attempts = 0;
-            self.schedule_join(ctx);
-        }
+        self.cycle.attempt_failed(ctx);
     }
 }
 
 impl App for VideoClient {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.schedule_join(ctx);
+        self.cycle.think(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        match token {
-            TOKEN_JOIN => {
-                if self.current.is_some() || self.in_session || !ctx.is_up() {
-                    self.schedule_join(ctx);
-                    return;
-                }
-                self.stats.add_started();
-                self.in_session = true;
-                self.attempts = 0;
-                self.begin_attempt(ctx);
-            }
-            TOKEN_LEAVE => {
+        match self.cycle.wake(ctx, token) {
+            Some(Wake::Start | Wake::Retry) => self.begin_attempt(ctx),
+            Some(Wake::Deadline) if self.current.is_some() => self.attempt_failed(ctx),
+            None if token == TOKEN_LEAVE => {
                 self.leave_timer = None;
                 if let Some(conn) = self.current.take() {
-                    self.cancel_timers(ctx);
                     ctx.tcp_close(conn);
-                    if self.session_bytes > 0 {
-                        self.stats.add_completed();
-                    } else {
-                        self.stats.add_failed();
-                    }
-                    self.in_session = false;
-                    self.attempts = 0;
-                    self.schedule_join(ctx);
-                }
-            }
-            TOKEN_TIMEOUT => {
-                // Cancelled deadlines never fire, so the join is
-                // genuinely stuck.
-                self.connect_timer = None;
-                if self.current.is_some() {
-                    self.attempt_failed(ctx);
-                }
-            }
-            TOKEN_RETRY => {
-                if !self.in_session {
-                    return;
-                }
-                if ctx.is_up() {
-                    self.begin_attempt(ctx);
-                } else {
-                    self.stats.add_failed();
-                    self.in_session = false;
-                    self.attempts = 0;
-                    self.schedule_join(ctx);
+                    self.cycle.finish(ctx, self.session_bytes > 0);
                 }
             }
             _ => {}
@@ -285,19 +205,18 @@ impl App for VideoClient {
         }
         match event {
             TcpEvent::Connected { conn } => {
-                if let Some(timer) = self.connect_timer.take() {
-                    ctx.cancel_timer(timer);
-                }
-                let ladder = self.rng.below(BITRATE_LADDER_KBPS.len() as u64);
+                self.cycle.disarm_deadline(ctx);
+                let ladder = self.cycle.rng.below(BITRATE_LADDER_KBPS.len() as u64);
                 let play = format!("PLAY {ladder}\r\n");
-                self.stats.add_bytes_sent(play.len() as u64);
+                self.cycle.stats.add_bytes_sent(play.len() as u64);
                 ctx.tcp_send(conn, play.as_bytes());
-                let watch = SimDuration::from_secs_f64(self.rng.exponential(self.watch_mean));
+                let watch =
+                    SimDuration::from_secs_f64(self.cycle.rng.exponential(self.watch_mean));
                 self.leave_timer = Some(ctx.set_timer(watch, TOKEN_LEAVE));
             }
             TcpEvent::Data { data, .. } => {
                 self.session_bytes += data.len() as u64;
-                self.stats.add_bytes_received(data.len() as u64);
+                self.cycle.stats.add_bytes_received(data.len() as u64);
             }
             TcpEvent::ConnectFailed { .. } | TcpEvent::Closed { .. } => {
                 self.current = None;

@@ -37,15 +37,6 @@ pub struct WorkloadConfig {
     pub ftp_max_bytes: usize,
     /// Mean think time between FTP sessions (seconds).
     pub ftp_think_mean: f64,
-    /// Per-attempt deadline for client transactions (seconds).
-    pub request_timeout_secs: f64,
-    /// Attempts per client transaction, including the first.
-    pub retry_max_attempts: u32,
-    /// Base retry backoff (seconds); doubles per attempt up to
-    /// `retry_cap_secs`.
-    pub retry_base_secs: f64,
-    /// Upper bound on the un-jittered retry backoff (seconds).
-    pub retry_cap_secs: f64,
 }
 
 impl Default for WorkloadConfig {
@@ -61,22 +52,6 @@ impl Default for WorkloadConfig {
             ftp_min_bytes: 5_000,
             ftp_max_bytes: 500_000,
             ftp_think_mean: 3.0,
-            request_timeout_secs: 10.0,
-            retry_max_attempts: 3,
-            retry_base_secs: 0.5,
-            retry_cap_secs: 8.0,
-        }
-    }
-}
-
-impl WorkloadConfig {
-    /// The per-transaction timeout/retry policy shared by all clients.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        RetryPolicy {
-            timeout: netsim::time::SimDuration::from_secs_f64(self.request_timeout_secs),
-            max_attempts: self.retry_max_attempts.max(1),
-            base: netsim::time::SimDuration::from_secs_f64(self.retry_base_secs),
-            cap: netsim::time::SimDuration::from_secs_f64(self.retry_cap_secs),
         }
     }
 }
@@ -168,6 +143,7 @@ pub fn install_tserver(
 /// `(i + offset) % 3`, so every protocol is always represented. Calling
 /// this multiple times with increasing `offset` stacks extra clients
 /// onto each device (a busier deployment), accumulating into `stats`.
+/// Every client retries per [`RetryPolicy::default`].
 #[allow(clippy::too_many_arguments)]
 pub fn install_device_client_mix(
     rt: &mut Runtime,
@@ -179,7 +155,7 @@ pub fn install_device_client_mix(
     stats: &ClientStatsBundle,
     rng: &mut SimRng,
 ) {
-    let retry = config.retry_policy();
+    let retry = RetryPolicy::default();
     for (i, &device) in devices.iter().enumerate() {
         let client_rng = rng.fork();
         let app: Box<dyn netsim::world::App> = match (i + offset) % 3 {

@@ -5,8 +5,16 @@
 //! pressure) is compiled from the scenario config at deploy time and
 //! driven entirely by the simulated clock and seeded RNG, so every run
 //! of the same seed endures byte-identical chaos — and the IDS must
-//! account for every window even while overloaded.
+//! account for every window even while overloaded. The seed-42
+//! lifecycle run, which takes every benign client's retry path, is
+//! pinned in `tests/golden/lifecycle.txt`.
+//!
+//! To regenerate the fixture after an *intentional* behaviour change:
+//! `UPDATE_IDENTITY_FIXTURES=1 cargo test --test chaos`.
 
+mod common;
+
+use common::check_fixture;
 use ddoshield::experiments::{
     run_baseline_detection, run_chaos_detection, run_lifecycle_detection, ExperimentScale,
 };
@@ -100,7 +108,9 @@ fn attack_boundary_dip_holds_with_and_without_faults() {
 /// memory-resident bot, then a TServer reboot mid-run — are
 /// byte-identical: the container state machine, C2 eviction sweep,
 /// re-infection and client retry backoff all draw on the seeded clock
-/// and RNG streams only.
+/// and RNG streams only. The run's log, bridge counters, robustness
+/// line and telemetry (whose `traffic.client.*` counters count every
+/// protocol's retries and failures) match the committed fixture.
 #[test]
 fn lifecycle_runs_are_byte_identical() {
     let scale = ExperimentScale::quick();
@@ -115,6 +125,15 @@ fn lifecycle_runs_are_byte_identical() {
     );
     assert_eq!(a.bridge_stats, b.bridge_stats, "link counters must match");
     assert_eq!(a.live.robustness, b.live.robustness, "robustness reports must match");
+
+    let signature = format!(
+        "{}# bridge counters\n{:?}\n# robustness\n{}\n# telemetry\n{}",
+        a.live.log.serialize_compact(),
+        a.bridge_stats,
+        a.live.robustness,
+        a.live.telemetry.render_text()
+    );
+    check_fixture("lifecycle.txt", &signature);
 }
 
 /// The lifecycle scenario actually exercises the recovery machinery:

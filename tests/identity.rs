@@ -22,8 +22,11 @@
 //! To regenerate the fixtures after an *intentional* behaviour change:
 //! `UPDATE_IDENTITY_FIXTURES=1 cargo test --test identity`.
 
+mod common;
+
 use capture::dataset::Dataset;
 use capture::record::PacketRecord;
+use common::check_fixture;
 use ddoshield::experiments::{
     chaos_scenario, detection_scenario, paper_models, training_scenario, ExperimentScale,
 };
@@ -36,7 +39,6 @@ use ml::cnn::CnnConfig;
 use ml::kmeans::KMeansConfig;
 use netsim::time::SimDuration;
 use netsim::SimRng;
-use std::path::Path;
 
 const SEED: u64 = 11;
 
@@ -96,21 +98,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
-}
-
-fn check_fixture(name: &str, produced: &str) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
-    if std::env::var_os("UPDATE_IDENTITY_FIXTURES").is_some() {
-        std::fs::write(&path, produced).expect("write fixture");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing fixture {}: {e} (run with UPDATE_IDENTITY_FIXTURES=1)", path.display()));
-    assert_eq!(
-        produced, &golden,
-        "{name} diverged from the pre-pool pipeline's bytes; if the change is intentional, \
-         regenerate with UPDATE_IDENTITY_FIXTURES=1"
-    );
 }
 
 #[test]

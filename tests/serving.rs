@@ -10,8 +10,9 @@
 //! To regenerate the fixture after an *intentional* behaviour change:
 //! `UPDATE_IDENTITY_FIXTURES=1 cargo test --test serving`.
 
-use std::path::Path;
+mod common;
 
+use common::check_fixture;
 use ddoshield::experiments::{run_serving_detection, ExperimentScale};
 use ddoshield::ServingOutcome;
 
@@ -38,27 +39,6 @@ fn signature(outcome: &ServingOutcome) -> String {
     out.push('\n');
     out.push_str(&outcome.report.telemetry.render_text());
     out
-}
-
-fn check_fixture(name: &str, produced: &str) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("UPDATE_IDENTITY_FIXTURES").is_some() {
-        std::fs::write(&path, produced).expect("write fixture");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing fixture {}: {e} (run with UPDATE_IDENTITY_FIXTURES=1)",
-            path.display()
-        )
-    });
-    assert_eq!(
-        produced, &golden,
-        "{name} diverged; if the change is intentional, regenerate with \
-         UPDATE_IDENTITY_FIXTURES=1"
-    );
 }
 
 #[test]

@@ -16,10 +16,12 @@
 //! To regenerate after an *intentional* behaviour change:
 //! `UPDATE_IDENTITY_FIXTURES=1 cargo test --test shard`.
 
+mod common;
+
+use common::check_fixture;
 use ddoshield::shardplan::{run_sharded_chaos, ShardPlanConfig};
 use netsim::time::SimTime;
 use netsim::BuggifyConfig;
-use std::path::Path;
 
 const SEED: u64 = 11;
 
@@ -28,22 +30,6 @@ fn run_at(shards: usize) -> (String, ddoshield::ShardedChaosReport) {
     config.shards = shards;
     let report = run_sharded_chaos(&config);
     (report.output(), report)
-}
-
-fn check_fixture(name: &str, produced: &str) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
-    if std::env::var_os("UPDATE_IDENTITY_FIXTURES").is_some() {
-        std::fs::write(&path, produced).expect("write fixture");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing fixture {}: {e} (run with UPDATE_IDENTITY_FIXTURES=1)", path.display())
-    });
-    assert_eq!(
-        produced, &golden,
-        "{name} diverged; if the change is intentional, regenerate with \
-         UPDATE_IDENTITY_FIXTURES=1"
-    );
 }
 
 #[test]

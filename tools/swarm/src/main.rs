@@ -12,6 +12,7 @@
 //! `--profile swarm` so the kernel's `debug_assert!` invariants
 //! (monotone clock, ChunkQueue accounting) are armed at release speed.
 
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -131,22 +132,36 @@ fn main() {
 
     let mut failures = failures.into_inner().unwrap();
     failures.sort_by_key(|r| (r.case.name(), r.swarm_seed));
-    if failures.is_empty() {
-        println!("swarm: PASS ({total} runs, 0 violations)");
-        return;
+    // A closed stdout (`swarm … | head -1`) ends the output early; the
+    // exit code still carries the verdict.
+    if let Err(e) = print_verdict(&failures, total) {
+        if e.kind() != io::ErrorKind::BrokenPipe {
+            panic!("failed printing to stdout: {e}");
+        }
     }
-    println!("swarm: FAIL ({} of {total} runs violated invariants)", failures.len());
-    for report in &failures {
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
+}
+
+fn print_verdict(failures: &[SwarmReport], total: u64) -> io::Result<()> {
+    let mut out = io::stdout().lock();
+    if failures.is_empty() {
+        return writeln!(out, "swarm: PASS ({total} runs, 0 violations)");
+    }
+    writeln!(out, "swarm: FAIL ({} of {total} runs violated invariants)", failures.len())?;
+    for report in failures {
         for violation in &report.violations {
-            println!(
+            writeln!(
+                out,
                 "  case={} swarm_seed={} invariant={} detail={}",
                 report.case.name(),
                 report.swarm_seed,
                 violation.invariant,
                 violation.detail
-            );
+            )?;
         }
-        println!("  repro: {}", report.repro_command());
+        writeln!(out, "  repro: {}", report.repro_command())?;
     }
-    std::process::exit(1);
+    Ok(())
 }
