@@ -16,12 +16,15 @@
 //! differs — the very gap between the paper's train-time metrics and
 //! its Table I real-time numbers.
 
+use std::ops::Range;
+
 use capture::dataset::Dataset;
 use capture::record::{Label, PacketRecord};
 use ml::matrix::FeatureMatrix;
 use netsim::packet::{Protocol, TcpFlags};
 
 use crate::incremental::FlowDelta;
+use crate::scaling::FitInput;
 use crate::window::{AckGrace, WindowStats, STAT_FEATURES, STAT_FEATURE_NAMES};
 
 /// Number of basic per-packet features.
@@ -83,6 +86,33 @@ pub struct Window {
     pub records: Vec<PacketRecord>,
 }
 
+/// The one feature-row builder: a window's statistics fill the row's
+/// tail once, and each record rewrites only the basic head.
+struct RowBuilder([f64; TOTAL_FEATURES]);
+
+impl RowBuilder {
+    fn new(stats: &[f64; STAT_FEATURES]) -> Self {
+        let mut builder = RowBuilder([0.0; TOTAL_FEATURES]);
+        builder.set_stats(stats);
+        builder
+    }
+
+    fn set_stats(&mut self, stats: &[f64; STAT_FEATURES]) {
+        self.0[BASIC_FEATURES..].copy_from_slice(stats);
+    }
+
+    /// `record`'s row: its basic features, then the window statistics.
+    fn row(&mut self, record: &PacketRecord) -> &[f64; TOTAL_FEATURES] {
+        self.0[..BASIC_FEATURES].copy_from_slice(&basic_features(record));
+        &self.0
+    }
+}
+
+/// A record's ground-truth label (0 = benign, 1 = malicious).
+fn label_of(record: &PacketRecord) -> usize {
+    usize::from(record.label == Label::Malicious)
+}
+
 impl Window {
     /// Appends every packet's feature row to a flat matrix — no per-row
     /// allocation, so a cleared scratch matrix can be reused window after
@@ -92,20 +122,15 @@ impl Window {
     ///
     /// Panics if `out` was not created with [`TOTAL_FEATURES`] columns.
     pub fn append_features(&self, out: &mut FeatureMatrix) {
-        // The statistical half of the row is shared by every packet in
-        // the window: fill it once and only refresh the per-packet
-        // basic half inside the loop.
-        let mut row = [0.0; TOTAL_FEATURES];
-        row[BASIC_FEATURES..].copy_from_slice(&self.stats.as_features());
+        let mut rows = RowBuilder::new(&self.stats.as_features());
         for r in &self.records {
-            row[..BASIC_FEATURES].copy_from_slice(&basic_features(r));
-            out.push_row(&row);
+            out.push_row(rows.row(r));
         }
     }
 
     /// Ground-truth labels (0 = benign, 1 = malicious), packet-aligned.
     pub fn labels(&self) -> Vec<usize> {
-        self.records.iter().map(|r| usize::from(r.label == Label::Malicious)).collect()
+        self.records.iter().map(label_of).collect()
     }
 
     /// The majority ground-truth class of the window.
@@ -335,22 +360,131 @@ pub fn windows_of(dataset: &Dataset, window_secs: u64) -> Vec<Window> {
     out
 }
 
-/// Extracts the full per-packet feature matrix and labels of a dataset —
-/// the model-training input — into one flat row-major matrix, one row
-/// per packet in time order (see [`Window::append_features`]).
-pub fn extract_matrix(dataset: &Dataset, window_secs: u64) -> (FeatureMatrix, Vec<usize>) {
-    let mut features = FeatureMatrix::with_capacity(dataset.len(), TOTAL_FEATURES);
-    let mut labels = Vec::with_capacity(dataset.len());
-    for window in windows_of(dataset, window_secs) {
-        window.append_features(&mut features);
-        labels.extend(window.labels());
+/// A capture's feature rows, built only when asked for.
+///
+/// One [`WindowAggregator`] pass keeps, per window, its row range and
+/// its statistics; the records stay in the dataset. Row `i` is record
+/// `i`'s basic features, then its window's statistics — the row
+/// [`extract_matrix`] stores — because the windows partition the
+/// records in order. [`CaptureRows::gather`] builds just the rows a
+/// caller reads, such as a training sample and a holdout.
+#[derive(Debug)]
+pub struct CaptureRows<'a> {
+    records: &'a [PacketRecord],
+    windows: Vec<WindowRows>,
+}
+
+/// One window of a [`CaptureRows`]: the rows it covers and the
+/// statistics they share.
+#[derive(Debug)]
+struct WindowRows {
+    rows: Range<usize>,
+    stats: [f64; STAT_FEATURES],
+}
+
+impl<'a> CaptureRows<'a> {
+    /// Windows `dataset` into `window_secs`-second windows (zero clamps
+    /// to one, as in [`WindowAggregator::new`]).
+    pub fn new(dataset: &'a Dataset, window_secs: u64) -> Self {
+        let mut agg = WindowAggregator::new(window_secs);
+        let mut windows = Vec::new();
+        let mut keep = |w: Window| {
+            let start = windows.last().map_or(0, |last: &WindowRows| last.rows.end);
+            let rows = start..start + w.records.len();
+            windows.push(WindowRows { rows, stats: w.stats.as_features() });
+        };
+        for &r in dataset.records() {
+            if let Some(w) = agg.push(r) {
+                keep(w);
+            }
+        }
+        if let Some(w) = agg.flush() {
+            keep(w);
+        }
+        CaptureRows { records: dataset.records(), windows }
     }
-    (features, labels)
+
+    /// Number of rows: one per record.
+    pub fn n_rows(&self) -> usize {
+        self.records.len()
+    }
+
+    /// `true` when the capture holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Ground-truth labels (0 = benign, 1 = malicious), one per row.
+    pub fn labels(&self) -> Vec<usize> {
+        self.records.iter().map(label_of).collect()
+    }
+
+    /// Builds the rows named by `indices`, in that order (repeats
+    /// allowed): row `k` of the result is row `indices[k]` of the
+    /// capture.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range.
+    pub fn gather(&self, indices: &[usize]) -> FeatureMatrix {
+        let mut out = FeatureMatrix::with_capacity(indices.len(), TOTAL_FEATURES);
+        let mut rows = RowBuilder::new(&[0.0; STAT_FEATURES]);
+        let mut current = 0..0;
+        for &i in indices {
+            if !current.contains(&i) {
+                let window = &self.windows[self.windows.partition_point(|w| w.rows.end <= i)];
+                rows.set_stats(&window.stats);
+                current = window.rows.clone();
+            }
+            out.push_row(rows.row(&self.records[i]));
+        }
+        out
+    }
+}
+
+impl FitInput for CaptureRows<'_> {
+    fn n_rows(&self) -> usize {
+        self.records.len()
+    }
+
+    fn n_cols(&self) -> usize {
+        TOTAL_FEATURES
+    }
+
+    /// Each record's basic features once, then each window's statistics
+    /// once: the rows of a window share theirs.
+    fn for_each_run(&self, mut fold: impl FnMut(usize, &[f64])) {
+        for r in self.records {
+            fold(0, &basic_features(r));
+        }
+        for w in &self.windows {
+            fold(BASIC_FEATURES, &w.stats);
+        }
+    }
+
+    fn for_each_row(&self, mut f: impl FnMut(&[f64])) {
+        for w in &self.windows {
+            let mut rows = RowBuilder::new(&w.stats);
+            for r in &self.records[w.rows.clone()] {
+                f(rows.row(r));
+            }
+        }
+    }
+}
+
+/// Extracts the full per-packet feature matrix and labels of a dataset
+/// into one flat row-major matrix, one row per packet in time order:
+/// every row of [`CaptureRows`].
+pub fn extract_matrix(dataset: &Dataset, window_secs: u64) -> (FeatureMatrix, Vec<usize>) {
+    let rows = CaptureRows::new(dataset, window_secs);
+    let every: Vec<usize> = (0..rows.n_rows()).collect();
+    (rows.gather(&every), rows.labels())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scaling::{Scaler, ScalingMethod};
     use netsim::time::SimTime;
     use netsim::Addr;
 
@@ -461,6 +595,56 @@ mod tests {
         assert_eq!(flat.n_cols(), TOTAL_FEATURES);
         for (a, b) in expected_rows.iter().zip(flat.rows()) {
             assert_eq!(a.as_slice(), b, "rows must be bit-identical");
+        }
+    }
+
+    /// The min-max fold reads each window's statistics once; folding a
+    /// column's values per row, as a fit on the built matrix does, must
+    /// give the same bits where `f64::min` and `f64::max` choose between
+    /// equal zeros or skip a NaN. Real captures carry `-0.0`: the entropy
+    /// of a window with one port is `-(1 * log2 1)`.
+    #[test]
+    fn min_max_fold_matches_the_row_fold_on_signed_zeros_and_nan() {
+        let records: Vec<PacketRecord> = (0..6).map(|i| record(i * 10, Label::Benign)).collect();
+        let (z, n, nan) = (0.0, -0.0, f64::NAN);
+        // Column j's statistic in each of the three windows.
+        let columns: [[f64; 3]; STAT_FEATURES] = [
+            [n, z, n],
+            [z, n, z],
+            [nan, z, n],
+            [nan, n, z],
+            [n, nan, z],
+            [z, nan, n],
+            [nan, nan, nan],
+            [n, n, n],
+            [z, z, z],
+            [1.0, n, nan],
+            [-1.0, z, nan],
+            [nan, 2.0, n],
+            [z, -3.0, nan],
+        ];
+        let stats = |w: usize| std::array::from_fn(|j| columns[j][w]);
+        let rows = CaptureRows {
+            records: &records,
+            windows: vec![
+                WindowRows { rows: 0..3, stats: stats(0) },
+                WindowRows { rows: 3..4, stats: stats(1) },
+                WindowRows { rows: 4..6, stats: stats(2) },
+            ],
+        };
+        let matrix = rows.gather(&[0, 1, 2, 3, 4, 5]);
+        for (i, row) in matrix.rows().enumerate() {
+            let w = usize::from(i >= 3) + usize::from(i >= 4);
+            let expected: Vec<u64> = stats(w).iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u64> = row[BASIC_FEATURES..].iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, expected, "row {i} carries its window's statistics");
+        }
+        for method in [ScalingMethod::MinMax, ScalingMethod::ZScore] {
+            assert_eq!(
+                format!("{:?}", Scaler::fit_rows(method, &rows)),
+                format!("{:?}", Scaler::fit_matrix(method, &matrix)),
+                "{method:?}"
+            );
         }
     }
 

@@ -20,8 +20,8 @@ pub mod scaling;
 pub mod window;
 
 pub use extract::{
-    basic_features, feature_names, windows_of, Window, WindowAggregator, BASIC_FEATURES,
-    TOTAL_FEATURES,
+    basic_features, feature_names, windows_of, CaptureRows, Window, WindowAggregator,
+    BASIC_FEATURES, TOTAL_FEATURES,
 };
 pub use genmap::GenMap;
 pub use incremental::{FlowAgg, FlowDelta};

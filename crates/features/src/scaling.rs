@@ -7,6 +7,8 @@
 use ml::matrix::FeatureMatrix;
 use serde::{Deserialize, Serialize};
 
+use crate::extract::CaptureRows;
+
 /// The scaling method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ScalingMethod {
@@ -43,18 +45,38 @@ impl Scaler {
     ///
     /// Panics if `data` has no rows.
     pub fn fit_matrix(method: ScalingMethod, data: &FeatureMatrix) -> Self {
-        assert!(!data.is_empty(), "cannot fit a scaler on no data");
+        Scaler::fit(method, data)
+    }
+
+    /// Fits a scaler on every row of a capture without building them:
+    /// the same parameters, bit for bit, as [`Scaler::fit_matrix`] on
+    /// the capture's [`extract_matrix`](crate::extract::extract_matrix).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capture has no rows.
+    pub fn fit_rows(method: ScalingMethod, rows: &CaptureRows<'_>) -> Self {
+        Scaler::fit(method, rows)
+    }
+
+    /// The one implementation per method. Min-max folds each value run
+    /// once: `min` and `max` are exact and idempotent, so a run that
+    /// several rows share gives what folding it per row gives. Z-score
+    /// sums are not order-free, so that method sweeps the rows in order.
+    fn fit(method: ScalingMethod, data: &impl FitInput) -> Self {
+        assert!(data.n_rows() > 0, "cannot fit a scaler on no data");
         let dims = data.n_cols();
         let params = match method {
             ScalingMethod::MinMax => {
                 let mut lo = vec![f64::INFINITY; dims];
                 let mut hi = vec![f64::NEG_INFINITY; dims];
-                for row in data.rows() {
-                    for (j, &v) in row.iter().enumerate() {
-                        lo[j] = lo[j].min(v);
-                        hi[j] = hi[j].max(v);
+                data.for_each_run(|first, values| {
+                    let bounds = lo[first..].iter_mut().zip(&mut hi[first..]);
+                    for ((low, high), &v) in bounds.zip(values) {
+                        *low = low.min(v);
+                        *high = high.max(v);
                     }
-                }
+                });
                 lo.iter()
                     .zip(&hi)
                     .map(|(&lo, &hi)| {
@@ -66,18 +88,18 @@ impl Scaler {
             ScalingMethod::ZScore => {
                 let n = data.n_rows() as f64;
                 let mut sums = vec![0.0; dims];
-                for row in data.rows() {
+                data.for_each_row(|row| {
                     for (s, &v) in sums.iter_mut().zip(row) {
                         *s += v;
                     }
-                }
+                });
                 let means: Vec<f64> = sums.iter().map(|s| s / n).collect();
                 let mut sq = vec![0.0; dims];
-                for row in data.rows() {
+                data.for_each_row(|row| {
                     for (j, &v) in row.iter().enumerate() {
                         sq[j] += (v - means[j]).powi(2);
                     }
-                }
+                });
                 means
                     .iter()
                     .zip(&sq)
@@ -146,6 +168,41 @@ impl Scaler {
             })
             .collect();
         Some(Scaler { method: first.method, params })
+    }
+}
+
+/// The rows a scaler is fitted on, as the two sweeps a fit makes.
+pub(crate) trait FitInput {
+    /// Number of rows.
+    fn n_rows(&self) -> usize;
+
+    /// Number of columns.
+    fn n_cols(&self) -> usize;
+
+    /// Feeds every value of every row to `fold` as `(first column,
+    /// values)` runs, in row order within each column. A run that
+    /// several consecutive rows share may be fed once.
+    fn for_each_run(&self, fold: impl FnMut(usize, &[f64]));
+
+    /// Feeds every row to `f`, in row order.
+    fn for_each_row(&self, f: impl FnMut(&[f64]));
+}
+
+impl FitInput for FeatureMatrix {
+    fn n_rows(&self) -> usize {
+        FeatureMatrix::n_rows(self)
+    }
+
+    fn n_cols(&self) -> usize {
+        FeatureMatrix::n_cols(self)
+    }
+
+    fn for_each_run(&self, mut fold: impl FnMut(usize, &[f64])) {
+        self.for_each_row(|row| fold(0, row));
+    }
+
+    fn for_each_row(&self, f: impl FnMut(&[f64])) {
+        self.rows().for_each(f);
     }
 }
 

@@ -2,7 +2,9 @@
 
 use capture::dataset::Dataset;
 use capture::record::{Label, PacketRecord};
-use features::extract::{extract_matrix, windows_of, WindowAggregator, TOTAL_FEATURES};
+use features::extract::{
+    extract_matrix, windows_of, CaptureRows, WindowAggregator, TOTAL_FEATURES,
+};
 use features::scaling::{Scaler, ScalingMethod};
 use features::window::{entropy, mean_std};
 use ml::matrix::FeatureMatrix;
@@ -11,6 +13,11 @@ use netsim::time::SimTime;
 use netsim::Addr;
 use proptest::prelude::*;
 
+/// Every value's bits, row by row, so signed zeros and NaNs compare
+/// exactly.
+fn bits<'a>(rows: impl Iterator<Item = &'a [f64]>) -> Vec<Vec<u64>> {
+    rows.map(|row| row.iter().map(|v| v.to_bits()).collect()).collect()
+}
 
 prop_compose! {
     fn record_strategy()(
@@ -170,6 +177,65 @@ proptest! {
                 // Refresh windows carry freshly computed statistics.
                 prop_assert_eq!(w.stats, e.stats);
             }
+        }
+    }
+
+    /// The capture row source builds the rows and labels of the
+    /// per-window path (`windows_of`, then `Window::append_features`),
+    /// bit for bit, and so does `extract_matrix`.
+    #[test]
+    fn capture_rows_match_the_window_rows(
+        records in proptest::collection::vec(record_strategy(), 1..300),
+        window_secs in 1u64..4,
+    ) {
+        let dataset = Dataset::from_records(records);
+        let mut expected = FeatureMatrix::new(TOTAL_FEATURES);
+        let mut expected_labels = Vec::new();
+        for window in windows_of(&dataset, window_secs) {
+            window.append_features(&mut expected);
+            expected_labels.extend(window.labels());
+        }
+        let rows = CaptureRows::new(&dataset, window_secs);
+        let every: Vec<usize> = (0..rows.n_rows()).collect();
+        prop_assert_eq!(bits(rows.gather(&every).rows()), bits(expected.rows()));
+        prop_assert_eq!(&rows.labels(), &expected_labels);
+        let (matrix, labels) = extract_matrix(&dataset, window_secs);
+        prop_assert_eq!(bits(matrix.rows()), bits(expected.rows()));
+        prop_assert_eq!(&labels, &expected_labels);
+    }
+
+    /// Gathering any index list (repeats, any order, empty) builds the
+    /// rows a subset view of the whole matrix shows, in index order.
+    #[test]
+    fn gather_matches_the_subset_view(
+        records in proptest::collection::vec(record_strategy(), 1..300),
+        picks in proptest::collection::vec(any::<usize>(), 0..100),
+    ) {
+        let dataset = Dataset::from_records(records);
+        let (matrix, _) = extract_matrix(&dataset, 1);
+        let indices: Vec<usize> = picks.iter().map(|p| p % matrix.n_rows()).collect();
+        let gathered = CaptureRows::new(&dataset, 1).gather(&indices);
+        prop_assert_eq!(gathered.n_rows(), indices.len());
+        prop_assert_eq!(gathered.n_cols(), TOTAL_FEATURES);
+        prop_assert_eq!(bits(gathered.rows()), bits(matrix.subset(&indices).rows()));
+    }
+
+    /// A scaler fitted from the row source has the parameters, bit for
+    /// bit, of one fitted on the built matrix, for both methods (an
+    /// `f64` prints in a form that reads back to the same bits).
+    #[test]
+    fn scaler_fit_from_rows_matches_the_matrix_fit(
+        records in proptest::collection::vec(record_strategy(), 1..300),
+        window_secs in 1u64..4,
+    ) {
+        let dataset = Dataset::from_records(records);
+        let (matrix, _) = extract_matrix(&dataset, window_secs);
+        let rows = CaptureRows::new(&dataset, window_secs);
+        for method in [ScalingMethod::MinMax, ScalingMethod::ZScore] {
+            prop_assert_eq!(
+                format!("{:?}", Scaler::fit_rows(method, &rows)),
+                format!("{:?}", Scaler::fit_matrix(method, &matrix))
+            );
         }
     }
 }

@@ -3,7 +3,7 @@
 
 use capture::dataset::Dataset;
 use capture::record::Label;
-use features::extract::{extract_matrix, Window, TOTAL_FEATURES};
+use features::extract::{CaptureRows, Window, TOTAL_FEATURES};
 use features::scaling::{Scaler, ScalingMethod};
 use ml::autoencoder::{Autoencoder, AutoencoderConfig};
 use ml::classifier::{evaluate_view, Classifier, RowSpan, TrainError};
@@ -146,33 +146,41 @@ impl TrainedIds {
         config: IdsConfig,
         rng: &mut SimRng,
     ) -> Result<TrainingOutcome, TrainError> {
-        let (mut x, y) = extract_matrix(dataset, config.window_secs);
-        if x.is_empty() {
+        let rows = CaptureRows::new(dataset, config.window_secs);
+        if rows.is_empty() {
             return Err(TrainError::EmptyDataset);
         }
-        let scaler = Scaler::fit_transform_matrix(config.scaling, &mut x);
+        let scaler = Scaler::fit_rows(config.scaling, &rows);
+        let y = rows.labels();
+        // Only the rows a model reads are built, each split as its own
+        // scaled matrix: the sampled training rows and the holdout.
+        let scaled_rows = |indices: &[usize]| {
+            let mut x = rows.gather(indices);
+            scaler.transform_matrix(&mut x);
+            x
+        };
 
         // Hold out a random fraction for the paper's train-time metrics.
-        // Both splits are index views into the shared matrix — no feature
-        // value is copied.
-        let mut indices: Vec<usize> = (0..x.n_rows()).collect();
+        let mut indices: Vec<usize> = (0..rows.n_rows()).collect();
         rng.shuffle(&mut indices);
         let holdout =
-            ((x.n_rows() as f64 * config.holdout_fraction) as usize).min(x.n_rows() / 2);
+            ((rows.n_rows() as f64 * config.holdout_fraction) as usize).min(rows.n_rows() / 2);
         let (test_idx, train_idx) = indices.split_at(holdout);
 
         // Stratified cap on training samples.
         let train_idx = stratified_cap(train_idx, &y, config.max_train_samples, rng);
+        let xt = scaled_rows(&train_idx);
         let yt = gather(&y, &train_idx);
 
-        let model = train_model_view(kind, x.subset(&train_idx), &yt, rng)?;
+        let model = train_model_view(kind, xt.view(), &yt, rng)?;
 
-        let holdout_metrics = if test_idx.is_empty() {
-            evaluate_view(model.as_ref(), x.subset(&train_idx), &yt)
+        // With nothing held out, the metrics come from the training rows.
+        let (xe, ye) = if test_idx.is_empty() {
+            (xt, yt)
         } else {
-            let yh = gather(&y, test_idx);
-            evaluate_view(model.as_ref(), x.subset(test_idx), &yh)
+            (scaled_rows(test_idx), gather(&y, test_idx))
         };
+        let holdout_metrics = evaluate_view(model.as_ref(), xe.view(), &ye);
 
         Ok(TrainingOutcome {
             ids: TrainedIds { model, scaler, config },

@@ -4,8 +4,8 @@
 //! [`FeatureMatrix`] stores all samples in one contiguous row-major
 //! `Vec<f64>`: no heap allocation per sample and no pointer-chasing on
 //! row access. [`MatrixView`] lets callers hand out the whole matrix *or
-//! an index-based subset of its rows* (a train/holdout split, a
-//! bootstrap bag) without copying a single feature value.
+//! an index-based subset of its rows* without copying a single feature
+//! value.
 
 use crate::classifier::TrainError;
 
@@ -117,8 +117,7 @@ impl FeatureMatrix {
     }
 
     /// A borrowing view of the rows named by `indices` (in that order,
-    /// repeats allowed) — the zero-copy train/holdout split and bootstrap
-    /// bag primitive.
+    /// repeats allowed), without copying them.
     ///
     /// # Panics
     ///

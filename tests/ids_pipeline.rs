@@ -7,14 +7,16 @@ use ddoshield::experiments::{
 };
 use ddoshield::Testbed;
 use features::extract::extract_matrix;
-use ids::pipeline::{IdsConfig, ModelKind, TrainedIds};
+use features::scaling::{Scaler, ScalingMethod};
+use ids::pipeline::{train_model_view, IdsConfig, ModelKind, TrainedIds};
 use ml::autoencoder::Autoencoder;
-use ml::classifier::Classifier;
+use ml::classifier::{evaluate_view, Classifier, TrainError};
 use ml::cnn::Cnn;
 use ml::codec::DecodeError;
 use ml::iforest::IsolationForest;
 use ml::kmeans::{KMeansConfig, KMeansDetector};
-use ml::matrix::FeatureMatrix;
+use ml::matrix::{gather, FeatureMatrix};
+use ml::metrics::MetricsReport;
 use ml::rf::RandomForest;
 use ml::svm::LinearSvm;
 use netsim::rng::SimRng;
@@ -36,6 +38,134 @@ fn decode(kind: &ModelKind, blob: &[u8]) -> Result<Box<dyn Classifier>, DecodeEr
         ModelKind::IsolationForest(_) => Box::new(IsolationForest::decode(blob)?),
         ModelKind::Autoencoder(_) => Box::new(Autoencoder::decode(blob)?),
     })
+}
+
+/// What a training run produces, as the oracle comparison reads it.
+/// The scaler is kept as its `Debug` text: an `f64` prints in a form
+/// that reads back to the same bits, so equal text is equal bits,
+/// signed zeros included.
+#[derive(Debug, PartialEq)]
+struct Trained {
+    model: Vec<u8>,
+    scaler: String,
+    holdout_metrics: MetricsReport,
+    train_samples: usize,
+}
+
+/// The training path that builds every row, kept as the oracle of
+/// [`TrainedIds::train`]: the whole capture extracted and scaled, both
+/// splits as index views into it, and its own copy of the stratified
+/// cap. It draws from `rng` in the same order.
+fn train_full_matrix(
+    dataset: &capture::Dataset,
+    kind: &ModelKind,
+    config: IdsConfig,
+    rng: &mut SimRng,
+) -> Result<Trained, TrainError> {
+    let (mut x, y) = extract_matrix(dataset, config.window_secs);
+    if x.is_empty() {
+        return Err(TrainError::EmptyDataset);
+    }
+    let scaler = Scaler::fit_transform_matrix(config.scaling, &mut x);
+
+    let mut indices: Vec<usize> = (0..x.n_rows()).collect();
+    rng.shuffle(&mut indices);
+    let holdout = ((x.n_rows() as f64 * config.holdout_fraction) as usize).min(x.n_rows() / 2);
+    let (test_idx, train_idx) = indices.split_at(holdout);
+
+    let train_idx = if train_idx.len() <= config.max_train_samples {
+        train_idx.to_vec()
+    } else {
+        let mut by_class: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
+        for &i in train_idx {
+            by_class[y[i].min(1)].push(i);
+        }
+        let frac = config.max_train_samples as f64 / train_idx.len() as f64;
+        let mut capped = Vec::with_capacity(config.max_train_samples);
+        for class in &mut by_class {
+            rng.shuffle(class);
+            let take = ((class.len() as f64 * frac).round() as usize).min(class.len());
+            capped.extend_from_slice(&class[..take]);
+        }
+        capped.sort_unstable();
+        capped
+    };
+    let yt = gather(&y, &train_idx);
+
+    let model = train_model_view(kind, x.subset(&train_idx), &yt, rng)?;
+
+    let holdout_metrics = if test_idx.is_empty() {
+        evaluate_view(model.as_ref(), x.subset(&train_idx), &yt)
+    } else {
+        let yh = gather(&y, test_idx);
+        evaluate_view(model.as_ref(), x.subset(test_idx), &yh)
+    };
+    Ok(Trained {
+        model: model.encode(),
+        scaler: format!("{scaler:?}"),
+        holdout_metrics,
+        train_samples: train_idx.len(),
+    })
+}
+
+/// `TrainedIds::train`, which builds only the sampled and held-out
+/// rows, gives the full-matrix oracle's model bytes, scaler, holdout
+/// metrics and sample count. The paper's three models run over both
+/// scalings, with and without a holdout, capped at 2,000 rows and
+/// uncapped (a cap one above the training split, whose rows stay in
+/// shuffled order); every model kind runs over the default combination.
+#[test]
+fn training_matches_the_full_matrix_oracle() {
+    let capture = small_capture(21);
+    let scale = ExperimentScale {
+        capture_secs: 40,
+        live_secs: 40,
+        max_train_samples: 2_000,
+        cnn_epochs: 1,
+    };
+    // The paper's three models; the forest is trimmed so the uncapped
+    // fits stay quick at the test profile.
+    let mut paper = paper_models(&scale);
+    if let ModelKind::RandomForest(config) = &mut paper[0] {
+        config.n_trees = 4;
+    }
+    let default = IdsConfig { max_train_samples: 2_000, ..IdsConfig::default() };
+    let mut runs: Vec<(ModelKind, IdsConfig)> = Vec::new();
+    for kind in &paper {
+        for scaling in [ScalingMethod::MinMax, ScalingMethod::ZScore] {
+            for holdout_fraction in [0.2, 0.0] {
+                let n = capture.len();
+                let split = n - ((n as f64 * holdout_fraction) as usize).min(n / 2);
+                for max_train_samples in [2_000, split + 1] {
+                    let config =
+                        IdsConfig { scaling, holdout_fraction, max_train_samples, ..default };
+                    runs.push((kind.clone(), config));
+                }
+            }
+        }
+    }
+    for kind in [
+        ModelKind::Svm(Default::default()),
+        ModelKind::IsolationForest(Default::default()),
+        ModelKind::Autoencoder(Default::default()),
+    ] {
+        runs.push((kind, default));
+    }
+    assert_eq!(runs.len(), 3 * 8 + 3);
+    for (kind, config) in &runs {
+        let seed = 5 + config.max_train_samples as u64;
+        let expected = train_full_matrix(&capture, kind, *config, &mut SimRng::seed_from(seed))
+            .expect("the oracle trains");
+        let outcome = TrainedIds::train(&capture, kind, *config, &mut SimRng::seed_from(seed))
+            .expect("training works");
+        let got = Trained {
+            model: outcome.ids.model().encode(),
+            scaler: format!("{:?}", outcome.ids.scaler()),
+            holdout_metrics: outcome.holdout_metrics,
+            train_samples: outcome.train_samples,
+        };
+        assert!(got == expected, "{} {config:?}: training differs from the oracle", kind.name());
+    }
 }
 
 /// Models persisted to bytes (the paper's PKL files) reload and keep
