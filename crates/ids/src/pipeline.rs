@@ -370,8 +370,8 @@ impl std::fmt::Display for ClassifyError {
 
 impl std::error::Error for ClassifyError {}
 
-/// Trains the concrete model behind the [`Classifier`] interface on the
-/// rows of a matrix view (whole, or a [`FeatureMatrix::subset`] split).
+/// Trains the concrete model behind the [`Classifier`] interface on
+/// every row of a matrix view.
 pub fn train_model_view(
     kind: &ModelKind,
     view: MatrixView<'_>,

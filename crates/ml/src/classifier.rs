@@ -209,6 +209,7 @@ mod tests {
     use super::*;
     use crate::cnn::{Cnn, CnnConfig};
     use crate::kmeans::{KMeansConfig, KMeansDetector};
+    use crate::matrix::tests::gather_rows;
     use crate::matrix::FeatureMatrix;
     use crate::rf::{ForestConfig, RandomForest};
     use netsim::rng::SimRng;
@@ -249,8 +250,8 @@ mod tests {
         let m = FeatureMatrix::from_rows(&x).unwrap();
         let full = evaluate_view(&Always(1), m.view(), &y);
         assert!((full.accuracy - 0.5).abs() < 1e-12);
-        let subset = vec![0, 2];
-        let sub = evaluate_view(&Always(1), m.subset(&subset), &[1, 1]);
+        let subset = gather_rows(&m, &[0, 2]);
+        let sub = evaluate_view(&Always(1), subset.view(), &[1, 1]);
         assert!((sub.accuracy - 1.0).abs() < 1e-12);
     }
 
@@ -355,7 +356,7 @@ mod tests {
         assert_eq!(validate_matrix(m.view(), &[0]), Err(TrainError::LabelMismatch));
         assert_eq!(validate_matrix(m.view(), &[1, 1]), Err(TrainError::SingleClass));
         assert_eq!(validate_matrix(m.view(), &[0, 1]), Ok(1));
-        let empty: Vec<usize> = Vec::new();
-        assert_eq!(validate_matrix(m.subset(&empty), &[]), Err(TrainError::EmptyDataset));
+        let empty = gather_rows(&m, &[]);
+        assert_eq!(validate_matrix(empty.view(), &[]), Err(TrainError::EmptyDataset));
     }
 }

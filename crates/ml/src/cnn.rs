@@ -1170,6 +1170,7 @@ mod tests {
     use super::*;
     use crate::codec::tests::assert_trailing_byte_rejected;
     use crate::matrix::FeatureMatrix;
+    use crate::matrix::tests::gather_rows;
     use crate::classifier::predict_view;
     use crate::nn::softmax;
 
@@ -1671,7 +1672,7 @@ mod tests {
     /// The lane kernel must reproduce the nested-`Vec` reference forward
     /// pass bit for bit: on freshly initialised and trained networks
     /// across seeds, for single rows (one lane) and for every row count
-    /// through two full blocks and a partial tail, on subset views with
+    /// through two full blocks and a partial tail, on gathered rows with
     /// repeats and on span tilings with empty spans and spans straddling
     /// a lane block, through both copies of the block loop. The span
     /// kernel and `predict_view` must agree with per-row prediction on
@@ -1705,13 +1706,14 @@ mod tests {
                 }
                 for n in 0..=2 * LANES + 1 {
                     let ix: Vec<usize> = (0..n).map(|i| (i * 7 + seed as usize) % 11).collect();
-                    let view = m.subset(&ix);
+                    let rows = gather_rows(&m, &ix);
+                    let view = rows.view();
                     let want: Vec<Vec<u64>> = ix.iter().map(|&i| reference[i].clone()).collect();
                     for block_loop in BLOCK_LOOPS {
                         assert_eq!(
                             lane_bits(net, view, 0..n, block_loop),
                             want,
-                            "seed {seed}, {block_loop:?}: {n} subset rows"
+                            "seed {seed}, {block_loop:?}: {n} gathered rows"
                         );
                     }
                     let all = [RowSpan { start: 0, len: n }];
@@ -1720,7 +1722,8 @@ mod tests {
                 // Spans straddling the first block boundary, empty spans
                 // between and at both ends, and skipped rows.
                 let first: Vec<usize> = (0..2 * LANES + 1).collect();
-                let view = m.subset(&first);
+                let first = gather_rows(&m, &first);
+                let view = first.view();
                 let tilings: [&[RowSpan]; 3] = [
                     &[
                         RowSpan { start: 0, len: 0 },

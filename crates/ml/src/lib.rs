@@ -25,9 +25,10 @@
 //! helpers the trainers fan work out with).
 
 #![warn(missing_docs)]
-// Two `unsafe` blocks: the CNN's AVX2 dispatches for prediction and
-// training (`cnn.rs`), each allowed where it stands. Any other needs its
-// own allow and a `SAFETY` comment.
+// Three `unsafe` blocks: the CNN's AVX2 dispatches for prediction and
+// training (`cnn.rs`) and the K-Means block loop's (`kmeans.rs`), each
+// allowed where it stands. Any other needs its own allow and a `SAFETY`
+// comment.
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 

@@ -3,9 +3,10 @@
 //!
 //! [`FeatureMatrix`] stores all samples in one contiguous row-major
 //! `Vec<f64>`: no heap allocation per sample and no pointer-chasing on
-//! row access. [`MatrixView`] lets callers hand out the whole matrix *or
-//! an index-based subset of its rows* without copying a single feature
-//! value.
+//! row access. [`MatrixView`] lends the whole matrix to a trainer or a
+//! predictor without copying a single feature value. A subset of rows,
+//! such as a training sample or a holdout, is built as a matrix of its
+//! own, so every row read is one slice.
 
 use crate::classifier::TrainError;
 
@@ -113,39 +114,24 @@ impl FeatureMatrix {
 
     /// A borrowing view of every row.
     pub fn view(&self) -> MatrixView<'_> {
-        MatrixView { data: &self.data, n_cols: self.n_cols, indices: None }
-    }
-
-    /// A borrowing view of the rows named by `indices` (in that order,
-    /// repeats allowed), without copying them.
-    ///
-    /// # Panics
-    ///
-    /// Row accesses through the view panic if an index is out of range.
-    pub fn subset<'a>(&'a self, indices: &'a [usize]) -> MatrixView<'a> {
-        MatrixView { data: &self.data, n_cols: self.n_cols, indices: Some(indices) }
+        MatrixView { data: &self.data, n_cols: self.n_cols }
     }
 }
 
-/// A borrowed, possibly row-subsetted window onto a [`FeatureMatrix`].
+/// A borrowed view of every row of a [`FeatureMatrix`].
 ///
-/// `Copy`, pointer-sized, and `Sync` — cheap to hand to every worker
+/// `Copy`, two words, and `Sync` — cheap to hand to every worker
 /// thread of a parallel training loop.
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixView<'a> {
     data: &'a [f64],
     n_cols: usize,
-    indices: Option<&'a [usize]>,
 }
 
 impl<'a> MatrixView<'a> {
-    /// Number of rows visible through the view.
+    /// Number of rows in the view.
     pub fn n_rows(&self) -> usize {
-        match self.indices {
-            Some(ix) => ix.len(),
-            None if self.n_cols == 0 => 0,
-            None => self.data.len() / self.n_cols,
-        }
+        self.data.len().checked_div(self.n_cols).unwrap_or(0)
     }
 
     /// Number of columns.
@@ -153,39 +139,45 @@ impl<'a> MatrixView<'a> {
         self.n_cols
     }
 
-    /// `true` when no rows are visible.
+    /// `true` when the view has no rows.
     pub fn is_empty(&self) -> bool {
         self.n_rows() == 0
     }
 
-    /// Borrows the `i`-th visible row.
+    /// Borrows row `i`.
     ///
     /// # Panics
     ///
-    /// Panics when `i` (or the subset index it maps to) is out of range.
+    /// Panics when `i` is out of range.
     pub fn row(&self, i: usize) -> &'a [f64] {
-        let physical = match self.indices {
-            Some(ix) => ix[i],
-            None => i,
-        };
-        &self.data[physical * self.n_cols..(physical + 1) * self.n_cols]
+        &self.data[i * self.n_cols..(i + 1) * self.n_cols]
     }
 
-    /// Iterates over the visible rows in order.
+    /// Iterates over the rows in order.
     pub fn rows(&self) -> impl Iterator<Item = &'a [f64]> + '_ {
         (0..self.n_rows()).map(|i| self.row(i))
     }
 }
 
-/// Gathers `values[i]` for each subset index — the label-side companion
-/// of [`FeatureMatrix::subset`].
+/// Gathers `values[i]` for each index, in index order, repeats allowed:
+/// the labels of a sampled or held-out set of rows.
 pub fn gather<T: Copy>(values: &[T], indices: &[usize]) -> Vec<T> {
     indices.iter().map(|&i| values[i]).collect()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The rows of `m` named by `indices`, in that order, repeats
+    /// allowed, as a matrix of their own.
+    pub(crate) fn gather_rows(m: &FeatureMatrix, indices: &[usize]) -> FeatureMatrix {
+        let mut out = FeatureMatrix::with_capacity(indices.len(), m.n_cols());
+        for &i in indices {
+            out.push_row(m.row(i));
+        }
+        out
+    }
 
     fn sample() -> FeatureMatrix {
         FeatureMatrix::from_rows(&[
@@ -231,17 +223,6 @@ mod tests {
     #[should_panic(expected = "arity mismatch")]
     fn push_row_rejects_wrong_arity() {
         sample().push_row(&[1.0]);
-    }
-
-    #[test]
-    fn subset_views_borrow_with_repeats() {
-        let m = sample();
-        let ix = vec![2, 0, 0];
-        let v = m.subset(&ix);
-        assert_eq!(v.n_rows(), 3);
-        assert_eq!(v.row(0), &[4.0, 5.0]);
-        assert_eq!(v.row(1), &[0.0, 1.0]);
-        assert_eq!(v.row(2), &[0.0, 1.0]);
     }
 
     #[test]

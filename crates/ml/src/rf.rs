@@ -616,7 +616,8 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Trains a forest on a matrix view (zero-copy over subsets).
+    /// Trains a forest on every row of a matrix view; each tree's
+    /// bootstrap bag is a list of row indices into it, not a copy.
     ///
     /// Bootstrap bags and per-tree RNG streams are derived serially from
     /// `rng`, then the trees fit in parallel and are collected in tree
@@ -816,7 +817,7 @@ mod tests {
     use crate::codec::tests::assert_trailing_byte_rejected;
     use crate::matrix::FeatureMatrix;
     use crate::classifier::predict_view;
-    use crate::matrix::gather;
+    use crate::matrix::tests::gather_rows;
 
     /// Two Gaussian-ish blobs separable on feature 0.
     fn blobs(n: usize, rng: &mut SimRng) -> (FeatureMatrix, Vec<usize>) {
@@ -957,27 +958,6 @@ mod tests {
         assert!(correct as f64 / clean.len() as f64 > 0.9);
         // A NaN probe routes to *some* leaf rather than panicking.
         let _ = forest.predict(&[f64::NAN, f64::NAN]);
-    }
-
-    /// The zero-copy subset path must behave exactly like materialising
-    /// the subset rows and training on the copy.
-    #[test]
-    fn subset_view_training_matches_materialized_copy() {
-        let mut rng = SimRng::seed_from(10);
-        let (x, y) = blobs(200, &mut rng);
-        let subset: Vec<usize> = (0..x.n_rows()).filter(|i| i % 3 != 0).collect();
-        let ys = gather(&y, &subset);
-
-        let mut rng_a = SimRng::seed_from(11);
-        let via_view =
-            RandomForest::fit_view(x.subset(&subset), &ys, &ForestConfig::default(), &mut rng_a)
-                .unwrap();
-        let rows: Vec<Vec<f64>> = subset.iter().map(|&i| x.row(i).to_vec()).collect();
-        let copy = FeatureMatrix::from_rows(&rows).unwrap();
-        let mut rng_b = SimRng::seed_from(11);
-        let via_copy =
-            RandomForest::fit_view(copy.view(), &ys, &ForestConfig::default(), &mut rng_b).unwrap();
-        assert_eq!(via_view.encode(), via_copy.encode());
     }
 
     /// The profiling hook agrees with `predict` and reports the nodes
@@ -1182,7 +1162,8 @@ mod tests {
         }
         assert_eq!(at, blob.len());
         let first: Vec<usize> = (0..40).collect();
-        let rows = x.subset(&first);
+        let first = gather_rows(&x, &first);
+        let rows = first.view();
         let mut decoded = 0;
         for &(field, width, id, count) in &fields {
             for value in [0, id, count, u64::from(u32::MAX)] {

@@ -154,6 +154,10 @@ pub struct Link {
     /// when a frame leaves `in_flight`. The event loop samples it on
     /// every link event, so it is kept rather than summed per lane.
     queued: usize,
+    /// Frames waiting in lane queues, not yet on the wire: +1 on
+    /// enqueue, −1 in `begin_tx`. At zero, arbitration has nothing to
+    /// start and returns at once.
+    waiting: usize,
     stats: LinkStats,
     /// Administrative state; fault plans flap this.
     up: bool,
@@ -206,6 +210,7 @@ impl Link {
             config,
             lanes,
             queued: 0,
+            waiting: 0,
             stats: LinkStats::default(),
             up: true,
             loss_override: None,
@@ -360,6 +365,13 @@ impl Link {
         self.lanes.iter().map(|l| l.queue.len() + usize::from(l.in_flight.is_some())).sum()
     }
 
+    /// The lanes' own count of waiting frames: the oracle for the
+    /// running `waiting` total.
+    #[cfg(test)]
+    fn lane_waiting(&self) -> usize {
+        self.lanes.iter().map(|l| l.queue.len()).sum()
+    }
+
     /// Accepts a packet from `from` for transmission.
     ///
     /// Returns the drop reason if the packet was not accepted. The
@@ -393,13 +405,14 @@ impl Link {
         };
         self.lanes[lane_idx].queue.push_back(frame);
         self.queued += 1;
+        self.waiting += 1;
         self.try_start_tx(now, queue);
         Ok(())
     }
 
     /// Starts transmissions on any idle lane/bus with pending packets.
     fn try_start_tx(&mut self, now: SimTime, queue: &mut EventQueue) {
-        if !self.up {
+        if !self.up || self.waiting == 0 {
             return;
         }
         match &mut self.kind {
@@ -412,40 +425,26 @@ impl Link {
                 if *bus_busy {
                     return;
                 }
-                let n = self.lanes.len();
-                let start = *rr_next;
-                for offset in 0..n {
-                    let lane_idx = (start + offset) % n;
-                    if !self.lanes[lane_idx].queue.is_empty() {
-                        *rr_next = (lane_idx + 1) % n;
-                        *bus_busy = true;
-                        self.begin_tx(now, lane_idx, SimDuration::ZERO, queue);
-                        return;
-                    }
+                if let Some(lane_idx) = next_waiting_lane(&self.lanes, rr_next) {
+                    *bus_busy = true;
+                    self.begin_tx(now, lane_idx, SimDuration::ZERO, queue);
                 }
             }
             LinkKind::Wifi { medium_busy, rr_next, backoff_state } => {
                 if *medium_busy {
                     return;
                 }
-                let n = self.lanes.len();
-                let start = *rr_next;
-                for offset in 0..n {
-                    let lane_idx = (start + offset) % n;
-                    if !self.lanes[lane_idx].queue.is_empty() {
-                        *rr_next = (lane_idx + 1) % n;
-                        *medium_busy = true;
-                        // xorshift* step for the backoff draw.
-                        let mut x = *backoff_state;
-                        x ^= x >> 12;
-                        x ^= x << 25;
-                        x ^= x >> 27;
-                        *backoff_state = x;
-                        let slots = x.wrapping_mul(0x2545_f491_4f6c_dd1d) % WIFI_CW_SLOTS;
-                        let overhead = WIFI_DIFS + WIFI_SLOT * slots;
-                        self.begin_tx(now, lane_idx, overhead, queue);
-                        return;
-                    }
+                if let Some(lane_idx) = next_waiting_lane(&self.lanes, rr_next) {
+                    *medium_busy = true;
+                    // xorshift* step for the backoff draw.
+                    let mut x = *backoff_state;
+                    x ^= x >> 12;
+                    x ^= x << 25;
+                    x ^= x >> 27;
+                    *backoff_state = x;
+                    let slots = x.wrapping_mul(0x2545_f491_4f6c_dd1d) % WIFI_CW_SLOTS;
+                    let overhead = WIFI_DIFS + WIFI_SLOT * slots;
+                    self.begin_tx(now, lane_idx, overhead, queue);
                 }
             }
         }
@@ -478,6 +477,7 @@ impl Link {
             SimDuration::from_secs_f64(base.as_secs_f64() / self.bandwidth_scale)
         };
         self.lanes[lane_idx].in_flight = Some(frame);
+        self.waiting -= 1;
         queue.schedule(
             now + access_overhead + ser,
             Event::LinkTxComplete { link: self.id, lane: lane_idx },
@@ -597,6 +597,23 @@ impl Link {
             }
         }
     }
+}
+
+/// Round-robin arbitration of a shared medium: the first lane from
+/// `rr_next` on, wrapping, with a frame waiting, with `rr_next` moved to
+/// the lane after it. `None` when every queue is empty.
+fn next_waiting_lane(lanes: &[Lane], rr_next: &mut usize) -> Option<usize> {
+    let n = lanes.len();
+    let mut lane_idx = *rr_next;
+    for _ in 0..n {
+        let next = if lane_idx + 1 == n { 0 } else { lane_idx + 1 };
+        if !lanes[lane_idx].queue.is_empty() {
+            *rr_next = next;
+            return Some(lane_idx);
+        }
+        lane_idx = next;
+    }
+    None
 }
 
 #[cfg(test)]
@@ -991,10 +1008,11 @@ mod tests {
         );
     }
 
-    /// The running `queued` count against the lanes' own sum, on every
-    /// link kind, under random enqueues (to members, broadcast and
-    /// nobody), tx completions, channel loss, tail drops at a tiny
-    /// queue, link cuts and restores, and a member joining mid-run.
+    /// The running `queued` and `waiting` counts against the lanes' own
+    /// sums, on every link kind, under random enqueues (to members,
+    /// broadcast and nobody), tx completions, channel loss, tail drops
+    /// at a tiny queue, link cuts and restores, and a member joining
+    /// mid-run.
     #[test]
     fn queued_count_tracks_the_lane_sum() {
         let nodes: Vec<NodeId> = (0..4).map(NodeId::from_raw).collect();
@@ -1051,12 +1069,13 @@ mod tests {
                     link.add_member(nodes[3]);
                 }
                 assert_eq!(link.queued, link.lane_sum(), "seed {seed} op {op}");
+                assert_eq!(link.waiting, link.lane_waiting(), "seed {seed} op {op}");
             }
             link.set_up(now, true, &mut queue);
             drain(&mut link, &mut pool, &mut queue, &res);
             assert_eq!(
-                (link.queued_packets(), link.lane_sum()),
-                (0, 0),
+                (link.queued_packets(), link.lane_sum(), link.waiting),
+                (0, 0, 0),
                 "seed {seed}"
             );
         }

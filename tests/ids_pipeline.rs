@@ -22,6 +22,16 @@ use ml::svm::LinearSvm;
 use netsim::rng::SimRng;
 use netsim::time::SimDuration;
 
+/// The rows of `x` named by `indices`, in that order, as a matrix of
+/// their own.
+fn gather_rows(x: &FeatureMatrix, indices: &[usize]) -> FeatureMatrix {
+    let mut out = FeatureMatrix::with_capacity(indices.len(), x.n_cols());
+    for &i in indices {
+        out.push_row(x.row(i));
+    }
+    out
+}
+
 fn small_capture(seed: u64) -> capture::Dataset {
     let mut testbed = Testbed::deploy(training_scenario(seed, 40));
     testbed.run_infection_lead();
@@ -54,8 +64,8 @@ struct Trained {
 
 /// The training path that builds every row, kept as the oracle of
 /// [`TrainedIds::train`]: the whole capture extracted and scaled, both
-/// splits as index views into it, and its own copy of the stratified
-/// cap. It draws from `rng` in the same order.
+/// splits copied out of it by [`gather_rows`], and its own copy of the
+/// stratified cap. It draws from `rng` in the same order.
 fn train_full_matrix(
     dataset: &capture::Dataset,
     kind: &ModelKind,
@@ -91,14 +101,15 @@ fn train_full_matrix(
         capped
     };
     let yt = gather(&y, &train_idx);
+    let xt = gather_rows(&x, &train_idx);
 
-    let model = train_model_view(kind, x.subset(&train_idx), &yt, rng)?;
+    let model = train_model_view(kind, xt.view(), &yt, rng)?;
 
     let holdout_metrics = if test_idx.is_empty() {
-        evaluate_view(model.as_ref(), x.subset(&train_idx), &yt)
+        evaluate_view(model.as_ref(), xt.view(), &yt)
     } else {
         let yh = gather(&y, test_idx);
-        evaluate_view(model.as_ref(), x.subset(test_idx), &yh)
+        evaluate_view(model.as_ref(), gather_rows(&x, test_idx).view(), &yh)
     };
     Ok(Trained {
         model: model.encode(),
