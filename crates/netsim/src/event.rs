@@ -203,8 +203,6 @@ pub struct EventQueue {
     occupied: [u64; LEVELS],
     /// Far-future events (tick outside the cursor's top-level window).
     overflow: BinaryHeap<Scheduled>,
-    /// Reused buffer for sorting a drained level-0 slot.
-    scratch: Vec<Scheduled>,
     /// Cursor tick. Monotonic; all wheel events are strictly after it.
     cur: u64,
     len: usize,
@@ -221,7 +219,6 @@ impl Default for EventQueue {
             heads: [[NIL; SLOTS]; LEVELS],
             occupied: [0; LEVELS],
             overflow: BinaryHeap::new(),
-            scratch: Vec::new(),
             cur: 0,
             len: 0,
             next_seq: 0,
@@ -393,7 +390,7 @@ impl EventQueue {
     }
 
     /// One cursor hop toward the next pending event. Drains the nearest
-    /// occupied level-0 slot into the ready run, or cascades one
+    /// occupied level-0 slot into the (empty) ready run, or cascades one
     /// higher-level slot (re-filing its events a level down), or pulls
     /// the next top-level window out of the overflow heap. Returns
     /// `false` when nothing is pending outside the ready run.
@@ -402,22 +399,25 @@ impl EventQueue {
     /// the cursor's level-k window but not its level-(k-1) window, so it
     /// is strictly later than every event still filed below level k.
     fn advance(&mut self) -> bool {
-        // Level 0 drains straight into the ready run.
+        // Level 0 drains straight into the ready run and is sorted
+        // there. `refill_ready` calls this only while the run is empty,
+        // so the slot's events are the whole run.
         let idx0 = (self.cur & SLOT_MASK) as usize;
         if let Some(slot) = next_occupied(self.occupied[0], idx0) {
             self.cur = (self.cur & !SLOT_MASK) | slot as u64;
             self.occupied[0] &= !(1 << slot);
             let mut idx = mem::replace(&mut self.heads[0][slot], NIL);
-            debug_assert!(self.scratch.is_empty());
+            debug_assert!(self.ready.is_empty());
             while idx != NIL {
                 let next = self.arena[idx as usize].next;
                 let item = self.take_item(idx);
                 self.free_node(idx);
-                self.scratch.push(item);
+                self.ready.push_back(item);
                 idx = next;
             }
-            self.scratch.sort_unstable_by_key(|e| (e.time, e.seq));
-            self.ready.extend(self.scratch.drain(..));
+            self.ready
+                .make_contiguous()
+                .sort_unstable_by_key(|e| (e.time, e.seq));
             return true;
         }
         // Higher levels cascade: jump the cursor to the slot's window

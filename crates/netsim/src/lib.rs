@@ -53,7 +53,7 @@ pub use buggify::BuggifyConfig;
 pub use faults::{FaultAction, FaultEntry, FaultPlan};
 pub use ids::{AppId, ConnId, LinkId, NodeId, TimerId};
 pub use link::LinkConfig;
-pub use packet::{Addr, FiveTuple, Packet, Protocol, Provenance, TcpFlags};
+pub use packet::{Addr, Packet, Protocol, Provenance, TcpFlags};
 pub use pool::{PacketId, PacketPool};
 pub use rng::SimRng;
 pub use tcp::{TcpEvent, MSS};

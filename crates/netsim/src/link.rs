@@ -111,16 +111,20 @@ struct QueuedFrame {
     dst: Addr,
 }
 
+/// One member's transmit side: its queue and the frame it has on the
+/// wire. The member's address is fixed when it joins (node addresses
+/// never change), so unicast delivery matches it here.
 #[derive(Debug)]
 struct Lane {
     owner: NodeId,
+    addr: Addr,
     queue: VecDeque<QueuedFrame>,
     in_flight: Option<QueuedFrame>,
 }
 
 impl Lane {
-    fn new(owner: NodeId) -> Self {
-        Lane { owner, queue: VecDeque::new(), in_flight: None }
+    fn new((owner, addr): (NodeId, Addr)) -> Self {
+        Lane { owner, addr, queue: VecDeque::new(), in_flight: None }
     }
 }
 
@@ -174,27 +178,6 @@ pub struct Link {
     loss_rng: SimRng,
 }
 
-/// Minimal view of a node the link needs for delivery resolution.
-#[derive(Debug, Clone, Copy)]
-pub struct EndpointInfo {
-    /// The node's address.
-    pub addr: Addr,
-    /// Whether the node is administratively up.
-    pub up: bool,
-}
-
-/// Resolves endpoint info for delivery targeting.
-pub trait EndpointResolver {
-    /// Looks up address/state for a node attached to the link.
-    fn endpoint(&self, node: NodeId) -> EndpointInfo;
-}
-
-impl<F: Fn(NodeId) -> EndpointInfo> EndpointResolver for F {
-    fn endpoint(&self, node: NodeId) -> EndpointInfo {
-        self(node)
-    }
-}
-
 impl Link {
     /// Seed for a link's private loss RNG when none is supplied via
     /// [`Link::seed_loss_rng`] (golden-ratio mix of the link id, the
@@ -220,17 +203,19 @@ impl Link {
         }
     }
 
-    /// Creates a full-duplex point-to-point link between `a` and `b`.
-    pub fn p2p(id: LinkId, a: NodeId, b: NodeId, config: LinkConfig) -> Self {
-        Link::with_kind(id, LinkKind::P2p { a, b }, config, vec![Lane::new(a), Lane::new(b)])
+    /// Creates a full-duplex point-to-point link between `a` and `b`,
+    /// each given as `(node, address)`.
+    pub fn p2p(id: LinkId, a: (NodeId, Addr), b: (NodeId, Addr), config: LinkConfig) -> Self {
+        Link::with_kind(id, LinkKind::P2p { a: a.0, b: b.0 }, config, vec![Lane::new(a), Lane::new(b)])
     }
 
-    /// Creates a shared CSMA bus over `members`.
+    /// Creates a shared CSMA bus over `members`, each given as
+    /// `(node, address)`.
     ///
     /// The bus may start empty; members can be attached later with
     /// [`Link::add_member`] (containers join the testbed bridge one at a
     /// time as they are deployed).
-    pub fn csma(id: LinkId, members: &[NodeId], config: LinkConfig) -> Self {
+    pub fn csma(id: LinkId, members: &[(NodeId, Addr)], config: LinkConfig) -> Self {
         Link::with_kind(
             id,
             LinkKind::Csma { bus_busy: false, rr_next: 0 },
@@ -242,7 +227,7 @@ impl Link {
     /// Creates an 802.11-style shared medium over `members` (DDoSim's
     /// Wi-Fi network option): CSMA semantics plus DIFS + random backoff
     /// per frame, so contention overhead and jitter are modelled.
-    pub fn wifi(id: LinkId, members: &[NodeId], config: LinkConfig) -> Self {
+    pub fn wifi(id: LinkId, members: &[(NodeId, Addr)], config: LinkConfig) -> Self {
         Link::with_kind(
             id,
             LinkKind::Wifi {
@@ -312,35 +297,20 @@ impl Link {
         self.bandwidth_scale = scale.max(1e-6);
     }
 
-    /// The current bandwidth multiplier.
-    pub fn bandwidth_scale(&self) -> f64 {
-        self.bandwidth_scale
-    }
-
     /// Sets extra one-way delay on top of the configured propagation
     /// delay (latency jitter).
     pub fn set_extra_delay(&mut self, delay: SimDuration) {
         self.extra_delay = delay;
     }
 
-    /// The extra one-way delay currently in force.
-    pub fn extra_delay(&self) -> SimDuration {
-        self.extra_delay
-    }
-
-    /// Nodes attached to this link.
-    pub fn members(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.lanes.iter().map(|l| l.owner)
-    }
-
-    /// Attaches another member to a CSMA bus.
+    /// Attaches another member, with its address, to a shared bus.
     ///
     /// # Panics
     ///
     /// Panics on point-to-point links.
-    pub fn add_member(&mut self, node: NodeId) {
+    pub fn add_member(&mut self, node: NodeId, addr: Addr) {
         match self.kind {
-            LinkKind::Csma { .. } | LinkKind::Wifi { .. } => self.lanes.push(Lane::new(node)),
+            LinkKind::Csma { .. } | LinkKind::Wifi { .. } => self.lanes.push(Lane::new((node, addr))),
             LinkKind::P2p { .. } => panic!("cannot add members to a point-to-point link"),
         }
     }
@@ -494,11 +464,10 @@ impl Link {
     /// (which sets `in_flight`), and nothing else clears the slot, so
     /// this fires only on a corrupted event stream — e.g. a
     /// hand-crafted or double-delivered event.
-    pub fn on_tx_complete<R: EndpointResolver>(
+    pub fn on_tx_complete(
         &mut self,
         now: SimTime,
         lane_idx: usize,
-        resolver: &R,
         pool: &mut PacketPool,
         queue: &mut EventQueue,
     ) {
@@ -530,18 +499,17 @@ impl Link {
             self.stats.drops_lost += 1;
             pool.release(frame.id);
         } else {
-            self.deliver_targets(now, sender, frame, resolver, pool, queue);
+            self.deliver_targets(now, sender, frame, pool, queue);
         }
 
         self.try_start_tx(now, queue);
     }
 
-    fn deliver_targets<R: EndpointResolver>(
+    fn deliver_targets(
         &mut self,
         now: SimTime,
         sender: NodeId,
         frame: QueuedFrame,
-        resolver: &R,
         pool: &mut PacketPool,
         queue: &mut EventQueue,
     ) {
@@ -580,9 +548,8 @@ impl Link {
                         pool.release(frame.id);
                     }
                 } else {
-                    let target =
-                        self.lanes.iter().map(|l| l.owner).find(|&n| resolver.endpoint(n).addr == frame.dst);
-                    match target {
+                    // The first member, in lane order, holding the address.
+                    match self.lanes.iter().find(|l| l.addr == frame.dst).map(|l| l.owner) {
                         Some(target) => {
                             self.stats.delivered_packets += 1;
                             self.stats.delivered_bytes += frame.wire_len as u64;
@@ -625,25 +592,20 @@ mod tests {
         Packet::udp(Addr::new(10, 0, 0, 1), dst, 1111, 2222, Bytes::from(vec![0u8; len]))
     }
 
-    fn resolver(table: Vec<(NodeId, Addr)>) -> impl EndpointResolver {
-        move |node: NodeId| {
-            let addr = table.iter().find(|(n, _)| *n == node).map(|(_, a)| *a).unwrap_or(Addr::UNSPECIFIED);
-            EndpointInfo { addr, up: true }
-        }
+    /// Node `i` with address `10.0.0.(i + 1)`.
+    fn member(i: u32) -> (NodeId, Addr) {
+        (NodeId::from_raw(i), Addr::new(10, 0, 0, i as u8 + 1))
     }
 
-    fn drain(
-        link: &mut Link,
-        pool: &mut PacketPool,
-        queue: &mut EventQueue,
-        resolver: &impl EndpointResolver,
-    ) -> Vec<(SimTime, NodeId, Packet)> {
+    fn members(n: u32) -> Vec<(NodeId, Addr)> {
+        (0..n).map(member).collect()
+    }
+
+    fn drain(link: &mut Link, pool: &mut PacketPool, queue: &mut EventQueue) -> Vec<(SimTime, NodeId, Packet)> {
         let mut deliveries = Vec::new();
         while let Some((t, ev)) = queue.pop() {
             match ev {
-                Event::LinkTxComplete { lane, .. } => {
-                    link.on_tx_complete(t, lane, resolver, pool, queue)
-                }
+                Event::LinkTxComplete { lane, .. } => link.on_tx_complete(t, lane, pool, queue),
                 Event::Deliver { node, packet, .. } => {
                     let body = pool.get(packet).clone();
                     pool.release(packet);
@@ -665,8 +627,7 @@ mod tests {
 
     #[test]
     fn p2p_delivers_to_peer_after_ser_plus_delay() {
-        let a = NodeId::from_raw(0);
-        let b = NodeId::from_raw(1);
+        let (a, b) = (member(0), member(1));
         let cfg = LinkConfig {
             bandwidth_bps: 8_000_000,
             delay: SimDuration::from_millis(1),
@@ -676,16 +637,15 @@ mod tests {
         let mut link = Link::p2p(LinkId::from_raw(0), a, b, cfg);
         let mut pool = PacketPool::new();
         let mut queue = EventQueue::new();
-        let res = resolver(vec![(a, Addr::new(10, 0, 0, 1)), (b, Addr::new(10, 0, 0, 2))]);
 
-        let p = packet(Addr::new(10, 0, 0, 2), 972); // 1000 bytes on the wire
+        let p = packet(b.1, 972); // 1000 bytes on the wire
         let wire = p.wire_len();
         assert_eq!(wire, 1000);
-        link.enqueue(SimTime::ZERO, a, p, &mut pool, &mut queue).unwrap();
-        let deliveries = drain(&mut link, &mut pool, &mut queue, &res);
+        link.enqueue(SimTime::ZERO, a.0, p, &mut pool, &mut queue).unwrap();
+        let deliveries = drain(&mut link, &mut pool, &mut queue);
         assert_eq!(deliveries.len(), 1);
         let (t, node, _) = &deliveries[0];
-        assert_eq!(*node, b);
+        assert_eq!(*node, b.0);
         assert_eq!(*t, SimTime::ZERO + SimDuration::from_micros(1000) + SimDuration::from_millis(1));
         assert_eq!(link.stats().tx_packets, 1);
         assert_eq!(link.stats().delivered_packets, 1);
@@ -693,8 +653,7 @@ mod tests {
 
     #[test]
     fn queue_overflow_tail_drops() {
-        let a = NodeId::from_raw(0);
-        let b = NodeId::from_raw(1);
+        let (a, b) = (member(0), member(1));
         let cfg = LinkConfig { queue_packets: 2, ..LinkConfig::lan_100mbps() };
         let mut link = Link::p2p(LinkId::from_raw(0), a, b, cfg);
         let mut pool = PacketPool::new();
@@ -702,7 +661,7 @@ mod tests {
 
         // First fill: one in flight + two queued, the rest dropped.
         for _ in 0..5 {
-            let _ = link.enqueue(SimTime::ZERO, a, packet(Addr::new(10, 0, 0, 2), 100), &mut pool, &mut queue);
+            let _ = link.enqueue(SimTime::ZERO, a.0, packet(b.1, 100), &mut pool, &mut queue);
         }
         assert_eq!(link.stats().drops_queue_full, 2);
         assert_eq!(link.queued_packets(), 3);
@@ -712,8 +671,7 @@ mod tests {
 
     #[test]
     fn csma_shares_the_bus_round_robin() {
-        let nodes: Vec<NodeId> = (0..3).map(NodeId::from_raw).collect();
-        let addrs: Vec<Addr> = (0..3).map(|i| Addr::new(10, 0, 0, i as u8 + 1)).collect();
+        let nodes = members(3);
         let cfg = LinkConfig {
             bandwidth_bps: 8_000_000,
             delay: SimDuration::from_micros(10),
@@ -723,14 +681,13 @@ mod tests {
         let mut link = Link::csma(LinkId::from_raw(0), &nodes, cfg);
         let mut pool = PacketPool::new();
         let mut queue = EventQueue::new();
-        let res = resolver(nodes.iter().copied().zip(addrs.iter().copied()).collect());
 
         // Nodes 0 and 1 both flood node 2; transmissions must interleave.
         for _ in 0..3 {
-            link.enqueue(SimTime::ZERO, nodes[0], packet(addrs[2], 100), &mut pool, &mut queue).unwrap();
-            link.enqueue(SimTime::ZERO, nodes[1], packet(addrs[2], 100), &mut pool, &mut queue).unwrap();
+            link.enqueue(SimTime::ZERO, nodes[0].0, packet(nodes[2].1, 100), &mut pool, &mut queue).unwrap();
+            link.enqueue(SimTime::ZERO, nodes[1].0, packet(nodes[2].1, 100), &mut pool, &mut queue).unwrap();
         }
-        let deliveries = drain(&mut link, &mut pool, &mut queue, &res);
+        let deliveries = drain(&mut link, &mut pool, &mut queue);
         assert_eq!(deliveries.len(), 6);
         // Delivery times strictly increase: the bus serialises one at a time.
         for w in deliveries.windows(2) {
@@ -740,29 +697,51 @@ mod tests {
 
     #[test]
     fn csma_unroutable_is_counted_not_delivered() {
-        let nodes: Vec<NodeId> = (0..2).map(NodeId::from_raw).collect();
+        let nodes = members(2);
         let mut link = Link::csma(LinkId::from_raw(0), &nodes, LinkConfig::lan_100mbps());
         let mut pool = PacketPool::new();
         let mut queue = EventQueue::new();
-        let res = resolver(vec![
-            (nodes[0], Addr::new(10, 0, 0, 1)),
-            (nodes[1], Addr::new(10, 0, 0, 2)),
-        ]);
-        link.enqueue(SimTime::ZERO, nodes[0], packet(Addr::new(10, 0, 0, 99), 100), &mut pool, &mut queue).unwrap();
-        let deliveries = drain(&mut link, &mut pool, &mut queue, &res);
+        link.enqueue(SimTime::ZERO, nodes[0].0, packet(Addr::new(10, 0, 0, 99), 100), &mut pool, &mut queue).unwrap();
+        let deliveries = drain(&mut link, &mut pool, &mut queue);
         assert!(deliveries.is_empty());
         assert_eq!(link.stats().drops_unroutable, 1);
     }
 
+    /// The join path every testbed container takes (one member at a
+    /// time through `add_member`), on both shared-medium kinds: the
+    /// joined member receives frames addressed to it, and a frame to an
+    /// address no member holds is counted unroutable and leaves the pool.
+    #[test]
+    fn joined_member_receives_unicast_and_strangers_are_unroutable() {
+        for wifi in [false, true] {
+            let (id, cfg) = (LinkId::from_raw(0), LinkConfig::lan_100mbps());
+            let mut link = if wifi { Link::wifi(id, &[], cfg) } else { Link::csma(id, &[], cfg) };
+            for (node, addr) in members(3) {
+                link.add_member(node, addr);
+            }
+            let (sender, joined) = (member(0).0, member(2));
+            let mut pool = PacketPool::new();
+            let mut queue = EventQueue::new();
+            link.enqueue(SimTime::ZERO, sender, packet(joined.1, 100), &mut pool, &mut queue).unwrap();
+            let deliveries = drain(&mut link, &mut pool, &mut queue);
+            assert_eq!(deliveries.iter().map(|(_, n, _)| *n).collect::<Vec<_>>(), vec![joined.0]);
+
+            link.enqueue(SimTime::ZERO, sender, packet(Addr::new(10, 0, 0, 99), 100), &mut pool, &mut queue).unwrap();
+            assert!(drain(&mut link, &mut pool, &mut queue).is_empty());
+            assert_eq!(link.stats().drops_unroutable, 1);
+            assert_eq!(link.stats().delivered_packets, 1);
+            assert_eq!(pool.live(), 0, "the unroutable frame must be released");
+        }
+    }
+
     #[test]
     fn csma_broadcast_reaches_everyone_but_sender() {
-        let nodes: Vec<NodeId> = (0..4).map(NodeId::from_raw).collect();
+        let nodes = members(4);
         let mut link = Link::csma(LinkId::from_raw(0), &nodes, LinkConfig::lan_100mbps());
         let mut pool = PacketPool::new();
         let mut queue = EventQueue::new();
-        let res = resolver(nodes.iter().map(|&n| (n, Addr::new(10, 0, 0, n.as_raw() as u8 + 1))).collect());
-        link.enqueue(SimTime::ZERO, nodes[0], packet(Addr::BROADCAST, 10), &mut pool, &mut queue).unwrap();
-        let deliveries = drain(&mut link, &mut pool, &mut queue, &res);
+        link.enqueue(SimTime::ZERO, nodes[0].0, packet(Addr::BROADCAST, 10), &mut pool, &mut queue).unwrap();
+        let deliveries = drain(&mut link, &mut pool, &mut queue);
         let mut receivers: Vec<u32> = deliveries.iter().map(|(_, n, _)| n.as_raw()).collect();
         receivers.sort_unstable();
         assert_eq!(receivers, vec![1, 2, 3]);
@@ -773,17 +752,15 @@ mod tests {
 
     #[test]
     fn total_loss_drops_everything() {
-        let a = NodeId::from_raw(0);
-        let b = NodeId::from_raw(1);
+        let (a, b) = (member(0), member(1));
         let cfg = LinkConfig { loss_rate: 1.0, ..LinkConfig::lan_100mbps() };
         let mut link = Link::p2p(LinkId::from_raw(0), a, b, cfg);
         let mut pool = PacketPool::new();
         let mut queue = EventQueue::new();
-        let res = resolver(vec![(a, Addr::new(10, 0, 0, 1)), (b, Addr::new(10, 0, 0, 2))]);
         for _ in 0..5 {
-            link.enqueue(SimTime::ZERO, a, packet(Addr::new(10, 0, 0, 2), 100), &mut pool, &mut queue).unwrap();
+            link.enqueue(SimTime::ZERO, a.0, packet(b.1, 100), &mut pool, &mut queue).unwrap();
         }
-        let deliveries = drain(&mut link, &mut pool, &mut queue, &res);
+        let deliveries = drain(&mut link, &mut pool, &mut queue);
         assert!(deliveries.is_empty());
         assert_eq!(link.stats().drops_lost, 5);
         // Lost frames were released back to the pool.
@@ -794,22 +771,20 @@ mod tests {
     fn wifi_pays_contention_overhead() {
         // Identical traffic over CSMA vs Wi-Fi: Wi-Fi finishes later
         // because every frame pays DIFS + backoff.
-        let nodes: Vec<NodeId> = (0..2).map(NodeId::from_raw).collect();
-        let addrs = [Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2)];
+        let nodes = members(2);
         let cfg = LinkConfig {
             bandwidth_bps: 8_000_000,
             delay: SimDuration::from_micros(10),
             queue_packets: 64,
             loss_rate: 0.0,
         };
-        let res = resolver(nodes.iter().copied().zip(addrs.iter().copied()).collect());
         let finish = |mut link: Link| {
             let mut pool = PacketPool::new();
             let mut queue = EventQueue::new();
             for _ in 0..20 {
-                link.enqueue(SimTime::ZERO, nodes[0], packet(addrs[1], 100), &mut pool, &mut queue).unwrap();
+                link.enqueue(SimTime::ZERO, nodes[0].0, packet(nodes[1].1, 100), &mut pool, &mut queue).unwrap();
             }
-            let deliveries = drain(&mut link, &mut pool, &mut queue, &res);
+            let deliveries = drain(&mut link, &mut pool, &mut queue);
             assert_eq!(deliveries.len(), 20);
             deliveries.last().unwrap().0
         };
@@ -825,17 +800,15 @@ mod tests {
 
     #[test]
     fn wifi_backoff_is_deterministic_per_link() {
-        let nodes: Vec<NodeId> = (0..2).map(NodeId::from_raw).collect();
-        let addrs = [Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2)];
-        let res = resolver(nodes.iter().copied().zip(addrs.iter().copied()).collect());
+        let nodes = members(2);
         let run = || {
             let mut link = Link::wifi(LinkId::from_raw(3), &nodes, LinkConfig::wifi_54mbps());
             let mut pool = PacketPool::new();
             let mut queue = EventQueue::new();
             for _ in 0..10 {
-                link.enqueue(SimTime::ZERO, nodes[0], packet(addrs[1], 200), &mut pool, &mut queue).unwrap();
+                link.enqueue(SimTime::ZERO, nodes[0].0, packet(nodes[1].1, 200), &mut pool, &mut queue).unwrap();
             }
-            drain(&mut link, &mut pool, &mut queue, &res)
+            drain(&mut link, &mut pool, &mut queue)
                 .into_iter()
                 .map(|(t, _, _)| t)
                 .collect::<Vec<_>>()
@@ -850,38 +823,29 @@ mod tests {
         // loss pattern — completely unchanged, because each link draws
         // from its own private RNG stream.
         let run = |loss_a: f64| -> Vec<(SimTime, u32)> {
-            let a0 = NodeId::from_raw(0);
-            let a1 = NodeId::from_raw(1);
-            let b0 = NodeId::from_raw(2);
-            let b1 = NodeId::from_raw(3);
+            let [a0, a1, b0, b1] = [0, 1, 2, 3].map(member);
             let cfg_a = LinkConfig { loss_rate: loss_a, ..LinkConfig::lan_100mbps() };
             let cfg_b = LinkConfig { loss_rate: 0.3, ..LinkConfig::lan_100mbps() };
             let mut link_a = Link::p2p(LinkId::from_raw(0), a0, a1, cfg_a);
             let mut link_b = Link::p2p(LinkId::from_raw(1), b0, b1, cfg_b);
             let mut pool = PacketPool::new();
             let mut queue = EventQueue::new();
-            let res = resolver(vec![
-                (a0, Addr::new(10, 0, 0, 1)),
-                (a1, Addr::new(10, 0, 0, 2)),
-                (b0, Addr::new(10, 0, 1, 1)),
-                (b1, Addr::new(10, 0, 1, 2)),
-            ]);
             for _ in 0..30 {
-                link_a.enqueue(SimTime::ZERO, a0, packet(Addr::new(10, 0, 0, 2), 100), &mut pool, &mut queue).unwrap();
-                link_b.enqueue(SimTime::ZERO, b0, packet(Addr::new(10, 0, 1, 2), 100), &mut pool, &mut queue).unwrap();
+                link_a.enqueue(SimTime::ZERO, a0.0, packet(a1.1, 100), &mut pool, &mut queue).unwrap();
+                link_b.enqueue(SimTime::ZERO, b0.0, packet(b1.1, 100), &mut pool, &mut queue).unwrap();
             }
             let mut deliveries = Vec::new();
             while let Some((t, ev)) = queue.pop() {
                 match ev {
                     Event::LinkTxComplete { link, lane } => {
                         if link == LinkId::from_raw(0) {
-                            link_a.on_tx_complete(t, lane, &res, &mut pool, &mut queue);
+                            link_a.on_tx_complete(t, lane, &mut pool, &mut queue);
                         } else {
-                            link_b.on_tx_complete(t, lane, &res, &mut pool, &mut queue);
+                            link_b.on_tx_complete(t, lane, &mut pool, &mut queue);
                         }
                     }
                     Event::Deliver { node, packet, .. } => {
-                        if node == b1 {
+                        if node == b1.0 {
                             deliveries.push((t, node.as_raw()));
                         }
                         pool.release(packet);
@@ -901,12 +865,10 @@ mod tests {
         // frame even while loss is zero, so toggling an override mid-run
         // reproduces the same per-frame loss pattern as an uninterrupted
         // lossy run at the same frame positions.
-        let a = NodeId::from_raw(0);
-        let b = NodeId::from_raw(1);
-        let res = resolver(vec![(a, Addr::new(10, 0, 0, 1)), (b, Addr::new(10, 0, 0, 2))]);
+        let (a, b) = (member(0), member(1));
         let send_batch = |link: &mut Link, pool: &mut PacketPool, queue: &mut EventQueue, n: usize| {
             for _ in 0..n {
-                link.enqueue(SimTime::ZERO, a, packet(Addr::new(10, 0, 0, 2), 100), pool, queue).unwrap();
+                link.enqueue(SimTime::ZERO, a.0, packet(b.1, 100), pool, queue).unwrap();
             }
         };
 
@@ -916,7 +878,7 @@ mod tests {
         let mut pool = PacketPool::new();
         let mut queue = EventQueue::new();
         send_batch(&mut reference, &mut pool, &mut queue, 40);
-        drain(&mut reference, &mut pool, &mut queue, &res);
+        drain(&mut reference, &mut pool, &mut queue);
         let reference_lost = reference.stats().drops_lost;
 
         // Same link id (same private seed): 20 lossless frames, then an
@@ -926,62 +888,58 @@ mod tests {
             Link::p2p(LinkId::from_raw(7), a, b, LinkConfig::lan_100mbps());
         let mut queue = EventQueue::new();
         send_batch(&mut toggled, &mut pool, &mut queue, 20);
-        drain(&mut toggled, &mut pool, &mut queue, &res);
+        drain(&mut toggled, &mut pool, &mut queue);
         assert_eq!(toggled.stats().drops_lost, 0);
         toggled.set_loss_override(Some(0.5));
         send_batch(&mut toggled, &mut pool, &mut queue, 20);
-        drain(&mut toggled, &mut pool, &mut queue, &res);
+        drain(&mut toggled, &mut pool, &mut queue);
 
         // Count the reference's losses among its last 20 frames only.
         let cfg_first_half = LinkConfig { loss_rate: 0.5, ..LinkConfig::lan_100mbps() };
         let mut first_half = Link::p2p(LinkId::from_raw(7), a, b, cfg_first_half);
         let mut queue = EventQueue::new();
         send_batch(&mut first_half, &mut pool, &mut queue, 20);
-        drain(&mut first_half, &mut pool, &mut queue, &res);
+        drain(&mut first_half, &mut pool, &mut queue);
         let reference_last_20 = reference_lost - first_half.stats().drops_lost;
         assert_eq!(toggled.stats().drops_lost, reference_last_20);
     }
 
     #[test]
     fn down_link_rejects_and_destroys_frames() {
-        let a = NodeId::from_raw(0);
-        let b = NodeId::from_raw(1);
+        let (a, b) = (member(0), member(1));
         let mut link = Link::p2p(LinkId::from_raw(0), a, b, LinkConfig::lan_100mbps());
         let mut pool = PacketPool::new();
         let mut queue = EventQueue::new();
-        let res = resolver(vec![(a, Addr::new(10, 0, 0, 1)), (b, Addr::new(10, 0, 0, 2))]);
 
         // One frame goes in flight, then the link is cut: the in-flight
         // frame is destroyed at tx-complete time.
-        link.enqueue(SimTime::ZERO, a, packet(Addr::new(10, 0, 0, 2), 100), &mut pool, &mut queue).unwrap();
+        link.enqueue(SimTime::ZERO, a.0, packet(b.1, 100), &mut pool, &mut queue).unwrap();
         link.set_up(SimTime::ZERO, false, &mut queue);
         assert_eq!(
-            link.enqueue(SimTime::ZERO, a, packet(Addr::new(10, 0, 0, 2), 100), &mut pool, &mut queue),
+            link.enqueue(SimTime::ZERO, a.0, packet(b.1, 100), &mut pool, &mut queue),
             Err(DropReason::LinkDown)
         );
-        let deliveries = drain(&mut link, &mut pool, &mut queue, &res);
+        let deliveries = drain(&mut link, &mut pool, &mut queue);
         assert!(deliveries.is_empty());
         assert_eq!(link.stats().drops_link_down, 2);
         assert_eq!(pool.live(), 0, "destroyed in-flight frame must be released");
 
         // Restoring the link lets traffic flow again.
         link.set_up(SimTime::from_secs(1), true, &mut queue);
-        link.enqueue(SimTime::from_secs(1), a, packet(Addr::new(10, 0, 0, 2), 100), &mut pool, &mut queue).unwrap();
-        let deliveries = drain(&mut link, &mut pool, &mut queue, &res);
+        link.enqueue(SimTime::from_secs(1), a.0, packet(b.1, 100), &mut pool, &mut queue).unwrap();
+        let deliveries = drain(&mut link, &mut pool, &mut queue);
         assert_eq!(deliveries.len(), 1);
     }
 
     #[test]
     fn throttle_and_jitter_stretch_delivery() {
-        let a = NodeId::from_raw(0);
-        let b = NodeId::from_raw(1);
+        let (a, b) = (member(0), member(1));
         let cfg = LinkConfig {
             bandwidth_bps: 8_000_000,
             delay: SimDuration::from_millis(1),
             queue_packets: 10,
             loss_rate: 0.0,
         };
-        let res = resolver(vec![(a, Addr::new(10, 0, 0, 1)), (b, Addr::new(10, 0, 0, 2))]);
         let deliver_at = |scale: Option<f64>, extra: Option<SimDuration>| {
             let mut link = Link::p2p(LinkId::from_raw(0), a, b, cfg);
             if let Some(s) = scale {
@@ -992,8 +950,8 @@ mod tests {
             }
             let mut pool = PacketPool::new();
             let mut queue = EventQueue::new();
-            link.enqueue(SimTime::ZERO, a, packet(Addr::new(10, 0, 0, 2), 972), &mut pool, &mut queue).unwrap();
-            drain(&mut link, &mut pool, &mut queue, &res)[0].0
+            link.enqueue(SimTime::ZERO, a.0, packet(b.1, 972), &mut pool, &mut queue).unwrap();
+            drain(&mut link, &mut pool, &mut queue)[0].0
         };
         let nominal = deliver_at(None, None);
         // Quartering the bandwidth quadruples the 1000 µs serialisation time.
@@ -1015,9 +973,7 @@ mod tests {
     /// mid-run.
     #[test]
     fn queued_count_tracks_the_lane_sum() {
-        let nodes: Vec<NodeId> = (0..4).map(NodeId::from_raw).collect();
-        let addr = |n: NodeId| Addr::new(10, 0, 0, n.as_raw() as u8 + 1);
-        let res = resolver(nodes.iter().map(|&n| (n, addr(n))).collect());
+        let nodes = members(4);
         let cfg = LinkConfig {
             queue_packets: 3,
             ..LinkConfig::lan_100mbps()
@@ -1036,12 +992,12 @@ mod tests {
             for op in 0..3000 {
                 match rng.below(10) {
                     0..=4 => {
-                        let members: Vec<NodeId> = link.members().collect();
-                        let from = members[rng.below(members.len() as u64) as usize];
+                        let joined = &nodes[..link.lanes.len()];
+                        let from = joined[rng.below(joined.len() as u64) as usize].0;
                         let dst = match rng.below(4) {
                             0 => Addr::BROADCAST,
                             1 => Addr::new(192, 168, 0, 1),
-                            _ => addr(members[rng.below(members.len() as u64) as usize]),
+                            _ => joined[rng.below(joined.len() as u64) as usize].1,
                         };
                         let _ = link.enqueue(now, from, packet(dst, 64), &mut pool, &mut queue);
                     }
@@ -1050,7 +1006,7 @@ mod tests {
                             now = t;
                             match ev {
                                 Event::LinkTxComplete { lane, .. } => {
-                                    link.on_tx_complete(t, lane, &res, &mut pool, &mut queue)
+                                    link.on_tx_complete(t, lane, &mut pool, &mut queue)
                                 }
                                 Event::Deliver { packet, .. } => {
                                     pool.release(packet);
@@ -1066,13 +1022,13 @@ mod tests {
                     }
                 }
                 if op == 1500 && !matches!(link.kind, LinkKind::P2p { .. }) {
-                    link.add_member(nodes[3]);
+                    link.add_member(nodes[3].0, nodes[3].1);
                 }
                 assert_eq!(link.queued, link.lane_sum(), "seed {seed} op {op}");
                 assert_eq!(link.waiting, link.lane_waiting(), "seed {seed} op {op}");
             }
             link.set_up(now, true, &mut queue);
-            drain(&mut link, &mut pool, &mut queue, &res);
+            drain(&mut link, &mut pool, &mut queue);
             assert_eq!(
                 (link.queued_packets(), link.lane_sum(), link.waiting),
                 (0, 0, 0),
@@ -1084,12 +1040,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "point-to-point")]
     fn p2p_rejects_extra_members() {
-        let mut link = Link::p2p(
-            LinkId::from_raw(0),
-            NodeId::from_raw(0),
-            NodeId::from_raw(1),
-            LinkConfig::default(),
-        );
-        link.add_member(NodeId::from_raw(2));
+        let mut link = Link::p2p(LinkId::from_raw(0), member(0), member(1), LinkConfig::default());
+        let (node, addr) = member(2);
+        link.add_member(node, addr);
     }
 }

@@ -1,8 +1,7 @@
-//! Simulated nodes (hosts) and their routing/transport state.
+//! Simulated nodes (hosts) and their transport state.
 
 use serde::{Deserialize, Serialize};
 
-use crate::fxhash::FxHashMap;
 use crate::ids::{LinkId, NodeId};
 use crate::packet::Addr;
 use crate::tcp::TcpHost;
@@ -22,7 +21,7 @@ pub struct NodeStats {
     pub recv_bytes: u64,
     /// Packets discarded because the node was administratively down.
     pub dropped_down: u64,
-    /// Packets discarded because no route matched the destination.
+    /// Packets discarded because the node was attached to no link.
     pub dropped_no_route: u64,
 }
 
@@ -37,11 +36,8 @@ pub struct Node {
     pub name: String,
     /// Administrative state (churned-out devices are down).
     pub up: bool,
-    /// Links this node is attached to.
-    pub links: Vec<LinkId>,
-    /// Explicit host routes.
-    pub routes: FxHashMap<Addr, LinkId>,
-    /// Fallback link for unmatched destinations.
+    /// The link every packet this node sends goes out on: the first
+    /// link it was attached to.
     pub default_link: Option<LinkId>,
     /// TCP state.
     pub tcp: TcpHost,
@@ -69,8 +65,6 @@ impl Node {
             addr,
             name: name.into(),
             up: true,
-            links: Vec::new(),
-            routes: FxHashMap::default(),
             default_link: None,
             tcp: TcpHost::new(),
             udp: UdpHost::new(),
@@ -91,19 +85,11 @@ impl Node {
     }
 
     /// Attaches the node to a link; the first attachment becomes the
-    /// default route.
+    /// default link.
     pub fn attach(&mut self, link: LinkId) {
-        if !self.links.contains(&link) {
-            self.links.push(link);
-        }
         if self.default_link.is_none() {
             self.default_link = Some(link);
         }
-    }
-
-    /// Chooses the egress link for a destination address.
-    pub fn route(&self, dst: Addr) -> Option<LinkId> {
-        self.routes.get(&dst).copied().or(self.default_link)
     }
 }
 
@@ -114,26 +100,9 @@ mod tests {
     #[test]
     fn first_attachment_is_default_route() {
         let mut n = Node::new(NodeId::from_raw(0), Addr::new(10, 0, 0, 1), "dev-0");
-        assert_eq!(n.route(Addr::new(1, 2, 3, 4)), None);
+        assert_eq!(n.default_link, None);
         n.attach(LinkId::from_raw(5));
         n.attach(LinkId::from_raw(6));
-        assert_eq!(n.route(Addr::new(1, 2, 3, 4)), Some(LinkId::from_raw(5)));
-    }
-
-    #[test]
-    fn host_routes_override_default() {
-        let mut n = Node::new(NodeId::from_raw(0), Addr::new(10, 0, 0, 1), "dev-0");
-        n.attach(LinkId::from_raw(1));
-        n.routes.insert(Addr::new(10, 0, 0, 9), LinkId::from_raw(2));
-        assert_eq!(n.route(Addr::new(10, 0, 0, 9)), Some(LinkId::from_raw(2)));
-        assert_eq!(n.route(Addr::new(10, 0, 0, 8)), Some(LinkId::from_raw(1)));
-    }
-
-    #[test]
-    fn duplicate_attach_is_idempotent() {
-        let mut n = Node::new(NodeId::from_raw(0), Addr::new(10, 0, 0, 1), "dev-0");
-        n.attach(LinkId::from_raw(1));
-        n.attach(LinkId::from_raw(1));
-        assert_eq!(n.links.len(), 1);
+        assert_eq!(n.default_link, Some(LinkId::from_raw(5)));
     }
 }

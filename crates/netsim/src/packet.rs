@@ -378,60 +378,6 @@ impl Packet {
             Transport::Udp(_) => None,
         }
     }
-
-    /// The (src addr, src port, dst addr, dst port, protocol) 5-tuple.
-    pub fn five_tuple(&self) -> FiveTuple {
-        FiveTuple {
-            src: self.src,
-            src_port: self.transport.src_port(),
-            dst: self.dst,
-            dst_port: self.transport.dst_port(),
-            protocol: self.protocol(),
-        }
-    }
-}
-
-/// A flow identifier: the classic 5-tuple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct FiveTuple {
-    /// Source address.
-    pub src: Addr,
-    /// Source port.
-    pub src_port: u16,
-    /// Destination address.
-    pub dst: Addr,
-    /// Destination port.
-    pub dst_port: u16,
-    /// Transport protocol.
-    pub protocol: Protocol,
-}
-
-impl FiveTuple {
-    /// The same flow viewed from the opposite direction.
-    pub fn reversed(self) -> FiveTuple {
-        FiveTuple {
-            src: self.dst,
-            src_port: self.dst_port,
-            dst: self.src,
-            dst_port: self.src_port,
-            protocol: self.protocol,
-        }
-    }
-
-    /// A direction-independent key identifying the bidirectional flow.
-    pub fn canonical(self) -> FiveTuple {
-        if (self.src, self.src_port) <= (self.dst, self.dst_port) {
-            self
-        } else {
-            self.reversed()
-        }
-    }
-}
-
-impl fmt::Display for FiveTuple {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}:{} -> {}:{}", self.protocol, self.src, self.src_port, self.dst, self.dst_port)
-    }
 }
 
 #[cfg(test)]
@@ -477,14 +423,6 @@ mod tests {
             Bytes::new(),
         );
         assert_eq!(tcp.wire_len(), IPV4_HEADER_LEN + TCP_HEADER_LEN);
-    }
-
-    #[test]
-    fn five_tuple_reversal_and_canonical() {
-        let p = Packet::udp(Addr::new(9, 0, 0, 1), Addr::new(1, 0, 0, 1), 5000, 80, Bytes::new());
-        let t = p.five_tuple();
-        assert_eq!(t.reversed().reversed(), t);
-        assert_eq!(t.canonical(), t.reversed().canonical());
     }
 
     #[test]

@@ -26,47 +26,24 @@ use crate::time::{SimDuration, SimTime};
 /// Maximum segment size used by all simulated hosts.
 pub const MSS: usize = 1460;
 
-/// Tunable parameters of the TCP implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TcpConfig {
-    /// Maximum payload bytes per segment.
-    pub mss: usize,
-    /// Initial congestion window in bytes.
-    pub initial_cwnd: usize,
-    /// Initial slow-start threshold in bytes.
-    pub initial_ssthresh: usize,
-    /// Initial retransmission timeout.
-    pub initial_rto: SimDuration,
-    /// Lower bound on the RTO.
-    pub min_rto: SimDuration,
-    /// Upper bound on the RTO.
-    pub max_rto: SimDuration,
-    /// Retries before a handshake is abandoned.
-    pub max_syn_retries: u32,
-    /// Retries before an established connection is abandoned.
-    pub max_retries: u32,
-    /// Advertised receive window in bytes.
-    pub recv_window: u16,
-    /// Cap on buffered out-of-order segments.
-    pub max_ooo_segments: usize,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            mss: MSS,
-            initial_cwnd: 10 * MSS,
-            initial_ssthresh: 64 * 1024,
-            initial_rto: SimDuration::from_millis(200),
-            min_rto: SimDuration::from_millis(50),
-            max_rto: SimDuration::from_secs(8),
-            max_syn_retries: 4,
-            max_retries: 6,
-            recv_window: u16::MAX,
-            max_ooo_segments: 256,
-        }
-    }
-}
+/// Initial congestion window in bytes.
+const INITIAL_CWND: usize = 10 * MSS;
+/// Initial slow-start threshold in bytes.
+const INITIAL_SSTHRESH: usize = 64 * 1024;
+/// Retransmission timeout before the first RTT sample.
+const INITIAL_RTO: SimDuration = SimDuration::from_millis(200);
+/// Lower bound on the RTO.
+const MIN_RTO: SimDuration = SimDuration::from_millis(50);
+/// Upper bound on the RTO.
+const MAX_RTO: SimDuration = SimDuration::from_secs(8);
+/// Retries before a handshake is abandoned.
+const MAX_SYN_RETRIES: u32 = 4;
+/// Retries before an established connection is abandoned.
+const MAX_RETRIES: u32 = 6;
+/// Advertised receive window in bytes.
+const RECV_WINDOW: u16 = u16::MAX;
+/// Cap on buffered out-of-order segments.
+const MAX_OOO_SEGMENTS: usize = 256;
 
 /// `a < b` in sequence-number space.
 #[inline]
@@ -346,7 +323,6 @@ pub struct TcpConn {
 
 impl TcpConn {
     /// Opens a connection actively: emits the initial SYN.
-    #[allow(clippy::too_many_arguments)]
     pub fn open_active(
         id: ConnId,
         app: AppId,
@@ -354,13 +330,12 @@ impl TcpConn {
         remote: (Addr, u16),
         provenance: Provenance,
         iss: u32,
-        cfg: &TcpConfig,
         effects: &mut TcpEffects,
     ) -> Self {
-        let mut conn = TcpConn::blank(id, app, local, remote, provenance, iss, cfg);
+        let mut conn = TcpConn::blank(id, app, local, remote, provenance, iss);
         conn.state = TcpState::SynSent;
         conn.snd_nxt = iss.wrapping_add(1);
-        let syn = conn.control_segment(iss, 0, TcpFlags::SYN, cfg);
+        let syn = conn.control_segment(iss, 0, TcpFlags::SYN);
         effects.segments.push(syn);
         conn
     }
@@ -376,15 +351,14 @@ impl TcpConn {
         provenance: Provenance,
         iss: u32,
         peer_seq: u32,
-        cfg: &TcpConfig,
         effects: &mut TcpEffects,
     ) -> Self {
-        let mut conn = TcpConn::blank(id, app, local, remote, provenance, iss, cfg);
+        let mut conn = TcpConn::blank(id, app, local, remote, provenance, iss);
         conn.state = TcpState::SynReceived;
         conn.accepted_from_listener = true;
         conn.snd_nxt = iss.wrapping_add(1);
         conn.rcv_nxt = peer_seq.wrapping_add(1);
-        let syn_ack = conn.control_segment(iss, conn.rcv_nxt, TcpFlags::SYN | TcpFlags::ACK, cfg);
+        let syn_ack = conn.control_segment(iss, conn.rcv_nxt, TcpFlags::SYN | TcpFlags::ACK);
         effects.segments.push(syn_ack);
         conn
     }
@@ -396,7 +370,6 @@ impl TcpConn {
         remote: (Addr, u16),
         provenance: Provenance,
         iss: u32,
-        cfg: &TcpConfig,
     ) -> Self {
         TcpConn {
             id,
@@ -410,13 +383,13 @@ impl TcpConn {
             snd_nxt: iss,
             unacked: ChunkQueue::default(),
             unsent: ChunkQueue::default(),
-            cwnd: cfg.initial_cwnd,
-            ssthresh: cfg.initial_ssthresh,
-            peer_window: cfg.recv_window as usize,
+            cwnd: INITIAL_CWND,
+            ssthresh: INITIAL_SSTHRESH,
+            peer_window: RECV_WINDOW as usize,
             dup_acks: 0,
             srtt: None,
             rttvar: 0.0,
-            rto: cfg.initial_rto,
+            rto: INITIAL_RTO,
             retries: 0,
             rtt_probe: None,
             recover_point: None,
@@ -488,26 +461,26 @@ impl TcpConn {
         self.cwnd
     }
 
-    fn control_segment(&self, seq: u32, ack: u32, flags: TcpFlags, cfg: &TcpConfig) -> Packet {
+    fn control_segment(&self, seq: u32, ack: u32, flags: TcpFlags) -> Packet {
         let header = TcpHeader {
             src_port: self.local.1,
             dst_port: self.remote.1,
             seq,
             ack,
             flags,
-            window: cfg.recv_window,
+            window: RECV_WINDOW,
         };
         Packet::tcp(self.local.0, self.remote.0, header, Bytes::new()).with_provenance(self.provenance)
     }
 
-    fn data_segment(&self, seq: u32, payload: Bytes, cfg: &TcpConfig) -> Packet {
+    fn data_segment(&self, seq: u32, payload: Bytes) -> Packet {
         let header = TcpHeader {
             src_port: self.local.1,
             dst_port: self.remote.1,
             seq,
             ack: self.rcv_nxt,
             flags: TcpFlags::ACK | TcpFlags::PSH,
-            window: cfg.recv_window,
+            window: RECV_WINDOW,
         };
         Packet::tcp(self.local.0, self.remote.0, header, payload).with_provenance(self.provenance)
     }
@@ -515,36 +488,36 @@ impl TcpConn {
     /// Queues application bytes for transmission (copies once, into a
     /// fresh chunk). Callers that already hold a [`Bytes`] should prefer
     /// [`TcpConn::send_bytes`].
-    pub fn send(&mut self, data: &[u8], now: SimTime, cfg: &TcpConfig, effects: &mut TcpEffects) {
-        self.send_bytes(Bytes::from(data.to_vec()), now, cfg, effects);
+    pub fn send(&mut self, data: &[u8], now: SimTime, effects: &mut TcpEffects) {
+        self.send_bytes(Bytes::from(data.to_vec()), now, effects);
     }
 
     /// Queues an owned buffer for transmission without copying it: the
     /// chunk is sliced (refcount bumps) as it is segmented onto the wire.
-    pub fn send_bytes(&mut self, data: Bytes, now: SimTime, cfg: &TcpConfig, effects: &mut TcpEffects) {
+    pub fn send_bytes(&mut self, data: Bytes, now: SimTime, effects: &mut TcpEffects) {
         if matches!(self.state, TcpState::Closed | TcpState::FinWait | TcpState::LastAck) {
             return;
         }
         self.bytes_sent += data.len() as u64;
         self.unsent.push(data);
-        self.try_transmit(now, cfg, effects);
+        self.try_transmit(now, effects);
     }
 
     /// Requests a graceful close: a FIN is emitted once queued data drains.
-    pub fn close(&mut self, now: SimTime, cfg: &TcpConfig, effects: &mut TcpEffects) {
+    pub fn close(&mut self, now: SimTime, effects: &mut TcpEffects) {
         if self.close_requested || self.is_closed() {
             return;
         }
         self.close_requested = true;
-        self.try_transmit(now, cfg, effects);
+        self.try_transmit(now, effects);
     }
 
     /// Aborts the connection immediately with a RST.
-    pub fn abort(&mut self, cfg: &TcpConfig, effects: &mut TcpEffects) {
+    pub fn abort(&mut self, effects: &mut TcpEffects) {
         if self.is_closed() {
             return;
         }
-        let rst = self.control_segment(self.snd_nxt, self.rcv_nxt, TcpFlags::RST | TcpFlags::ACK, cfg);
+        let rst = self.control_segment(self.snd_nxt, self.rcv_nxt, TcpFlags::RST | TcpFlags::ACK);
         effects.segments.push(rst);
         self.state = TcpState::Closed;
         effects.events.push((self.app, TcpEvent::Closed { conn: self.id }));
@@ -552,14 +525,14 @@ impl TcpConn {
 
     /// Sends as much queued data as the congestion and peer windows allow,
     /// plus the FIN if a close was requested and the send queue drained.
-    pub fn try_transmit(&mut self, now: SimTime, cfg: &TcpConfig, effects: &mut TcpEffects) {
+    pub fn try_transmit(&mut self, now: SimTime, effects: &mut TcpEffects) {
         if !matches!(self.state, TcpState::Established | TcpState::CloseWait) {
             return;
         }
         let window = self.cwnd.min(self.peer_window);
         while !self.unsent.is_empty() && self.unacked.len() < window {
             let budget = window - self.unacked.len();
-            let take = self.unsent.len().min(cfg.mss).min(budget);
+            let take = self.unsent.len().min(MSS).min(budget);
             if take == 0 {
                 break;
             }
@@ -573,13 +546,13 @@ impl TcpConn {
             if self.rtt_probe.is_none() && self.retries == 0 {
                 self.rtt_probe = Some((self.snd_nxt, now));
             }
-            effects.segments.push(self.data_segment(seq, chunk, cfg));
+            effects.segments.push(self.data_segment(seq, chunk));
         }
         if self.close_requested && !self.fin_sent && self.unsent.is_empty() {
             self.fin_seq = self.snd_nxt;
             self.snd_nxt = self.snd_nxt.wrapping_add(1);
             self.fin_sent = true;
-            let fin = self.control_segment(self.fin_seq, self.rcv_nxt, TcpFlags::FIN | TcpFlags::ACK, cfg);
+            let fin = self.control_segment(self.fin_seq, self.rcv_nxt, TcpFlags::FIN | TcpFlags::ACK);
             effects.segments.push(fin);
             self.state = match self.state {
                 TcpState::CloseWait => TcpState::LastAck,
@@ -594,7 +567,6 @@ impl TcpConn {
         now: SimTime,
         header: &TcpHeader,
         payload: Bytes,
-        cfg: &TcpConfig,
         effects: &mut TcpEffects,
     ) {
         if self.is_closed() {
@@ -615,10 +587,10 @@ impl TcpConn {
                     self.rcv_nxt = header.seq.wrapping_add(1);
                     self.retries = 0;
                     self.state = TcpState::Established;
-                    let ack = self.control_segment(self.snd_nxt, self.rcv_nxt, TcpFlags::ACK, cfg);
+                    let ack = self.control_segment(self.snd_nxt, self.rcv_nxt, TcpFlags::ACK);
                     effects.segments.push(ack);
                     effects.events.push((self.app, TcpEvent::Connected { conn: self.id }));
-                    self.try_transmit(now, cfg, effects);
+                    self.try_transmit(now, effects);
                 }
                 // Anything else in SynSent is ignored (no simultaneous open).
                 return;
@@ -642,7 +614,7 @@ impl TcpConn {
                     if header.flags.contains(TcpFlags::SYN) {
                         let iss = self.snd_nxt.wrapping_sub(1);
                         let syn_ack =
-                            self.control_segment(iss, self.rcv_nxt, TcpFlags::SYN | TcpFlags::ACK, cfg);
+                            self.control_segment(iss, self.rcv_nxt, TcpFlags::SYN | TcpFlags::ACK);
                         effects.segments.push(syn_ack);
                     }
                     return;
@@ -652,15 +624,16 @@ impl TcpConn {
         }
 
         if header.flags.contains(TcpFlags::ACK) {
-            self.process_ack(header.ack, payload.is_empty(), now, cfg, effects);
+            self.process_ack(header.ack, payload.is_empty(), now, effects);
         }
-        if !payload.is_empty() {
-            self.process_payload(header.seq, payload, cfg, effects);
+        let payload_len = payload.len();
+        if payload_len > 0 {
+            self.process_payload(header.seq, payload, effects);
         }
         if header.flags.contains(TcpFlags::FIN) {
-            self.process_fin(header, cfg, effects);
+            self.process_fin(header.seq, payload_len, effects);
         }
-        self.try_transmit(now, cfg, effects);
+        self.try_transmit(now, effects);
         self.maybe_finish(effects);
     }
 
@@ -678,7 +651,6 @@ impl TcpConn {
         ack: u32,
         bare_ack: bool,
         now: SimTime,
-        cfg: &TcpConfig,
         effects: &mut TcpEffects,
     ) {
         if seq_lt(self.snd_una, ack) && seq_le(ack, self.snd_nxt) {
@@ -696,25 +668,25 @@ impl TcpConn {
             // new data is acknowledged (Karn's rule blocks RTT samples
             // during recovery, so without this the RTO stays pinned at
             // its backed-off value for the rest of the transfer).
-            self.rto = self.computed_rto(cfg);
+            self.rto = self.computed_rto();
             if let Some(rp) = self.recover_point {
                 if seq_lt(ack, rp) {
                     // NewReno partial ACK: the hole right above `ack` was
                     // part of the same loss burst; resend it immediately.
-                    self.retransmit_head(cfg, effects);
+                    self.retransmit_head(effects);
                 } else {
                     self.recover_point = None;
                 }
             }
             // Congestion control: slow start below ssthresh, then AIMD.
             if self.cwnd < self.ssthresh {
-                self.cwnd += drained.min(cfg.mss);
+                self.cwnd += drained.min(MSS);
             } else if self.cwnd > 0 {
-                self.cwnd += (cfg.mss * cfg.mss) / self.cwnd.max(1);
+                self.cwnd += (MSS * MSS) / self.cwnd.max(1);
             }
             if let Some((probe_seq, sent_at)) = self.rtt_probe {
                 if seq_le(probe_seq, ack) {
-                    self.sample_rtt(now.saturating_since(sent_at).as_secs_f64(), cfg);
+                    self.sample_rtt(now.saturating_since(sent_at).as_secs_f64());
                     self.rtt_probe = None;
                 }
             }
@@ -723,15 +695,15 @@ impl TcpConn {
             if self.dup_acks == 3 {
                 // Fast retransmit.
                 self.recover_point = Some(self.snd_nxt);
-                self.retransmit_head(cfg, effects);
+                self.retransmit_head(effects);
                 let flight = self.unacked.len();
-                self.ssthresh = (flight / 2).max(2 * cfg.mss);
+                self.ssthresh = (flight / 2).max(2 * MSS);
                 self.cwnd = self.ssthresh;
             }
         }
     }
 
-    fn sample_rtt(&mut self, r: f64, cfg: &TcpConfig) {
+    fn sample_rtt(&mut self, r: f64) {
         match self.srtt {
             None => {
                 self.srtt = Some(r);
@@ -742,20 +714,20 @@ impl TcpConn {
                 self.srtt = Some(0.875 * srtt + 0.125 * r);
             }
         }
-        self.rto = self.computed_rto(cfg);
+        self.rto = self.computed_rto();
     }
 
     /// The un-backed-off RTO implied by the current RTT estimate (the
-    /// configured initial RTO before any sample exists).
-    fn computed_rto(&self, cfg: &TcpConfig) -> SimDuration {
+    /// initial RTO before any sample exists).
+    fn computed_rto(&self) -> SimDuration {
         match self.srtt {
             Some(srtt) => SimDuration::from_secs_f64((srtt + 4.0 * self.rttvar).max(1e-9))
-                .clamp(cfg.min_rto, cfg.max_rto),
-            None => cfg.initial_rto,
+                .clamp(MIN_RTO, MAX_RTO),
+            None => INITIAL_RTO,
         }
     }
 
-    fn process_payload(&mut self, seq: u32, payload: Bytes, cfg: &TcpConfig, effects: &mut TcpEffects) {
+    fn process_payload(&mut self, seq: u32, payload: Bytes, effects: &mut TcpEffects) {
         if seq == self.rcv_nxt {
             self.accept_in_order(payload, effects);
             // Drain any now-contiguous out-of-order segments. The
@@ -782,11 +754,11 @@ impl TcpConn {
                     break;
                 }
             }
-        } else if seq_lt(self.rcv_nxt, seq) && self.ooo.len() < cfg.max_ooo_segments {
+        } else if seq_lt(self.rcv_nxt, seq) && self.ooo.len() < MAX_OOO_SEGMENTS {
             self.ooo.insert(seq, payload);
         }
         // Always acknowledge what we have (duplicate ACKs signal gaps).
-        let ack = self.control_segment(self.snd_nxt, self.rcv_nxt, TcpFlags::ACK, cfg);
+        let ack = self.control_segment(self.snd_nxt, self.rcv_nxt, TcpFlags::ACK);
         effects.segments.push(ack);
     }
 
@@ -796,19 +768,19 @@ impl TcpConn {
         effects.events.push((self.app, TcpEvent::Data { conn: self.id, data }));
     }
 
-    fn process_fin(&mut self, header: &TcpHeader, cfg: &TcpConfig, effects: &mut TcpEffects) {
+    fn process_fin(&mut self, seq: u32, payload_len: usize, effects: &mut TcpEffects) {
         // The FIN occupies the sequence slot right after its payload.
-        let fin_seq = header.seq.wrapping_add(header_payload_len(header) as u32);
+        let fin_seq = seq.wrapping_add(payload_len as u32);
         if self.peer_fin_seen || fin_seq != self.rcv_nxt {
             // Out-of-order FIN (data still missing) — ack current state.
-            let ack = self.control_segment(self.snd_nxt, self.rcv_nxt, TcpFlags::ACK, cfg);
+            let ack = self.control_segment(self.snd_nxt, self.rcv_nxt, TcpFlags::ACK);
             effects.segments.push(ack);
             return;
         }
         self.peer_fin_seen = true;
         self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
         effects.events.push((self.app, TcpEvent::PeerClosed { conn: self.id }));
-        let ack = self.control_segment(self.snd_nxt, self.rcv_nxt, TcpFlags::ACK, cfg);
+        let ack = self.control_segment(self.snd_nxt, self.rcv_nxt, TcpFlags::ACK);
         effects.segments.push(ack);
         self.state = match self.state {
             TcpState::Established => TcpState::CloseWait,
@@ -826,15 +798,15 @@ impl TcpConn {
         }
     }
 
-    fn retransmit_head(&mut self, cfg: &TcpConfig, effects: &mut TcpEffects) {
+    fn retransmit_head(&mut self, effects: &mut TcpEffects) {
         if !self.unacked.is_empty() {
-            let take = self.unacked.len().min(cfg.mss);
+            let take = self.unacked.len().min(MSS);
             let chunk = self.unacked.peek_front_bytes(take);
             self.retransmitted_segments += 1;
-            effects.segments.push(self.data_segment(self.snd_una, chunk, cfg));
+            effects.segments.push(self.data_segment(self.snd_una, chunk));
         } else if self.fin_sent && !self.fin_acked {
             self.retransmitted_segments += 1;
-            let fin = self.control_segment(self.fin_seq, self.rcv_nxt, TcpFlags::FIN | TcpFlags::ACK, cfg);
+            let fin = self.control_segment(self.fin_seq, self.rcv_nxt, TcpFlags::FIN | TcpFlags::ACK);
             effects.segments.push(fin);
         }
         // Karn: never sample RTT across retransmissions.
@@ -842,13 +814,13 @@ impl TcpConn {
     }
 
     /// Handles a retransmission-timer expiry.
-    pub fn on_rto(&mut self, _now: SimTime, cfg: &TcpConfig, effects: &mut TcpEffects) {
+    pub fn on_rto(&mut self, effects: &mut TcpEffects) {
         if self.is_closed() || !self.needs_timer() {
             return;
         }
         let limit = match self.state {
-            TcpState::SynSent | TcpState::SynReceived => cfg.max_syn_retries,
-            _ => cfg.max_retries,
+            TcpState::SynSent | TcpState::SynReceived => MAX_SYN_RETRIES,
+            _ => MAX_RETRIES,
         };
         if self.retries >= limit {
             let event = match self.state {
@@ -865,7 +837,7 @@ impl TcpConn {
             TcpState::SynSent => {
                 let iss = self.snd_nxt.wrapping_sub(1);
                 self.retransmitted_segments += 1;
-                effects.segments.push(self.control_segment(iss, 0, TcpFlags::SYN, cfg));
+                effects.segments.push(self.control_segment(iss, 0, TcpFlags::SYN));
             }
             TcpState::SynReceived => {
                 let iss = self.snd_nxt.wrapping_sub(1);
@@ -874,29 +846,18 @@ impl TcpConn {
                     iss,
                     self.rcv_nxt,
                     TcpFlags::SYN | TcpFlags::ACK,
-                    cfg,
                 ));
             }
             _ => {
                 self.recover_point = Some(self.snd_nxt);
-                self.retransmit_head(cfg, effects);
+                self.retransmit_head(effects);
                 // Multiplicative decrease on loss.
-                self.ssthresh = (self.unacked.len() / 2).max(2 * cfg.mss);
-                self.cwnd = cfg.mss;
+                self.ssthresh = (self.unacked.len() / 2).max(2 * MSS);
+                self.cwnd = MSS;
             }
         }
-        self.rto = (self.rto * 2).clamp(cfg.min_rto, cfg.max_rto);
+        self.rto = (self.rto * 2).clamp(MIN_RTO, MAX_RTO);
     }
-}
-
-/// Payload length implied by a header in this codebase.
-///
-/// Headers travel next to their payload (`on_segment` receives both), so
-/// connections never need to reconstruct the length from the header; this
-/// helper exists for the FIN sequence-slot computation where the payload
-/// has already been consumed.
-fn header_payload_len(_header: &TcpHeader) -> usize {
-    0
 }
 
 /// A passive listener on a local port.
@@ -994,7 +955,6 @@ mod tests {
     fn pump(
         a: &mut TcpConn,
         b: &mut TcpConn,
-        cfg: &TcpConfig,
         mut drop_nth: Option<usize>,
     ) -> Vec<(AppId, TcpEvent)> {
         let mut events = Vec::new();
@@ -1012,7 +972,7 @@ mod tests {
                     continue;
                 }
                 if let Transport::Tcp(h) = seg.transport {
-                    b.on_segment(now, &h, seg.payload, cfg, &mut fx_b);
+                    b.on_segment(now, &h, seg.payload, &mut fx_b);
                     moved = true;
                 }
             }
@@ -1024,7 +984,7 @@ mod tests {
                     continue;
                 }
                 if let Transport::Tcp(h) = seg.transport {
-                    a.on_segment(now, &h, seg.payload, cfg, &mut fx_a);
+                    a.on_segment(now, &h, seg.payload, &mut fx_a);
                     moved = true;
                 }
             }
@@ -1037,7 +997,7 @@ mod tests {
         events
     }
 
-    fn pair(cfg: &TcpConfig) -> (TcpConn, TcpConn, Vec<(AppId, TcpEvent)>) {
+    fn pair() -> (TcpConn, TcpConn, Vec<(AppId, TcpEvent)>) {
         let mut fx = TcpEffects::new();
         let mut client = TcpConn::open_active(
             ConnId::from_raw(1),
@@ -1046,7 +1006,6 @@ mod tests {
             (B, 80),
             Provenance::Benign,
             1000,
-            cfg,
             &mut fx,
         );
         let syn = fx.segments.remove(0);
@@ -1062,27 +1021,25 @@ mod tests {
             Provenance::Benign,
             7000,
             syn_h.seq,
-            cfg,
             &mut fx2,
         );
         // Deliver SYN-ACK to the client, then its ACK to the server.
         let syn_ack = fx2.segments.remove(0);
         let Transport::Tcp(sa_h) = syn_ack.transport else { panic!("not tcp") };
         let mut fx3 = TcpEffects::new();
-        client.on_segment(SimTime::ZERO, &sa_h, Bytes::new(), cfg, &mut fx3);
+        client.on_segment(SimTime::ZERO, &sa_h, Bytes::new(), &mut fx3);
         let mut events: Vec<_> = fx3.events.clone();
         let ack = fx3.segments.remove(0);
         let Transport::Tcp(ack_h) = ack.transport else { panic!("not tcp") };
         let mut fx4 = TcpEffects::new();
-        server.on_segment(SimTime::ZERO, &ack_h, Bytes::new(), cfg, &mut fx4);
+        server.on_segment(SimTime::ZERO, &ack_h, Bytes::new(), &mut fx4);
         events.extend(fx4.events);
         (client, server, events)
     }
 
     #[test]
     fn three_way_handshake_establishes_both_sides() {
-        let cfg = TcpConfig::default();
-        let (client, server, events) = pair(&cfg);
+        let (client, server, events) = pair();
         assert_eq!(client.state(), TcpState::Established);
         assert_eq!(server.state(), TcpState::Established);
         assert!(events.iter().any(|(_, e)| matches!(e, TcpEvent::Connected { .. })));
@@ -1091,17 +1048,16 @@ mod tests {
 
     #[test]
     fn data_flows_in_order() {
-        let cfg = TcpConfig::default();
-        let (mut client, mut server, _) = pair(&cfg);
+        let (mut client, mut server, _) = pair();
         let mut fx = TcpEffects::new();
         let message = vec![42u8; 5000]; // spans several MSS
-        client.send(&message, SimTime::ZERO, &cfg, &mut fx);
+        client.send(&message, SimTime::ZERO, &mut fx);
         // Move client's queued segments to the server through the pump.
         let mut received = Vec::new();
         let mut fx_b = TcpEffects::new();
         for seg in fx.segments.drain(..) {
             if let Transport::Tcp(h) = seg.transport {
-                server.on_segment(SimTime::ZERO, &h, seg.payload, &cfg, &mut fx_b);
+                server.on_segment(SimTime::ZERO, &h, seg.payload, &mut fx_b);
             }
         }
         for (_, ev) in fx_b.events.drain(..) {
@@ -1115,22 +1071,21 @@ mod tests {
 
     #[test]
     fn out_of_order_segments_reassemble() {
-        let cfg = TcpConfig::default();
-        let (mut client, mut server, _) = pair(&cfg);
+        let (mut client, mut server, _) = pair();
         let mut fx = TcpEffects::new();
-        client.send(&[1u8; 1460], SimTime::ZERO, &cfg, &mut fx);
-        client.send(&[2u8; 1460], SimTime::ZERO, &cfg, &mut fx);
+        client.send(&[1u8; 1460], SimTime::ZERO, &mut fx);
+        client.send(&[2u8; 1460], SimTime::ZERO, &mut fx);
         assert_eq!(fx.segments.len(), 2);
         let seg1 = fx.segments.remove(0);
         let seg2 = fx.segments.remove(0);
         let mut fx_b = TcpEffects::new();
         // Deliver the second segment first.
         if let Transport::Tcp(h) = seg2.transport {
-            server.on_segment(SimTime::ZERO, &h, seg2.payload, &cfg, &mut fx_b);
+            server.on_segment(SimTime::ZERO, &h, seg2.payload, &mut fx_b);
         }
         assert!(fx_b.events.iter().all(|(_, e)| !matches!(e, TcpEvent::Data { .. })));
         if let Transport::Tcp(h) = seg1.transport {
-            server.on_segment(SimTime::ZERO, &h, seg1.payload, &cfg, &mut fx_b);
+            server.on_segment(SimTime::ZERO, &h, seg1.payload, &mut fx_b);
         }
         let data: Vec<u8> = fx_b
             .events
@@ -1148,20 +1103,19 @@ mod tests {
 
     #[test]
     fn rto_retransmits_lost_segment() {
-        let cfg = TcpConfig::default();
-        let (mut client, mut server, _) = pair(&cfg);
+        let (mut client, mut server, _) = pair();
         let mut fx = TcpEffects::new();
-        client.send(b"hello", SimTime::ZERO, &cfg, &mut fx);
+        client.send(b"hello", SimTime::ZERO, &mut fx);
         // Lose the segment entirely; fire the RTO.
         fx.segments.clear();
         assert!(client.needs_timer());
-        client.on_rto(SimTime::from_secs(1), &cfg, &mut fx);
+        client.on_rto(&mut fx);
         assert_eq!(fx.segments.len(), 1);
         assert_eq!(client.retransmitted_segments(), 1);
         let seg = fx.segments.remove(0);
         let mut fx_b = TcpEffects::new();
         if let Transport::Tcp(h) = seg.transport {
-            server.on_segment(SimTime::from_secs(1), &h, seg.payload, &cfg, &mut fx_b);
+            server.on_segment(SimTime::from_secs(1), &h, seg.payload, &mut fx_b);
         }
         let got: Vec<u8> = fx_b
             .events
@@ -1177,7 +1131,6 @@ mod tests {
 
     #[test]
     fn rto_backoff_doubles_and_gives_up() {
-        let cfg = TcpConfig::default();
         let mut fx = TcpEffects::new();
         let mut conn = TcpConn::open_active(
             ConnId::from_raw(1),
@@ -1186,50 +1139,48 @@ mod tests {
             (B, 80),
             Provenance::Benign,
             1,
-            &cfg,
             &mut fx,
         );
         let rto0 = conn.rto();
-        for _ in 0..cfg.max_syn_retries {
-            conn.on_rto(SimTime::ZERO, &cfg, &mut fx);
+        for _ in 0..MAX_SYN_RETRIES {
+            conn.on_rto(&mut fx);
         }
         assert!(conn.rto() > rto0);
         // One more expiry exceeds the retry budget.
         fx.events.clear();
-        conn.on_rto(SimTime::ZERO, &cfg, &mut fx);
+        conn.on_rto(&mut fx);
         assert!(conn.is_closed());
         assert!(matches!(fx.events[0].1, TcpEvent::ConnectFailed { .. }));
     }
 
     #[test]
     fn graceful_close_closes_both_sides() {
-        let cfg = TcpConfig::default();
-        let (mut client, mut server, _) = pair(&cfg);
+        let (mut client, mut server, _) = pair();
         let mut fx = TcpEffects::new();
-        client.close(SimTime::ZERO, &cfg, &mut fx);
+        client.close(SimTime::ZERO, &mut fx);
         assert_eq!(client.state(), TcpState::FinWait);
         // Server receives FIN, then closes its side too.
         let mut all_events = Vec::new();
         let fin = fx.segments.remove(0);
         let mut fx_b = TcpEffects::new();
         if let Transport::Tcp(h) = fin.transport {
-            server.on_segment(SimTime::ZERO, &h, fin.payload, &cfg, &mut fx_b);
+            server.on_segment(SimTime::ZERO, &h, fin.payload, &mut fx_b);
         }
         all_events.append(&mut fx_b.events);
         assert_eq!(server.state(), TcpState::CloseWait);
-        server.close(SimTime::ZERO, &cfg, &mut fx_b);
-        all_events.extend(pump(&mut client, &mut server, &cfg, None));
+        server.close(SimTime::ZERO, &mut fx_b);
+        all_events.extend(pump(&mut client, &mut server, None));
         // Deliver outstanding segments from fx_b to client manually.
         let mut fx_a = TcpEffects::new();
         for seg in fx_b.segments.drain(..) {
             if let Transport::Tcp(h) = seg.transport {
-                client.on_segment(SimTime::ZERO, &h, seg.payload, &cfg, &mut fx_a);
+                client.on_segment(SimTime::ZERO, &h, seg.payload, &mut fx_a);
             }
         }
         // And the client's final ACK back to the server.
         for seg in fx_a.segments.drain(..) {
             if let Transport::Tcp(h) = seg.transport {
-                server.on_segment(SimTime::ZERO, &h, seg.payload, &cfg, &mut fx_b);
+                server.on_segment(SimTime::ZERO, &h, seg.payload, &mut fx_b);
             }
         }
         all_events.extend(fx_a.events);
@@ -1241,18 +1192,46 @@ mod tests {
         assert_eq!(closed, 2);
     }
 
+    /// A FIN may ride on the last data segment: its sequence slot is
+    /// right after that segment's payload, so the peer must see the data
+    /// and then the close, and ACK past both.
+    #[test]
+    fn fin_carrying_data_closes_after_delivering_it() {
+        let (_client, mut server, _) = pair();
+        let seq = server.rcv_nxt;
+        let header = TcpHeader {
+            src_port: 50_000,
+            dst_port: 80,
+            seq,
+            ack: server.snd_nxt,
+            flags: TcpFlags::ACK | TcpFlags::PSH | TcpFlags::FIN,
+            window: RECV_WINDOW,
+        };
+        let mut fx = TcpEffects::new();
+        server.on_segment(SimTime::ZERO, &header, Bytes::from_static(b"bye"), &mut fx);
+        let events: Vec<&TcpEvent> = fx.events.iter().map(|(_, e)| e).collect();
+        assert!(
+            matches!(events[..], [TcpEvent::Data { data, .. }, TcpEvent::PeerClosed { .. }] if &data[..] == b"bye"),
+            "events {events:?}"
+        );
+        assert_eq!(server.state(), TcpState::CloseWait);
+        let Transport::Tcp(last_ack) = fx.segments.last().expect("the FIN is ACKed").transport else {
+            panic!("not tcp")
+        };
+        assert_eq!(last_ack.ack, seq.wrapping_add(3 + 1));
+    }
+
     #[test]
     fn abort_emits_rst_and_resets_peer() {
-        let cfg = TcpConfig::default();
-        let (mut client, mut server, _) = pair(&cfg);
+        let (mut client, mut server, _) = pair();
         let mut fx = TcpEffects::new();
-        client.abort(&cfg, &mut fx);
+        client.abort(&mut fx);
         assert!(client.is_closed());
         let rst = fx.segments.remove(0);
         assert!(rst.tcp_flags().contains(TcpFlags::RST));
         let mut fx_b = TcpEffects::new();
         if let Transport::Tcp(h) = rst.transport {
-            server.on_segment(SimTime::ZERO, &h, rst.payload, &cfg, &mut fx_b);
+            server.on_segment(SimTime::ZERO, &h, rst.payload, &mut fx_b);
         }
         assert!(server.is_closed());
         assert!(matches!(fx_b.events[0].1, TcpEvent::Closed { .. }));
@@ -1260,21 +1239,21 @@ mod tests {
 
     #[test]
     fn cwnd_grows_on_acks() {
-        let cfg = TcpConfig { initial_cwnd: MSS, ..TcpConfig::default() };
-        let (mut client, mut server, _) = pair(&cfg);
-        // open_active used default initial_cwnd from cfg — re-check growth:
+        let (mut client, mut server, _) = pair();
+        // The initial window sits below ssthresh, so one ACKed segment
+        // grows it in slow start.
         let before = client.cwnd();
         let mut fx = TcpEffects::new();
-        client.send(&vec![0u8; MSS], SimTime::ZERO, &cfg, &mut fx);
+        client.send(&vec![0u8; MSS], SimTime::ZERO, &mut fx);
         let seg = fx.segments.remove(0);
         let mut fx_b = TcpEffects::new();
         if let Transport::Tcp(h) = seg.transport {
-            server.on_segment(SimTime::ZERO, &h, seg.payload, &cfg, &mut fx_b);
+            server.on_segment(SimTime::ZERO, &h, seg.payload, &mut fx_b);
         }
         let ack = fx_b.segments.remove(0);
         let mut fx_a = TcpEffects::new();
         if let Transport::Tcp(h) = ack.transport {
-            client.on_segment(SimTime::ZERO, &h, ack.payload, &cfg, &mut fx_a);
+            client.on_segment(SimTime::ZERO, &h, ack.payload, &mut fx_a);
         }
         assert!(client.cwnd() > before, "cwnd {} !> {}", client.cwnd(), before);
     }
@@ -1373,13 +1352,14 @@ mod tests {
     fn reassembly_survives_random_reorder_and_duplication() {
         use crate::packet::Transport;
         use crate::rng::SimRng;
-        let cfg = TcpConfig { initial_cwnd: 64 * MSS, ..TcpConfig::default() };
         for seed in 0..24u64 {
             let mut rng = SimRng::seed_from(0xb1ff ^ seed);
-            let (mut client, mut server, _) = pair(&cfg);
+            let (mut client, mut server, _) = pair();
+            // Open the window so the whole 20-segment message is one flight.
+            client.cwnd = 64 * MSS;
             let message: Vec<u8> = (0..20 * MSS).map(|i| (i % 251) as u8).collect();
             let mut fx = TcpEffects::new();
-            client.send(&message, SimTime::ZERO, &cfg, &mut fx);
+            client.send(&message, SimTime::ZERO, &mut fx);
             let mut segs = fx.segments;
             // Duplicate a few segments, then shuffle the whole batch.
             for _ in 0..4 {
@@ -1391,7 +1371,7 @@ mod tests {
             let mut fx_b = TcpEffects::new();
             for seg in segs {
                 if let Transport::Tcp(h) = seg.transport {
-                    server.on_segment(SimTime::ZERO, &h, seg.payload, &cfg, &mut fx_b);
+                    server.on_segment(SimTime::ZERO, &h, seg.payload, &mut fx_b);
                 }
             }
             let received: Vec<u8> = fx_b
@@ -1415,15 +1395,14 @@ mod tests {
     /// unseen tail until yet another retransmission round-trip.
     #[test]
     fn partially_stale_ooo_segment_delivers_its_unseen_tail() {
-        let cfg = TcpConfig::default();
-        let (_client, mut server, _) = pair(&cfg);
+        let (_client, mut server, _) = pair();
         let mut fx = TcpEffects::new();
         let base = server.rcv_nxt;
         // Original segment [100, 200) arrives first, buffered in ooo.
-        server.process_payload(base.wrapping_add(100), Bytes::from(vec![1u8; 100]), &cfg, &mut fx);
+        server.process_payload(base.wrapping_add(100), Bytes::from(vec![1u8; 100]), &mut fx);
         // The RTO resend re-chunks from snd_una: [0, 150) fills the gap
         // and overlaps the buffered segment's first 50 bytes.
-        server.process_payload(base, Bytes::from(vec![2u8; 150]), &cfg, &mut fx);
+        server.process_payload(base, Bytes::from(vec![2u8; 150]), &mut fx);
         let delivered: usize = fx
             .events
             .iter()
@@ -1447,12 +1426,11 @@ mod tests {
 
     #[test]
     fn send_after_close_is_ignored() {
-        let cfg = TcpConfig::default();
-        let (mut client, _server, _) = pair(&cfg);
+        let (mut client, _server, _) = pair();
         let mut fx = TcpEffects::new();
-        client.close(SimTime::ZERO, &cfg, &mut fx);
+        client.close(SimTime::ZERO, &mut fx);
         fx.segments.clear();
-        client.send(b"late", SimTime::ZERO, &cfg, &mut fx);
+        client.send(b"late", SimTime::ZERO, &mut fx);
         assert!(fx.segments.is_empty());
     }
 }

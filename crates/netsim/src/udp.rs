@@ -45,11 +45,6 @@ impl UdpHost {
         }
     }
 
-    /// Releases a bound port.
-    pub fn unbind(&mut self, port: u16) {
-        self.bindings.remove(&port);
-    }
-
     /// The application bound to `port`, if any.
     pub fn lookup(&self, port: u16) -> Option<AppId> {
         self.bindings.get(&port).copied()
@@ -66,7 +61,6 @@ mod tests {
         assert!(host.bind(53, AppId::from_raw(1)));
         assert!(!host.bind(53, AppId::from_raw(2)));
         assert_eq!(host.lookup(53), Some(AppId::from_raw(1)));
-        host.unbind(53);
-        assert_eq!(host.lookup(53), None);
+        assert_eq!(host.lookup(54), None);
     }
 }

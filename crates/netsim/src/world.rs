@@ -15,13 +15,13 @@ use crate::event::{Event, EventQueue};
 use crate::faults::{FaultAction, FaultPlan};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ids::{AppId, ConnId, LinkId, NodeId, TimerId};
-use crate::link::{DropReason, EndpointInfo, Link, LinkConfig, LinkStats};
+use crate::link::{DropReason, Link, LinkConfig, LinkStats};
 use crate::node::{Node, NodeStats};
 use crate::packet::{Addr, Packet, Provenance, TcpFlags, TcpHeader, Transport};
 use crate::pool::{PacketId, PacketPool};
 use crate::rng::SimRng;
 use crate::tap::{PacketTap, TapMeta};
-use crate::tcp::{Listener, TcpConfig, TcpConn, TcpEffects, TcpEvent};
+use crate::tcp::{Listener, TcpConn, TcpEffects, TcpEvent};
 use crate::time::{SimDuration, SimTime};
 use crate::udp::Datagram;
 
@@ -208,7 +208,6 @@ pub struct Kernel {
     pool: PacketPool,
     taps: Vec<Box<dyn PacketTap>>,
     rng: SimRng,
-    tcp_config: TcpConfig,
     next_conn_id: u64,
     next_timer_id: u64,
     cancelled_timers: FxHashSet<TimerId>,
@@ -267,7 +266,6 @@ impl Kernel {
             pool: PacketPool::new(),
             taps: Vec::new(),
             rng: SimRng::seed_from(seed),
-            tcp_config: TcpConfig::default(),
             next_conn_id: 0,
             next_timer_id: 0,
             cancelled_timers: FxHashSet::default(),
@@ -294,18 +292,14 @@ impl Kernel {
         &mut self.rng
     }
 
-    /// The TCP configuration shared by all hosts.
-    pub fn tcp_config(&self) -> &TcpConfig {
-        &self.tcp_config
-    }
-
     fn alloc_conn_id(&mut self) -> ConnId {
         let id = ConnId::from_raw(self.next_conn_id);
         self.next_conn_id += 1;
         id
     }
 
-    /// Sends a fully formed packet from `node` onto the routed link.
+    /// Sends a fully formed packet from `node` onto its default link
+    /// (the first link it was attached to).
     ///
     /// Used directly by flood generators (spoofed raw packets) and by the
     /// transport layers. Returns the reason if the packet was dropped at
@@ -326,7 +320,7 @@ impl Kernel {
             self.egress.push((self.clock, packet));
             return Ok(());
         }
-        let Some(link_id) = node.route(packet.dst) else {
+        let Some(link_id) = node.default_link else {
             node.stats.dropped_no_route += 1;
             return Err(DropReason::Unroutable);
         };
@@ -334,17 +328,6 @@ impl Kernel {
         node.stats.sent_bytes += packet.wire_len() as u64;
         let clock = self.clock;
         self.links[link_id.index()].enqueue(clock, node_id, packet, &mut self.pool, &mut self.queue)
-    }
-
-    fn handle_tx_complete(&mut self, link: LinkId, lane: usize) {
-        // Split borrows: the link needs an endpoint resolver over nodes
-        // while it mutates the pool and the queue.
-        let Kernel { nodes, links, pool, queue, clock, .. } = self;
-        let resolver = |node: NodeId| EndpointInfo {
-            addr: nodes[node.index()].addr,
-            up: nodes[node.index()].up,
-        };
-        links[link.index()].on_tx_complete(*clock, lane, &resolver, pool, queue);
     }
 
     fn apply_fault(&mut self, action: FaultAction, out: &mut Vec<(AppId, AppEvent)>) {
@@ -527,9 +510,8 @@ impl Kernel {
         let node = &mut self.nodes[node_id.index()];
 
         if let Some(&conn_id) = node.tcp.by_key.get(&key) {
-            let cfg = self.tcp_config;
             let conn = node.tcp.conns.get_mut(&conn_id).expect("demux table is consistent");
-            conn.on_segment(self.clock, &header, payload, &cfg, &mut effects);
+            conn.on_segment(self.clock, &header, payload, &mut effects);
             self.finish_conn_activity(node_id, conn_id, &mut effects, out);
             self.effects_scratch = effects;
             return;
@@ -550,7 +532,6 @@ impl Kernel {
                 let remote = (src, header.src_port);
                 let conn_id = self.alloc_conn_id();
                 let iss = self.rng.next_u64() as u32;
-                let cfg = self.tcp_config;
                 let conn = TcpConn::open_passive(
                     conn_id,
                     app,
@@ -559,7 +540,6 @@ impl Kernel {
                     provenance,
                     iss,
                     header.seq,
-                    &cfg,
                     &mut effects,
                 );
                 let node = &mut self.nodes[node_id.index()];
@@ -650,12 +630,11 @@ impl Kernel {
         generation: u64,
         out: &mut Vec<(AppId, AppEvent)>,
     ) {
-        let cfg = self.tcp_config;
         let mut effects = std::mem::take(&mut self.effects_scratch);
         let node = &mut self.nodes[node_id.index()];
         if let Some(conn) = node.tcp.conns.get_mut(&conn_id) {
             if conn.timer_generation() == generation {
-                conn.on_rto(self.clock, &cfg, &mut effects);
+                conn.on_rto(&mut effects);
                 self.finish_conn_activity(node_id, conn_id, &mut effects, out);
             }
         }
@@ -764,10 +743,16 @@ impl World {
         self.kernel.links[id.index()].seed_loss_rng(seed);
     }
 
+    /// Each member paired with its address, as links store them.
+    fn addressed(&self, members: &[NodeId]) -> Vec<(NodeId, Addr)> {
+        members.iter().map(|&m| (m, self.node_addr(m))).collect()
+    }
+
     /// Creates a CSMA bus over the given nodes and attaches them.
     pub fn add_csma_link(&mut self, members: &[NodeId], config: LinkConfig) -> LinkId {
         let id = LinkId::from_raw(self.kernel.links.len() as u32);
-        self.kernel.links.push(Link::csma(id, members, config));
+        let link = Link::csma(id, &self.addressed(members), config);
+        self.kernel.links.push(link);
         self.seed_link(id);
         for &m in members {
             self.kernel.nodes[m.index()].attach(id);
@@ -779,7 +764,8 @@ impl World {
     /// attaches them.
     pub fn add_wifi_link(&mut self, members: &[NodeId], config: LinkConfig) -> LinkId {
         let id = LinkId::from_raw(self.kernel.links.len() as u32);
-        self.kernel.links.push(Link::wifi(id, members, config));
+        let link = Link::wifi(id, &self.addressed(members), config);
+        self.kernel.links.push(link);
         self.seed_link(id);
         for &m in members {
             self.kernel.nodes[m.index()].attach(id);
@@ -790,7 +776,8 @@ impl World {
     /// Creates a point-to-point link between `a` and `b` and attaches them.
     pub fn add_p2p_link(&mut self, a: NodeId, b: NodeId, config: LinkConfig) -> LinkId {
         let id = LinkId::from_raw(self.kernel.links.len() as u32);
-        self.kernel.links.push(Link::p2p(id, a, b, config));
+        let link = Link::p2p(id, (a, self.node_addr(a)), (b, self.node_addr(b)), config);
+        self.kernel.links.push(link);
         self.seed_link(id);
         self.kernel.nodes[a.index()].attach(id);
         self.kernel.nodes[b.index()].attach(id);
@@ -799,7 +786,8 @@ impl World {
 
     /// Attaches an extra member to an existing CSMA bus.
     pub fn join_csma_link(&mut self, link: LinkId, node: NodeId) {
-        self.kernel.links[link.index()].add_member(node);
+        let addr = self.node_addr(node);
+        self.kernel.links[link.index()].add_member(node, addr);
         self.kernel.nodes[node.index()].attach(link);
     }
 
@@ -1053,7 +1041,8 @@ impl World {
         notifications.clear();
         match event {
             Event::LinkTxComplete { link, lane } => {
-                self.kernel.handle_tx_complete(link, lane);
+                let k = &mut self.kernel;
+                k.links[link.index()].on_tx_complete(k.clock, lane, &mut k.pool, &mut k.queue);
             }
             Event::Deliver { link, node, packet } => {
                 self.kernel.deliver(link, node, packet, &mut notifications)
@@ -1266,7 +1255,6 @@ impl<'a> Ctx<'a> {
         let provenance = self.provenance();
         let conn_id = self.kernel.alloc_conn_id();
         let iss = self.kernel.rng.next_u64() as u32;
-        let cfg = self.kernel.tcp_config;
         let mut effects = std::mem::take(&mut self.kernel.effects_scratch);
         let node = &mut self.kernel.nodes[self.node.index()];
         let Some(local_port) = node.tcp.alloc_ephemeral((dst, port)) else {
@@ -1280,7 +1268,7 @@ impl<'a> Ctx<'a> {
         };
         let local = (node.addr, local_port);
         let conn =
-            TcpConn::open_active(conn_id, self.app, local, (dst, port), provenance, iss, &cfg, &mut effects);
+            TcpConn::open_active(conn_id, self.app, local, (dst, port), provenance, iss, &mut effects);
         node.tcp.conns.insert(conn_id, conn);
         node.tcp.by_key.insert((local_port, dst, port), conn_id);
         self.finish_quiet(conn_id, &mut effects, "open_active");
@@ -1302,12 +1290,11 @@ impl<'a> Ctx<'a> {
 
     /// Queues bytes on an open connection.
     pub fn tcp_send(&mut self, conn: ConnId, data: &[u8]) {
-        let cfg = self.kernel.tcp_config;
         let now = self.kernel.clock;
         let mut effects = std::mem::take(&mut self.kernel.effects_scratch);
         let node = &mut self.kernel.nodes[self.node.index()];
         if let Some(c) = node.tcp.conns.get_mut(&conn) {
-            c.send(data, now, &cfg, &mut effects);
+            c.send(data, now, &mut effects);
         }
         self.finish_quiet(conn, &mut effects, "send");
         self.kernel.effects_scratch = effects;
@@ -1318,12 +1305,11 @@ impl<'a> Ctx<'a> {
     /// it onto the wire. Use for large or repeated payloads a sender
     /// already holds as [`Bytes`] (streaming chunks, cached bodies).
     pub fn tcp_send_bytes(&mut self, conn: ConnId, data: Bytes) {
-        let cfg = self.kernel.tcp_config;
         let now = self.kernel.clock;
         let mut effects = std::mem::take(&mut self.kernel.effects_scratch);
         let node = &mut self.kernel.nodes[self.node.index()];
         if let Some(c) = node.tcp.conns.get_mut(&conn) {
-            c.send_bytes(data, now, &cfg, &mut effects);
+            c.send_bytes(data, now, &mut effects);
         }
         self.finish_quiet(conn, &mut effects, "send");
         self.kernel.effects_scratch = effects;
@@ -1331,12 +1317,11 @@ impl<'a> Ctx<'a> {
 
     /// Gracefully closes a connection (FIN after queued data drains).
     pub fn tcp_close(&mut self, conn: ConnId) {
-        let cfg = self.kernel.tcp_config;
         let now = self.kernel.clock;
         let mut effects = std::mem::take(&mut self.kernel.effects_scratch);
         let node = &mut self.kernel.nodes[self.node.index()];
         if let Some(c) = node.tcp.conns.get_mut(&conn) {
-            c.close(now, &cfg, &mut effects);
+            c.close(now, &mut effects);
         }
         self.finish_swallowed(conn, &mut effects);
         self.kernel.effects_scratch = effects;
@@ -1355,11 +1340,10 @@ impl<'a> Ctx<'a> {
 
     /// Aborts a connection with a RST.
     pub fn tcp_abort(&mut self, conn: ConnId) {
-        let cfg = self.kernel.tcp_config;
         let mut effects = std::mem::take(&mut self.kernel.effects_scratch);
         let node = &mut self.kernel.nodes[self.node.index()];
         if let Some(c) = node.tcp.conns.get_mut(&conn) {
-            c.abort(&cfg, &mut effects);
+            c.abort(&mut effects);
         }
         // The app initiated the abort; swallow its own Closed event.
         self.finish_swallowed(conn, &mut effects);
